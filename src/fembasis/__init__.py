@@ -56,6 +56,7 @@ from .stokes import (
     assemble_stokes_matrix,
     driven_cavity_data,
     run_driven_cavity,
+    stokes_preconditioner,
     taylor_hood_tree,
     weak_divergence_norm,
 )
@@ -129,6 +130,7 @@ __all__ = [
     "render_tree",
     "run_driven_cavity",
     "solve_system",
+    "stokes_preconditioner",
     "subspace_basis",
     "taylor_hood_tree",
     "tensor_rule",

@@ -1,8 +1,9 @@
 """Restarted GMRes with modified Gram-Schmidt Arnoldi and Givens rotations.
 
-The core routine works on flat numpy arrays and an abstract matvec;
-:func:`solve_system` bridges it to the multi-index world by flattening a
-frozen :class:`~fembasis.containers.SparseSystem` and a rhs
+The core routine works on flat numpy arrays and an abstract matvec,
+optionally right-preconditioned; :func:`solve_system` bridges it to the
+multi-index world by flattening a frozen
+:class:`~fembasis.containers.SparseSystem` and a rhs
 :class:`~fembasis.containers.NestedVector` over the vector's scalar slots.
 """
 
@@ -19,12 +20,17 @@ from .errors import ShapeMismatch
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Krylov solver parameters (pin_pressure is consumed by the Stokes layer)."""
+    """Krylov solver parameters.
+
+    pin_pressure and precondition are consumed by the Stokes layer;
+    precondition=False runs plain restarted GMRes.
+    """
 
     restart: int = 100
     max_iterations: int = 5000
     tolerance: float = 1e-8
     pin_pressure: bool = False
+    precondition: bool = True
 
     def __post_init__(self):
         if self.restart < 1:
@@ -35,8 +41,12 @@ class SolverConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
-def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None):
-    """Solve A x = b with restarted GMRes.
+def _identity(v):
+    return v
+
+
+def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, precondition=None):
+    """Solve A x = b with restarted, optionally right-preconditioned GMRes.
 
     Arguments:
         matvec: callable mapping a vector to A times that vector.
@@ -45,7 +55,11 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None):
         tol: relative residual target, measured as ||b - A x|| / ||b||.
         maxiter: total iteration (matvec) budget across restarts.
         x0: optional initial iterate; zero slots of x0 whose matrix row is
-            an identity row stay exact through all iterations.
+            an identity row stay exact through all iterations, provided
+            the preconditioner passes those slots through unchanged.
+        precondition: optional callable applying M^-1 to a vector.  Arnoldi
+            then runs on A M^-1 and the update is x += M^-1 V y, so the
+            stopping test stays on the true residual.
 
     Returns:
         (x, relative residual, iterations).  A zero rhs returns x = 0
@@ -54,6 +68,8 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None):
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
+    if precondition is None:
+        precondition = _identity
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), 0.0, 0
@@ -84,7 +100,7 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None):
         k = 0
         while k < m and iters < maxiter:
             # copy: matvec may return its argument aliased (identity is legal)
-            w = np.array(matvec(V[k]), dtype=float)
+            w = np.array(matvec(precondition(V[k])), dtype=float)
             norm_before = float(np.linalg.norm(w))
             for i in range(k + 1):
                 hik = float(V[i] @ w)
@@ -131,7 +147,7 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None):
                 continue
             y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
         if k:
-            x = x + V[:k].T @ y
+            x = x + precondition(V[:k].T @ y)
 
 
 def flatten_layout(vector: NestedVector):
@@ -140,12 +156,16 @@ def flatten_layout(vector: NestedVector):
     return paths, {mi: i for i, mi in enumerate(paths)}
 
 
-def solve_system(system: SparseSystem, rhs: NestedVector, config=None, x0=None):
+def solve_system(
+    system: SparseSystem, rhs: NestedVector, config=None, x0=None, preconditioner=None
+):
     """Solve a frozen sparse system for a nested rhs.
 
     Returns (solution, relative residual, iterations) with the solution
     shaped like the rhs.  Row and column keys of the system must address
-    scalar slots of the rhs shape.
+    scalar slots of the rhs shape.  ``preconditioner``, if given, is called
+    once with the slot lookup (multi-index to flat position) and returns
+    the flat M^-1 application handed to :func:`gmres`.
     """
     cfg = config if config is not None else SolverConfig()
     paths, slot = flatten_layout(rhs)
@@ -182,6 +202,7 @@ def solve_system(system: SparseSystem, rhs: NestedVector, config=None, x0=None):
         tol=cfg.tolerance,
         maxiter=cfg.max_iterations,
         x0=x0_flat,
+        precondition=None if preconditioner is None else preconditioner(slot),
     )
 
     solution = rhs.zeros_like()

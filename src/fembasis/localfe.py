@@ -3,7 +3,9 @@
 Order k places (k+1)^2 nodes at (a/k, b/k) for a, b in 0..k; the node with
 local index m = b*(k+1) + a carries the shape function l_a(xi) * l_b(eta)
 built from the one-dimensional Lagrange polynomials over the equispaced
-nodes.  Orders 1 and 2 are supported.
+nodes.  Orders 1 and 2 are supported.  :func:`line_matrices` assembles
+the same one-dimensional polynomials into stiffness and mass matrices
+of a uniformly split unit interval.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnsupportedOrder
+from .quadrature import gauss_legendre_unit
 
 
 def _values_1d(nodes, x):
@@ -91,3 +94,28 @@ def lagrange_element(order: int) -> LagrangeQk:
     if order not in _CACHE:
         _CACHE[order] = LagrangeQk(order)
     return _CACHE[order]
+
+
+def line_matrices(order: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stiffness and mass matrices of continuous order-k Lagrange elements.
+
+    The unit interval is split into ``cells`` equal cells; global node g
+    sits at g / (order * cells), so both dense matrices have
+    order * cells + 1 rows.  The Gauss rule with order + 1 points
+    integrates both products exactly.
+    """
+    nodes = lagrange_element(order).nodes_1d
+    points, weights = gauss_legendre_unit(order + 1)
+    values = np.array([_values_1d(nodes, x) for x in points])
+    slopes = np.array([_derivatives_1d(nodes, x) for x in points])
+    h = 1.0 / cells
+    local_stiffness = slopes.T @ (weights[:, None] * slopes) / h
+    local_mass = values.T @ (weights[:, None] * values) * h
+    n = order * cells + 1
+    stiffness = np.zeros((n, n))
+    mass = np.zeros((n, n))
+    for c in range(cells):
+        span = slice(order * c, order * (c + 1) + 1)
+        stiffness[span, span] += local_stiffness
+        mass[span, span] += local_mass
+    return stiffness, mass

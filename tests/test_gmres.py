@@ -135,3 +135,32 @@ def test_solver_config_defaults():
     assert config.max_iterations == 5000
     assert config.tolerance == 1e-8
     assert config.pin_pressure is False
+    assert config.precondition is True
+
+
+def test_right_preconditioning_keeps_true_residual():
+    rng = np.random.default_rng(83)
+    n = 30
+    a = rng.standard_normal((n, n)) + np.diag(n * 10.0 ** rng.uniform(0.0, 3.0, n))
+    identity_rows = [0, 7, 19]
+    a[identity_rows] = 0.0
+    a[identity_rows, identity_rows] = 1.0
+    b = rng.standard_normal(n)
+    b[identity_rows] = 0.0
+    diagonal = np.diag(a).copy()
+
+    def matvec(v):
+        return a @ v
+
+    tol = 1e-10
+    settings = dict(restart=n, tol=tol, maxiter=200)
+    x, relres, iters = gmres(
+        matvec, b, x0=b.copy(), precondition=lambda v: v / diagonal, **settings
+    )
+    _, plain_relres, plain_iters = gmres(matvec, b, x0=b.copy(), **settings)
+    assert relres == pytest.approx(np.linalg.norm(b - a @ x) / np.linalg.norm(b), rel=1e-12)
+    assert relres <= tol
+    assert plain_relres <= tol
+    assert iters < plain_iters
+    for i in identity_rows:
+        assert x[i] == 0.0 and not np.signbit(x[i])

@@ -1,6 +1,7 @@
 """Stokes assembly, boundary handling and the driven cavity pipeline."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from fembasis import (
     make_basis,
     parse_tree,
     run_driven_cavity,
+    solve_system,
+    stokes_preconditioner,
     taylor_hood_tree,
     weak_divergence_norm,
 )
+from fembasis.cli import TABLE1_COLUMNS, strategy_table_bases
 
 NV = 9  # Q2 dofs per element
 NP = 4  # Q1 dofs per element
@@ -217,3 +221,141 @@ def test_cavity_iteration_budget_respected(tmp_path):
     summary = run_driven_cavity(2, 2, config=cfg, out_path=str(tmp_path / "c.vtu"))
     assert summary.iterations == 3
     assert not summary.converged
+
+
+# -- block-diagonal preconditioner ------------------------------------------
+
+
+def flat_slots(vector):
+    return {mi: k for k, (mi, _) in enumerate(vector.entries())}
+
+
+def dense_matrix(system, slot):
+    dense = np.zeros((len(slot), len(slot)))
+    for r, c, v in system.triples():
+        dense[slot[r], slot[c]] += v
+    return dense
+
+
+def q1_mass_matrix(nx, ny):
+    """Q1 mass matrix by 2-D tensor Gauss quadrature, vertex j*(nx+1)+i."""
+    x, w = np.polynomial.legendre.leggauss(2)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    hat = ((1.0 - x, w), (x, w))  # 1-D hats at the left and right vertex
+    mass = np.zeros(((nx + 1) * (ny + 1),) * 2)
+    for j in range(ny):
+        for i in range(nx):
+            nodes = [(j + b) * (nx + 1) + i + a for b in (0, 1) for a in (0, 1)]
+            for qy in range(2):
+                for qx in range(2):
+                    phi = np.array(
+                        [hat[b][0][qy] * hat[a][0][qx] for b in (0, 1) for a in (0, 1)]
+                    )
+                    weight = w[qx] * w[qy] / (nx * ny)
+                    mass[np.ix_(nodes, nodes)] += weight * np.outer(phi, phi)
+    return mass
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 3), (3, 2)])
+def test_preconditioner_blocks_against_oracles(nx, ny):
+    basis = make_basis(StructuredGrid(nx, ny), taylor_hood_tree())
+    system = SparseSystem()
+    assemble_stokes_matrix(basis, system)
+    system.freeze()
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    slot = flat_slots(rhs)
+    apply = stokes_preconditioner(basis, slot)
+    rng = np.random.default_rng(89)
+
+    side = 2 * nx + 1
+    interior = [
+        slot[basis.leaf_dof_index((0, k), jj * side + ii)]
+        for k in range(2)
+        for jj in range(1, 2 * ny)
+        for ii in range(1, 2 * nx)
+    ]
+    k_int = dense_matrix(system, slot)[np.ix_(interior, interior)]
+    y = rng.standard_normal(len(interior))
+    v = np.zeros(len(slot))
+    v[interior] = k_int @ y
+    z = apply(v)
+    assert np.max(np.abs(z[interior] - y)) <= 1e-10
+    others = np.setdiff1d(np.arange(len(slot)), interior)
+    assert np.array_equal(z[others], np.zeros(len(others)))
+
+    pressure = [slot[basis.leaf_dof_index((1,), f)] for f in range((nx + 1) * (ny + 1))]
+    q = rng.standard_normal(len(pressure))
+    v = np.zeros(len(slot))
+    v[pressure] = q1_mass_matrix(nx, ny) @ q
+    z = apply(v)
+    assert np.max(np.abs(z[pressure] - q)) <= 1e-10
+
+    boundary = np.setdiff1d(others, pressure)
+    v = rng.standard_normal(len(slot))
+    assert np.array_equal(apply(v)[boundary], v[boundary])
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_preconditioned_cavity_converges_in_few_iterations(tmp_path, n):
+    summary = run_driven_cavity(n, n, out_path=str(tmp_path / "c.vtu"))
+    assert summary.converged
+    assert summary.iterations <= 40
+    assert summary.rel_residual <= 1e-8
+
+
+def test_preconditioned_cavity_keeps_every_wall_bitwise(tmp_path):
+    nx = ny = 8
+    summary = run_driven_cavity(nx, ny, out_path=str(tmp_path / "c.vtu"))
+    side = 2 * nx + 1
+    checked = 0
+    for jj in range(2 * ny + 1):
+        for ii in range(side):
+            if 0 < ii < 2 * nx and 0 < jj < 2 * ny:
+                continue
+            data = driven_cavity_data((ii / (2 * nx), jj / (2 * ny)))
+            for k in range(2):
+                mi = summary.basis.leaf_dof_index((0, k), jj * side + ii)
+                assert summary.solution[mi] == data[k]
+                checked += 1
+    assert checked == 2 * (side * side - (side - 2) ** 2)
+
+
+def test_preconditioned_cavity_with_pinned_pressure(tmp_path):
+    cfg = SolverConfig(pin_pressure=True)
+    summary = run_driven_cavity(16, 16, config=cfg, out_path=str(tmp_path / "c.vtu"))
+    assert summary.converged
+    assert summary.iterations <= 60
+    assert summary.solution[summary.basis.leaf_dof_index((1,), 0)] == 0.0
+
+
+def test_preconditioned_solve_agrees_across_numberings():
+    nx = ny = 4
+    grid = StructuredGrid(nx, ny)
+    fields = []
+    for label, basis in strategy_table_bases(grid, 2):
+        system = SparseSystem()
+        assemble_stokes_matrix(basis, system)
+        rhs = NestedVector()
+        rhs.resize_from_basis(basis)
+        apply_dirichlet(system, rhs, basis)
+        system.freeze()
+        solution, relres, iters = solve_system(
+            system,
+            rhs,
+            SolverConfig(),
+            x0=rhs,
+            preconditioner=partial(stokes_preconditioner, basis),
+        )
+        assert relres <= 1e-8, label
+        velocity = [
+            solution[basis.leaf_dof_index((0, k), 2 * j * (2 * nx + 1) + 2 * i)]
+            for j in range(ny + 1)
+            for i in range(nx + 1)
+            for k in range(2)
+        ]
+        pressure = [solution[basis.leaf_dof_index((1,), f)] for f in range(grid.num_vertices)]
+        fields.append(np.array(velocity + pressure))
+    assert len(fields) == len(TABLE1_COLUMNS)
+    for field in fields[1:]:
+        assert np.max(np.abs(field - fields[0])) <= 1e-6
