@@ -84,7 +84,6 @@ def _cmd_stokes(args) -> int:
         max_iterations=args.max_iter,
         tolerance=args.tol,
         pin_pressure=args.pin_pressure,
-        precondition=args.precondition,
     )
     nx, ny = args.grid
     summary = run_driven_cavity(nx, ny, config, out_path=args.out)
@@ -128,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     stokes.add_argument("--max-iter", type=int, default=5000, help="iteration budget")
     stokes.add_argument(
         "--pin-pressure", action="store_true", help="fix the first pressure entry to 0"
-    )
-    stokes.add_argument(
-        "--no-precondition",
-        dest="precondition",
-        action="store_false",
-        help="run plain GMRes without the block-diagonal preconditioner",
     )
     stokes.add_argument("--out", required=True, help="output VTU path")
     stokes.set_defaults(handler=_cmd_stokes)

@@ -20,17 +20,12 @@ from .errors import ShapeMismatch
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Krylov solver parameters.
-
-    pin_pressure and precondition are consumed by the Stokes layer;
-    precondition=False runs plain restarted GMRes.
-    """
+    """Krylov solver parameters; pin_pressure is consumed by the Stokes layer."""
 
     restart: int = 100
     max_iterations: int = 5000
     tolerance: float = 1e-8
     pin_pressure: bool = False
-    precondition: bool = True
 
     def __post_init__(self):
         if self.restart < 1:

@@ -7,7 +7,7 @@ quadratic components, the pressure in one linear component, so every quad
 element contributes a dense 22-by-22 matrix.  Boundary conditions fix the
 velocity to (0,1) on the left wall and (0,0) elsewhere; rows of fixed
 entries become identity rows.  The resulting symmetric-saddle system is
-solved with restarted GMRes, right-preconditioned by default with a
+solved with restarted GMRes, right-preconditioned with a
 block-diagonal saddle point preconditioner (:func:`stokes_preconditioner`),
 and written to an ASCII VTU file.
 """
@@ -137,6 +137,10 @@ def apply_dirichlet(
     data into the rhs through the mask, and turns the marked rows into
     identity rows.  With ``pin_pressure`` the first pressure entry is fixed
     to zero the same way.
+
+    :func:`stokes_preconditioner` passes exactly these identity-row slots
+    through unchanged; a change to which slots are fixed here must be made
+    there too.
     """
     velocity = subspace_basis(basis, (0,))
     mask = NestedVector()
@@ -208,6 +212,9 @@ def stokes_preconditioner(basis: GlobalBasis, slot, pin_pressure: bool = False):
         flat = (slot[basis.leaf_dof_index(path, f)] for f in range(rows * cols))
         return np.fromiter(flat, dtype=np.intp, count=rows * cols).reshape(rows, cols)
 
+    # identity-row slots, which must match what apply_dirichlet fixes: all
+    # velocity nodes outside the interior grid and, pinned, the pressure
+    # entry at flat node 0 (leaf_dof_index((1,), 0))
     interior = [node_slots(leaf, 2)[1:-1, 1:-1] for leaf in vel]
     pressure = node_slots(press, 1)
     fixed = pressure[0, 0] if pin_pressure else None
@@ -272,9 +279,7 @@ def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> C
     apply_dirichlet(system, rhs, basis, driven_cavity_data, cfg.pin_pressure)
     system.freeze()
 
-    preconditioner = None
-    if cfg.precondition:
-        preconditioner = partial(stokes_preconditioner, basis, pin_pressure=cfg.pin_pressure)
+    preconditioner = partial(stokes_preconditioner, basis, pin_pressure=cfg.pin_pressure)
 
     # starting from the rhs keeps identity rows exact from the first
     # iterate on, so boundary values survive the solve bitwise

@@ -128,11 +128,3 @@ def test_stokes_pin_pressure(capsys, tmp_path):
     line = out.strip().splitlines()[-1]
     parts = dict(p.split("=") for p in line.split())
     assert float(parts["relres"]) <= 1e-9
-
-
-def test_stokes_no_precondition_reproduces_plain_gmres(capsys, tmp_path):
-    code, out, err = run_cli(
-        capsys, "stokes", "--grid", "4x4", "--no-precondition", "--out", str(tmp_path / "c.vtu")
-    )
-    assert code == 0
-    assert out.strip().splitlines()[-1].startswith("dim=187 iters=73 relres=5.180e-10 ")

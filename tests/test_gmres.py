@@ -135,7 +135,6 @@ def test_solver_config_defaults():
     assert config.max_iterations == 5000
     assert config.tolerance == 1e-8
     assert config.pin_pressure is False
-    assert config.precondition is True
 
 
 def test_right_preconditioning_keeps_true_residual():
