@@ -21,7 +21,6 @@ from .errors import (
     FemBasisError,
     IndexOutOfRange,
     InvalidStrategy,
-    MergeProducesInvalidTree,
     NotFrozen,
     OutsideDomain,
     ParseError,
@@ -89,7 +88,6 @@ __all__ = [
     "LagrangeQk",
     "Leaf",
     "LocalView",
-    "MergeProducesInvalidTree",
     "MultiIndex",
     "NestedVector",
     "NotFrozen",

@@ -1,13 +1,14 @@
 """Global bases over structured grids with configurable index merging.
 
 A basis tree (see :mod:`fembasis.treespec`) turns into a global basis by
-giving every leaf the global numbering of its Lagrange nodes on the grid
-and then folding those flat numbers through the merging strategies of the
-inner nodes, leaf to root.  The result assigns every basis function a
-multi-index; the set of all of them forms a valid index tree.
+giving every leaf an index table, one row per Lagrange node holding the
+node's global number on the grid, and then merging those tables through
+the strategies of the inner nodes, leaf to root.  The rows of all leaf
+tables are the multi-indices of the basis functions; together they form a
+valid index tree.
 
-The four strategies act on a child's multi-index ``childMI`` at child
-position ``i`` as follows:
+Each strategy is one column operation on the table of child ``i``
+(:func:`merge_index_table`):
 
 * BlockedLexicographic prepends:      (i, childMI...)
 * BlockedInterleaved appends:         (childMI..., i)
@@ -16,25 +17,44 @@ position ``i`` as follows:
 * FlatInterleaved strides digit 0:    (childMI[0]*m + i, childMI[1:]...)
   with m the child count
 
-Element-local access happens through :class:`LocalView`: binding it to an
-element caches the multi-index of every element-local basis function.
-Local indices enumerate the leaves depth-first and are consecutive within
-each leaf.
+The rank of a multi-index in lexicographic order is the flat offset of its
+basis function in every container shaped for the basis; the basis stores
+the ranks per leaf and builds the ordered keys (:attr:`GlobalBasis.layout`)
+on first use.  Element-local access happens through :class:`LocalView`:
+binding it to an element gathers the multi-index of every element-local
+basis function from those ranks.  Local indices enumerate the leaves
+depth-first and are consecutive within each leaf.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    IndexOutOfRange,
-    MergeProducesInvalidTree,
-    PathOutOfRange,
-    PrefixNotFound,
-    UnboundView,
-)
+from functools import cached_property
+
+import numpy as np
+
+from .errors import IndexOutOfRange, PathOutOfRange, UnboundView
 from .grid import StructuredGrid
 from .localfe import lagrange_element
-from .multiindex import MultiIndex, as_multi_index
-from .treespec import BasisTree, Composite, Leaf, Power, Strategy, child_at
+from .multiindex import Layout, MultiIndex, as_multi_index
+from .treespec import BasisTree, Leaf, Power, Strategy, child_at
+
+
+def merge_index_table(strategy: Strategy, child_index: int, table, child_root_degrees, child_count):
+    """Rows of child ``child_index``'s index table in the parent numbering.
+
+    ``table`` is an integer array with one multi-index per row.
+    """
+    column = np.full((len(table), 1), child_index, dtype=table.dtype)
+    if strategy is Strategy.BLOCKED_LEXICOGRAPHIC:
+        return np.hstack((column, table))
+    if strategy is Strategy.BLOCKED_INTERLEAVED:
+        return np.hstack((table, column))
+    merged = table.copy()
+    if strategy is Strategy.FLAT_LEXICOGRAPHIC:
+        merged[:, 0] += sum(child_root_degrees[:child_index])
+    else:
+        merged[:, 0] = merged[:, 0] * child_count + child_index
+    return merged
 
 
 def merge_child_index(
@@ -51,142 +71,57 @@ def merge_child_index(
     child order) is required for FlatLexicographic; ``child_count`` for
     FlatInterleaved.  Flat strategies need a non-empty child multi-index.
     """
-    mi = tuple(child_mi)
-    if child_index < 0:
-        raise IndexOutOfRange(f"negative child index {child_index}")
-    if strategy is Strategy.BLOCKED_LEXICOGRAPHIC:
-        return MultiIndex((child_index, *mi))
-    if strategy is Strategy.BLOCKED_INTERLEAVED:
-        return MultiIndex((*mi, child_index))
-    if not mi:
+    mi = as_multi_index(child_mi)
+    if not isinstance(strategy, Strategy):
+        raise TypeError(f"not a strategy: {strategy!r}")
+    if strategy.is_flat and not mi:
         raise ValueError("flat strategies need a non-empty child multi-index")
-    if strategy is Strategy.FLAT_LEXICOGRAPHIC:
-        if child_root_degrees is None:
-            raise ValueError("FlatLexicographic needs child_root_degrees")
-        if child_index >= len(child_root_degrees):
-            raise IndexOutOfRange(
-                f"child index {child_index} outside {len(child_root_degrees)} children"
-            )
-        offset = sum(child_root_degrees[:child_index])
-        return MultiIndex((offset + mi[0], *mi[1:]))
-    if strategy is Strategy.FLAT_INTERLEAVED:
-        if child_count is None:
-            raise ValueError("FlatInterleaved needs child_count")
-        if child_index >= child_count:
-            raise IndexOutOfRange(
-                f"child index {child_index} outside count {child_count}"
-            )
-        return MultiIndex((mi[0] * child_count + child_index, *mi[1:]))
-    raise TypeError(f"not a strategy: {strategy!r}")
+    if strategy is Strategy.FLAT_LEXICOGRAPHIC and child_root_degrees is None:
+        raise ValueError("FlatLexicographic needs child_root_degrees")
+    if strategy is Strategy.FLAT_INTERLEAVED and child_count is None:
+        raise ValueError("FlatInterleaved needs child_count")
+    limit = len(child_root_degrees) if strategy is Strategy.FLAT_LEXICOGRAPHIC else child_count
+    if child_index < 0 or (strategy.is_flat and child_index >= limit):
+        raise IndexOutOfRange(f"child index {child_index} outside {limit} children")
+    table = np.array([mi], dtype=np.int64).reshape(1, len(mi))
+    merged = merge_index_table(strategy, child_index, table, child_root_degrees, child_count)
+    return MultiIndex(merged[0].tolist())
 
 
-# ---------------------------------------------------------------------------
-# index shapes
-#
-# The index tree of a basis is represented structurally: a node is a list of
-# child shapes, a terminal (one basis function) is None.  Lists force the
-# consecutive zero-based children property, so shapes composed by the rules
-# below are valid index trees by construction; the conservation checks guard
-# the composition itself.
-
-
-def _shape_terminals(shape) -> int:
-    if shape is None:
-        return 1
-    return sum(_shape_terminals(c) for c in shape)
-
-
-def _append_digit(shape, m):
-    # BlockedInterleaved: every terminal becomes a node with m terminals
-    block = [None] * m
-    def rec(node):
-        return [block if c is None else rec(c) for c in node]
-    return rec(shape)
-
-
-def _merge_shapes(strategy: Strategy, shapes: list) -> list:
-    """Compose child index shapes into the parent index shape."""
-    if strategy is Strategy.BLOCKED_LEXICOGRAPHIC:
-        merged = list(shapes)
-    elif strategy is Strategy.BLOCKED_INTERLEAVED:
-        merged = _append_digit(shapes[0], len(shapes))
-    elif strategy is Strategy.FLAT_LEXICOGRAPHIC:
-        merged = [child for s in shapes for child in s]
-        if len(merged) != sum(len(s) for s in shapes):
-            raise MergeProducesInvalidTree("flat merge lost a first digit")
-    else:
-        first, m = shapes[0], len(shapes)
-        merged = [first[p // m] for p in range(len(first) * m)]
-    total = sum(_shape_terminals(s) for s in shapes)
-    if _shape_terminals(merged) != total:
-        raise MergeProducesInvalidTree(
-            f"merge changed the basis function count ({strategy.value})"
-        )
-    return merged
-
-
-class _Node:
-    """Per-tree-node bookkeeping: strategy context plus the index shape."""
-
-    __slots__ = ("tree", "strategy", "count", "children", "shape", "child_degrees")
-
-    def __init__(self, tree, strategy, count, children, shape, child_degrees):
-        self.tree = tree
-        self.strategy = strategy
-        self.count = count
-        self.children = children  # one entry per distinct child (power shares)
-        self.shape = shape
-        self.child_degrees = child_degrees
-
-    @property
-    def root_degree(self) -> int:
-        return len(self.shape)
-
-    def child(self, digit: int) -> "_Node":
-        if self.strategy is None:
-            raise PathOutOfRange("leaf nodes have no children")
-        if not 0 <= digit < self.count:
-            raise PathOutOfRange(f"digit {digit} outside {self.count} children")
-        if len(self.children) == 1:
-            return self.children[0]
-        return self.children[digit]
-
-
-def _build_node(tree: BasisTree, grid: StructuredGrid) -> _Node:
+def _leaf_tables(tree: BasisTree, grid: StructuredGrid) -> list:
+    """(path, order, index table) of every leaf below ``tree``, depth first."""
     if isinstance(tree, Leaf):
         k = tree.order
-        n = (k * grid.nx + 1) * (k * grid.ny + 1)
-        return _Node(tree, None, 0, (), [None] * n, ())
+        nodes = (k * grid.nx + 1) * (k * grid.ny + 1)
+        return [((), k, np.arange(nodes, dtype=np.int64)[:, None])]
     if isinstance(tree, Power):
-        child = _build_node(tree.child, grid)
-        degrees = (child.root_degree,) * tree.count
-        shape = _merge_shapes(tree.strategy, [child.shape] * tree.count)
-        return _Node(tree, tree.strategy, tree.count, (child,), shape, degrees)
-    children = [_build_node(c, grid) for c in tree.children]
-    degrees = tuple(c.root_degree for c in children)
-    shape = _merge_shapes(tree.strategy, [c.shape for c in children])
-    return _Node(tree, tree.strategy, len(children), tuple(children), shape, degrees)
+        children = [_leaf_tables(tree.child, grid)] * tree.count
+    else:
+        children = [_leaf_tables(c, grid) for c in tree.children]
+    # a valid index tree numbers the root's children 0..max
+    degrees = [1 + max(int(t[:, 0].max()) for _, _, t in leaves) for leaves in children]
+    return [
+        ((i,) + path, order, merge_index_table(tree.strategy, i, table, degrees, len(children)))
+        for i, leaves in enumerate(children)
+        for path, order, table in leaves
+    ]
 
 
 class _LeafPlacement:
     """One leaf of the basis tree placed on the grid."""
 
-    __slots__ = ("path", "order", "fe", "steps", "size")
+    __slots__ = ("path", "order", "fe", "table", "ranks")
 
-    def __init__(self, path, order, fe, steps, size):
+    def __init__(self, path, order, table, ranks):
         self.path = path
         self.order = order
-        self.fe = fe
-        self.steps = steps  # (strategy, digit, child_degrees, count), root first
-        self.size = size  # flat global numbering size of this leaf
+        self.fe = lagrange_element(order)
+        self.table = table  # (nodes, depth) multi-indices, by global node number
+        self.ranks = ranks  # flat offsets on the (rows, columns) node grid
 
-    def fold(self, flat: int) -> MultiIndex:
-        mi = MultiIndex((flat,))
-        for strategy, digit, degrees, count in reversed(self.steps):
-            mi = merge_child_index(
-                strategy, digit, mi, child_root_degrees=degrees, child_count=count
-            )
-        return mi
+    @property
+    def size(self) -> int:
+        return len(self.table)
 
 
 class GlobalBasis:
@@ -199,34 +134,31 @@ class GlobalBasis:
     def __init__(self, grid: StructuredGrid, tree: BasisTree):
         self.grid = grid
         self.tree = tree
-        self._root = _build_node(tree, grid)
-        self._leaves: list[_LeafPlacement] = []
-        self._leaf_by_path: dict[tuple, _LeafPlacement] = {}
-        self._collect_leaves(tree, self._root, (), [])
-        self._dimension = sum(leaf.size for leaf in self._leaves)
-        if self._dimension != _shape_terminals(self._root.shape):
-            raise MergeProducesInvalidTree(
-                "index shape does not cover every basis function exactly once"
-            )
+        leaves = _leaf_tables(tree, grid)
+        tables = [table for _, _, table in leaves]
+        depth = max(table.shape[1] for table in tables)
+        # no row is a prefix of another, so the padding never decides order
+        padded = np.vstack(
+            [np.pad(t, ((0, 0), (0, depth - t.shape[1])), constant_values=-1) for t in tables]
+        )
+        self._order = np.lexsort(padded.T[::-1])
+        self._dimension = len(self._order)
+        rank = np.argsort(self._order)  # the inverse permutation
+        per_leaf = np.split(rank, np.cumsum([len(t) for t in tables])[:-1])
+        self._leaves = [
+            _LeafPlacement(path, order, table, ranks.reshape(order * grid.ny + 1, -1))
+            for (path, order, table), ranks in zip(leaves, per_leaf)
+        ]
+        self._leaf_by_path = {leaf.path: leaf for leaf in self._leaves}
 
-    def _collect_leaves(self, tree, node, path, steps):
-        if isinstance(tree, Leaf):
-            fe = lagrange_element(tree.order)
-            placement = _LeafPlacement(path, tree.order, fe, tuple(steps), node.root_degree)
-            self._leaves.append(placement)
-            self._leaf_by_path[path] = placement
-            return
-        if isinstance(tree, Power):
-            child = node.child(0)
-            for i in range(tree.count):
-                steps.append((tree.strategy, i, node.child_degrees, node.count))
-                self._collect_leaves(tree.child, child, path + (i,), steps)
-                steps.pop()
-            return
-        for i, subtree in enumerate(tree.children):
-            steps.append((tree.strategy, i, node.child_degrees, node.count))
-            self._collect_leaves(subtree, node.child(i), path + (i,), steps)
-            steps.pop()
+    @cached_property
+    def layout(self) -> Layout:
+        """Multi-indices of all basis functions in flat-offset order."""
+        # every digit is below the dimension; one shared int object per value
+        ints = list(range(self._dimension))
+        rows = (row for leaf in self._leaves for row in leaf.table.tolist())
+        keys = [MultiIndex(map(ints.__getitem__, row)) for row in rows]
+        return Layout(keys[k] for k in self._order.tolist())
 
     # -- basis-like surface shared with SubspaceBasis ----------------------
 
@@ -244,22 +176,10 @@ class GlobalBasis:
 
     def size(self, prefix=()) -> int:
         """Degree of the index tree below ``prefix``; 0 at a full entry."""
-        node = self._root.shape
-        for depth, digit in enumerate(tuple(as_multi_index(prefix))):
-            if node is None:
-                raise PrefixNotFound(
-                    f"prefix digit at position {depth} descends below an entry"
-                )
-            if not 0 <= digit < len(node):
-                raise PrefixNotFound(f"digit {digit} at position {depth} out of range")
-            node = node[digit]
-        return 0 if node is None else len(node)
+        return self.layout.degree(prefix)
 
     def local_view(self) -> "LocalView":
         return LocalView(self, ())
-
-    def leaf_paths(self) -> tuple:
-        return tuple(leaf.path for leaf in self._leaves)
 
     def leaf_dof_index(self, leaf_path, flat: int) -> MultiIndex:
         """Global multi-index of flat basis function ``flat`` of one leaf.
@@ -275,7 +195,7 @@ class GlobalBasis:
             raise IndexOutOfRange(
                 f"flat index {flat} outside leaf size {placement.size}"
             )
-        return placement.fold(flat)
+        return self.layout.keys[placement.ranks.flat[flat]]
 
 
 class LeafView:
@@ -319,8 +239,8 @@ class LocalView:
     """Element-local window onto a basis (or onto one of its subtrees).
 
     ``bind`` fixes the element and caches one multi-index per local basis
-    function; ``index`` then answers from the cache.  Unbound views only
-    answer structural queries (max_size, leaves).
+    function, the basis's own key objects; ``index`` then answers from the
+    cache.  Unbound views only answer structural queries (max_size, leaves).
     """
 
     def __init__(self, basis: GlobalBasis, prefix: tuple = ()):
@@ -382,17 +302,14 @@ class LocalView:
         """Bind to an element and cache all global multi-indices."""
         grid = self._basis.grid
         i, j = grid.cell_coords(element)  # raises IndexOutOfRange
-        indices = []
+        ranks = []
         for leaf in self._leaves:
-            placement = leaf._placement
-            k = placement.order
-            row = k * grid.nx + 1
-            for m in range(placement.fe.count):
-                a = m % (k + 1)
-                b = m // (k + 1)
-                flat = (j * k + b) * row + (i * k + a)
-                indices.append(placement.fold(flat))
-        self._indices = indices
+            k = leaf._placement.order
+            # local function m sits at node (a, b) = (m % (k+1), m // (k+1))
+            block = leaf._placement.ranks[j * k : (j + 1) * k + 1, i * k : (i + 1) * k + 1]
+            ranks.append(block.ravel())
+        keys = self._basis.layout.keys
+        self._indices = [keys[r] for r in np.concatenate(ranks).tolist()]
         self._element = element
         self._geometry = grid.element_geometry(element)
 

@@ -56,6 +56,3 @@ class AlreadyFrozen(FemBasisError, RuntimeError):
 class NotFrozen(FemBasisError, RuntimeError):
     """Operation requires freeze() to have been called first."""
 
-
-class MergeProducesInvalidTree(FemBasisError, ValueError):
-    """Index merge violated the consecutive-children tree property."""

@@ -1,10 +1,11 @@
 """Restarted GMRes with modified Gram-Schmidt Arnoldi and Givens rotations.
 
 The core routine works on flat numpy arrays and an abstract matvec,
-optionally right-preconditioned; :func:`solve_system` bridges it to the
-multi-index world by flattening a frozen
-:class:`~fembasis.containers.SparseSystem` and a rhs
-:class:`~fembasis.containers.NestedVector` over the vector's scalar slots.
+optionally right-preconditioned.  :func:`solve_system` bridges it to the
+multi-index world: a rhs :class:`~fembasis.containers.NestedVector` is
+already a flat array over its layout, and the entries of a frozen
+:class:`~fembasis.containers.SparseSystem` become positions in that layout
+through one lookup per distinct key.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containers import NestedVector, SparseSystem
-from .errors import ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -145,12 +145,6 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, preconditi
             x = x + precondition(V[:k].T @ y)
 
 
-def flatten_layout(vector: NestedVector):
-    """Scalar slot order of a nested vector: (paths, slot lookup dict)."""
-    paths = list(vector.scalar_paths())
-    return paths, {mi: i for i, mi in enumerate(paths)}
-
-
 def solve_system(
     system: SparseSystem, rhs: NestedVector, config=None, x0=None, preconditioner=None
 ):
@@ -158,49 +152,26 @@ def solve_system(
 
     Returns (solution, relative residual, iterations) with the solution
     shaped like the rhs.  Row and column keys of the system must address
-    scalar slots of the rhs shape.  ``preconditioner``, if given, is called
-    once with the slot lookup (multi-index to flat position) and returns
-    the flat M^-1 application handed to :func:`gmres`.
+    scalar slots of the rhs layout; ``x0``, if given, shares that layout.
+    ``preconditioner``, if given, is called once with the slot lookup
+    (multi-index to flat position) and returns the flat M^-1 application
+    handed to :func:`gmres`.
     """
     cfg = config if config is not None else SolverConfig()
-    paths, slot = flatten_layout(rhs)
-    n = len(paths)
-    b = np.fromiter((v for _, v in rhs.entries()), dtype=float, count=n)
-
-    rows = []
-    cols = []
-    vals = []
-    for r, c, v in system.triples():
-        try:
-            rows.append(slot[r])
-            cols.append(slot[c])
-        except KeyError as missing:
-            raise ShapeMismatch(
-                f"system key {missing.args[0]} has no slot in the rhs shape"
-            ) from None
-        vals.append(v)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    vals = np.asarray(vals, dtype=float)
+    layout = rhs.layout
+    rows, cols, vals = system.coo(layout.offset)
+    n = len(layout)
 
     def matvec(v):
         return np.bincount(rows, weights=vals * v[cols], minlength=n)
 
-    x0_flat = None
-    if x0 is not None:
-        x0_flat = np.fromiter((v for _, v in x0.entries()), dtype=float, count=n)
-
     x, relres, iters = gmres(
         matvec,
-        b,
+        rhs.values,
         restart=cfg.restart,
         tol=cfg.tolerance,
         maxiter=cfg.max_iterations,
-        x0=x0_flat,
-        precondition=None if preconditioner is None else preconditioner(slot),
+        x0=None if x0 is None else x0.values,
+        precondition=None if preconditioner is None else preconditioner(layout.offset),
     )
-
-    solution = rhs.zeros_like()
-    for mi, value in zip(paths, x):
-        solution[mi] = float(value)
-    return solution, float(relres), iters
+    return NestedVector.from_flat(layout, x), float(relres), iters

@@ -6,12 +6,14 @@ as the set of leaf paths of an ordered tree; the helpers here test prefix
 relations, compute the degree (child count) the tree has below a given
 prefix, and check the defining property of such index trees: the children
 of every node are numbered consecutively from zero, and no entry is an
-inner node.
+inner node.  A :class:`Layout` lists the entries of one index tree in
+lexicographic order; the position of an entry is its flat offset.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from typing import Iterable
 
 from .errors import CapacityExceeded, PrefixNotFound
@@ -44,6 +46,40 @@ class MultiIndex(tuple):
 
     def __repr__(self) -> str:
         return f"MultiIndex({tuple(self)!r})"
+
+
+class Layout:
+    """The entries of an index tree in lexicographic order.
+
+    ``keys[k]`` is the multi-index at flat offset ``k`` and ``offset`` maps
+    every key (or an equal plain tuple) back to its offset.
+    """
+
+    __slots__ = ("keys", "offset")
+
+    def __init__(self, keys):
+        self.keys = tuple(keys)
+        self.offset = {key: k for k, key in enumerate(self.keys)}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def degree(self, prefix) -> int:
+        """Children of the tree below ``prefix``; 0 when it is an entry.
+
+        Raises PrefixNotFound when ``prefix`` is neither an entry nor a
+        strict prefix of one.
+        """
+        p = tuple(as_multi_index(prefix))
+        keys = self.keys
+        lo = bisect_left(keys, p)
+        if lo < len(keys) and keys[lo] == p:
+            return 0
+        if lo == len(keys) or keys[lo][: len(p)] != p:
+            raise PrefixNotFound(f"{MultiIndex(p)} is neither an entry nor a prefix")
+        # the keys below p are consecutive; the last one has the largest digit
+        hi = bisect_left(keys, p[:-1] + (p[-1] + 1,)) if p else len(keys)
+        return keys[hi - 1][len(p)] + 1
 
 
 def as_multi_index(value) -> MultiIndex:

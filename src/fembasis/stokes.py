@@ -104,7 +104,7 @@ def assemble_element_matrix(view, geometry, quad_points: int = 3) -> np.ndarray:
 def assemble_stokes_matrix(
     basis: GlobalBasis, system: SparseSystem, quad_points: int = 3
 ) -> None:
-    """Scatter all element matrices into ``system`` (must be empty).
+    """Add every element matrix to ``system`` (must be empty) as one block.
 
     Writes every entry of every element matrix, including the structural
     zeros of the pressure-pressure block.
@@ -119,9 +119,7 @@ def assemble_stokes_matrix(
         view.bind(e)
         element_matrix = assemble_element_matrix(view, view.geometry, quad_points)
         indices = view.multi_indices()
-        for i, row in enumerate(indices):
-            for j, col in enumerate(indices):
-                system.add_to_entry(row, col, element_matrix[i, j])
+        system.add_block(indices, indices, element_matrix)
 
 
 def apply_dirichlet(

@@ -109,3 +109,42 @@ def trie_is_index_tree(entries):
         return all(check(node[d]) for d in digits)
 
     return check(trie) if trie else True
+
+
+def expected_leaf_index(tree, nx, ny, leaf_path, flat):
+    """Plain-tuple fold of a leaf's node number through the merge rules.
+
+    Reads the tree only through its attributes and strategy names, so it
+    shares no code with the basis: walk root to leaf, then apply each
+    inner node's rule leaf to root.
+    """
+
+    def children(node):
+        return (node.child,) * node.count if hasattr(node, "count") else node.children
+
+    def degree(node):  # number of children below the root of node's index tree
+        if hasattr(node, "order"):
+            return (node.order * nx + 1) * (node.order * ny + 1)
+        kids, rule = children(node), node.strategy.short
+        if rule == "BL":
+            return len(kids)
+        if rule == "FL":
+            return sum(degree(k) for k in kids)
+        return degree(kids[0]) * (len(kids) if rule == "FI" else 1)
+
+    steps, node = [], tree
+    for digit in leaf_path:
+        kids = children(node)
+        steps.append((node.strategy.short, digit, [degree(k) for k in kids], len(kids)))
+        node = kids[digit]
+    mi = (flat,)
+    for rule, i, degrees, m in reversed(steps):
+        if rule == "BL":
+            mi = (i,) + mi
+        elif rule == "BI":
+            mi = mi + (i,)
+        elif rule == "FL":
+            mi = (sum(degrees[:i]) + mi[0],) + mi[1:]
+        else:
+            mi = (mi[0] * m + i,) + mi[1:]
+    return mi

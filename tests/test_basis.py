@@ -18,7 +18,12 @@ from fembasis import (
     subspace_basis,
     validate_index_tree,
 )
-from helpers import enumerate_multi_indices, prefix_degree_table, random_tree
+from helpers import (
+    enumerate_multi_indices,
+    expected_leaf_index,
+    prefix_degree_table,
+    random_tree,
+)
 
 TH2 = "composite(power(lagrange(2),2),lagrange(1))"
 TH3 = "composite(power(lagrange(2),3),lagrange(1))"
@@ -262,3 +267,37 @@ def test_flat_composite_first_digits_are_consecutive():
         entries = enumerate_multi_indices(basis)
         first = {e[0] for e in entries}
         assert first == set(range(basis.size(())))
+
+
+def _leaf_paths(tree, path=()):
+    if hasattr(tree, "order"):
+        return [(path, tree.order)]
+    kids = (tree.child,) * tree.count if hasattr(tree, "count") else tree.children
+    return [leaf for i, kid in enumerate(kids) for leaf in _leaf_paths(kid, path + (i,))]
+
+
+def test_every_dof_matches_the_plain_tuple_fold():
+    # the trie checks accept any valid numbering; this one pins the numbering
+    rng = np.random.default_rng(47)
+    for _ in range(24):
+        nx, ny = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        tree = random_tree(rng)
+        basis = make_basis(StructuredGrid(nx, ny), tree)
+        leaves = _leaf_paths(tree)
+        for path, k in leaves:
+            for flat in range((k * nx + 1) * (k * ny + 1)):
+                expected = expected_leaf_index(tree, nx, ny, path, flat)
+                assert basis.leaf_dof_index(path, flat) == expected
+        view = basis.local_view()
+        assert [(leaf.tree_path, leaf.finite_element.order) for leaf in view.leaves] == leaves
+        for e in range(basis.grid.num_elements):
+            view.bind(e)
+            i, j = basis.grid.cell_coords(e)
+            for leaf in view.leaves:
+                k = leaf.finite_element.order
+                for m in range(leaf.size):
+                    a, b = m % (k + 1), m // (k + 1)
+                    node = (j * k + b) * (k * nx + 1) + (i * k + a)
+                    expected = expected_leaf_index(tree, nx, ny, leaf.tree_path, node)
+                    assert view.index(leaf.local_index(m)) == expected
+

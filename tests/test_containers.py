@@ -14,6 +14,7 @@ from fembasis import (
     make_basis,
     parse_tree,
 )
+from helpers import random_tree
 
 
 def make_th_vector(nx=4, ny=4):
@@ -42,18 +43,25 @@ def test_resize_taylor_hood_shape():
 
 
 def test_resize_shape_mirrors_size():
-    basis, v = make_th_vector(2, 2)
+    rng = np.random.default_rng(61)
+    bases = [make_th_vector(2, 2)[0]]
+    for _ in range(8):
+        grid = StructuredGrid(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        bases.append(make_basis(grid, random_tree(rng)))
+    for basis in bases:
+        v = NestedVector()
+        v.resize_from_basis(basis)
+        _assert_mirrors_size(basis, v.data, ())
 
-    def walk(node, prefix):
-        expected = basis.size(prefix)
-        if expected == 0:
-            assert not isinstance(node, list)
-        else:
-            assert isinstance(node, list) and len(node) == expected
-            for d, child in enumerate(node):
-                walk(child, prefix + (d,))
 
-    walk(v.data, ())
+def _assert_mirrors_size(basis, node, prefix):
+    expected = basis.size(prefix)
+    if expected == 0:
+        assert not isinstance(node, list)
+    else:
+        assert isinstance(node, list) and len(node) == expected
+        for d, child in enumerate(node):
+            _assert_mirrors_size(basis, child, prefix + (d,))
 
 
 def test_get_set_round_trip():
@@ -100,6 +108,18 @@ def test_mask_fill_value():
     assert mask[(1, 0)] is False
     mask[(1, 0)] = True
     assert mask[(1, 0)] is True
+    assert mask.values.dtype == np.bool_
+
+
+def test_storage_is_float64_unless_the_fill_is_bool():
+    basis, _ = make_th_vector(1, 1)
+    v = NestedVector()
+    v.resize_from_basis(basis, fill=0)
+    v[(0, 3, 1)] = 2.5
+    assert v[(0, 3, 1)] == 2.5 and type(v[(0, 3, 1)]) is float
+    assert v.values.dtype == np.float64
+    assert NestedVector([1, 2]).values.dtype == np.float64
+    assert NestedVector([True, False])[(0,)] is True
 
 
 def test_add_to_entry_accumulates():
@@ -117,9 +137,11 @@ def test_set_row_to_identity():
     m.add_to_entry((0,), (1,), 4.0)
     m.add_to_entry((1,), (0,), 5.0)
     m.set_row_to_identity((0,))
+    m.add_to_entry((0,), (2,), 7.0)  # identity rows apply when entries are summed
     items = dict(m.items())
     assert items[((0,), (0,))] == 1.0
     assert items[((0,), (1,))] == 0.0
+    assert items[((0,), (2,))] == 0.0
     assert items[((1,), (0,))] == 5.0
 
 

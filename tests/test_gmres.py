@@ -7,6 +7,7 @@ from helpers import gauss_solve
 from fembasis import (
     NestedVector,
     NotFrozen,
+    ShapeMismatch,
     SolverConfig,
     SparseSystem,
     StructuredGrid,
@@ -121,6 +122,37 @@ def test_solve_system_on_nested_vectors():
     got = np.array([value for _, value in solution.entries()])
     assert np.max(np.abs(got - expected)) <= 1e-10
     assert relres <= 1e-12
+
+
+def test_solve_system_rejects_a_key_without_rhs_slot():
+    _, system, rhs = build_nested_system()
+    system.add_to_entry((4,), (4,), 1.0)  # the Q1 basis on one cell has slots 0..3
+    system.freeze()
+    with pytest.raises(ShapeMismatch):
+        solve_system(system, rhs, SolverConfig())
+
+
+def test_solve_system_on_a_subset_of_the_rhs_layout():
+    # rows 0 and 2 only: slots 1 and 3 have no entries, the rhs is zero there
+    basis = make_basis(StructuredGrid(2, 2), parse_tree("lagrange(1)"))
+    system = SparseSystem()
+    used = [(3,), (7,)]
+    a = np.array([[4.0, 1.0], [2.0, 5.0]])
+    for i, row in enumerate(used):
+        for j, col in enumerate(used):
+            system.add_to_entry(row, col, a[i, j])
+    system.freeze()
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    rhs[(3,)], rhs[(7,)] = 1.0, -2.0
+    config = SolverConfig(tolerance=1e-13, restart=5, max_iterations=20)
+    solution, relres, _ = solve_system(system, rhs, config)
+    expected = gauss_solve(a, [1.0, -2.0])
+    assert solution.layout is rhs.layout
+    assert abs(solution[(3,)] - expected[0]) <= 1e-12
+    assert abs(solution[(7,)] - expected[1]) <= 1e-12
+    assert all(value == 0.0 for mi, value in solution.entries() if mi not in used)
+    assert relres <= 1e-13
 
 
 def test_solve_system_requires_frozen_matrix():

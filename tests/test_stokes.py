@@ -107,7 +107,7 @@ def test_assembly_entry_count_single_element():
     basis = make_basis(StructuredGrid(1, 1), taylor_hood_tree())
     system = SparseSystem()
     assemble_stokes_matrix(basis, system)
-    assert system.entry_count() == 22 * 22
+    assert len(system) == 22 * 22
 
 
 def test_assembly_guards():
