@@ -37,16 +37,9 @@ from .functions import (
     interpolate_masked,
 )
 from .gmres import SolverConfig, gmres, solve_system
-from .grid import ElementGeometry, StructuredGrid, is_on_boundary, parse_grid_shape
+from .grid import ElementGeometry, StructuredGrid, parse_grid_shape
 from .localfe import LagrangeQk, lagrange_element
-from .multiindex import (
-    MultiIndex,
-    as_multi_index,
-    is_prefix,
-    is_strict_prefix,
-    prefix_degree,
-    validate_index_tree,
-)
+from .multiindex import MultiIndex, as_multi_index, is_prefix
 from .quadrature import gauss_legendre_unit, tensor_rule
 from .stokes import (
     CavitySummary,
@@ -116,15 +109,12 @@ __all__ = [
     "gmres",
     "interpolate",
     "interpolate_masked",
-    "is_on_boundary",
     "is_prefix",
-    "is_strict_prefix",
     "lagrange_element",
     "make_basis",
     "merge_child_index",
     "parse_grid_shape",
     "parse_tree",
-    "prefix_degree",
     "render_tree",
     "run_driven_cavity",
     "solve_system",
@@ -133,7 +123,6 @@ __all__ = [
     "taylor_hood_tree",
     "tensor_rule",
     "tree_depth",
-    "validate_index_tree",
     "weak_divergence_norm",
     "write_vtu",
 ]

@@ -20,10 +20,14 @@ Each strategy is one column operation on the table of child ``i``
 The rank of a multi-index in lexicographic order is the flat offset of its
 basis function in every container shaped for the basis; the basis stores
 the ranks per leaf and builds the ordered keys (:attr:`GlobalBasis.layout`)
-on first use.  Element-local access happens through :class:`LocalView`:
-binding it to an element gathers the multi-index of every element-local
-basis function from those ranks.  Local indices enumerate the leaves
-depth-first and are consecutive within each leaf.
+on first use.  A Lagrange leaf's basis functions are its global nodes, so
+its ranks form a node grid (:meth:`GlobalBasis.node_grid`); nodal work
+(interpolation, boundary nodes) visits each node once on that grid.
+Element-local access, for assembly and evaluation, happens through
+:class:`LocalView`: binding it to an element gathers the multi-index of
+every element-local basis function from a slice of the same grids.  Local
+indices enumerate the leaves depth-first and are consecutive within each
+leaf.
 """
 
 from __future__ import annotations
@@ -118,10 +122,7 @@ class _LeafPlacement:
         self.fe = lagrange_element(order)
         self.table = table  # (nodes, depth) multi-indices, by global node number
         self.ranks = ranks  # flat offsets on the (rows, columns) node grid
-
-    @property
-    def size(self) -> int:
-        return len(self.table)
+        ranks.flags.writeable = False
 
 
 class GlobalBasis:
@@ -181,30 +182,37 @@ class GlobalBasis:
     def local_view(self) -> "LocalView":
         return LocalView(self, ())
 
+    def node_grid(self, leaf_path) -> np.ndarray:
+        """Flat offsets of one leaf's basis functions on its node grid.
+
+        ``leaf_path`` must address a leaf of order k; the read-only integer
+        array has shape ``(k*ny + 1, k*nx + 1)`` and entry ``[b, a]`` is
+        the offset of the function at node ``(a / (k*nx), b / (k*ny))``.
+        """
+        placement = self._leaf_by_path.get(tuple(leaf_path))
+        if placement is None:
+            child_at(self.tree, leaf_path)  # raises PathOutOfRange if invalid
+            raise PathOutOfRange(f"path {tuple(leaf_path)} is not a leaf")
+        return placement.ranks
+
     def leaf_dof_index(self, leaf_path, flat: int) -> MultiIndex:
         """Global multi-index of flat basis function ``flat`` of one leaf.
 
         ``leaf_path`` must address a leaf of the basis tree; ``flat`` is the
         leaf's own global node number.
         """
-        placement = self._leaf_by_path.get(tuple(leaf_path))
-        if placement is None:
-            child_at(self.tree, leaf_path)  # raises PathOutOfRange if invalid
-            raise PathOutOfRange(f"path {tuple(leaf_path)} is not a leaf")
-        if not 0 <= flat < placement.size:
-            raise IndexOutOfRange(
-                f"flat index {flat} outside leaf size {placement.size}"
-            )
-        return self.layout.keys[placement.ranks.flat[flat]]
+        offsets = self.node_grid(leaf_path)
+        if not 0 <= flat < offsets.size:
+            raise IndexOutOfRange(f"flat index {flat} outside leaf size {offsets.size}")
+        return self.layout.keys[offsets.flat[flat]]
 
 
 class LeafView:
     """One leaf of a local view: element and local numbering of its functions."""
 
-    __slots__ = ("_view", "_placement", "rel_path", "offset")
+    __slots__ = ("_placement", "rel_path", "offset")
 
-    def __init__(self, view, placement, rel_path, offset):
-        self._view = view
+    def __init__(self, placement, rel_path, offset):
         self._placement = placement
         self.rel_path = rel_path
         self.offset = offset
@@ -227,13 +235,6 @@ class LeafView:
             raise IndexOutOfRange(f"leaf-local index {k} outside size {self.size}")
         return self.offset + k
 
-    def dof_position(self, k: int) -> tuple[float, float]:
-        """Global coordinates of the k-th local Lagrange node (bound only)."""
-        if not 0 <= k < self.size:
-            raise IndexOutOfRange(f"leaf-local index {k} outside size {self.size}")
-        geometry = self._view.geometry
-        return geometry.transform(self._placement.fe.nodes[k])
-
 
 class LocalView:
     """Element-local window onto a basis (or onto one of its subtrees).
@@ -252,7 +253,7 @@ class LocalView:
         self._leaves = []
         offset = 0
         for placement in scoped:
-            self._leaves.append(LeafView(self, placement, placement.path[n:], offset))
+            self._leaves.append(LeafView(placement, placement.path[n:], offset))
             offset += placement.fe.count
         self._max_size = offset
         self._element = None

@@ -1,6 +1,9 @@
 """Grid functions over a basis: interpolation, boundary walks, evaluation.
 
-All operations here accept either a GlobalBasis or a SubspaceBasis.  The
+All operations here accept either a GlobalBasis or a SubspaceBasis.
+Interpolation and boundary walks are nodal: they visit each global node of
+a leaf once, on its node grid (:meth:`~fembasis.basis.GlobalBasis.node_grid`);
+evaluation binds a local view to the element that contains the point.  The
 range values of functions mirror the basis subtree in scope: a leaf is
 addressed by its tree path relative to that subtree, so a velocity-pressure
 basis expects values like [[vx, vy], p] while its velocity subspace expects
@@ -14,7 +17,6 @@ import numbers
 import numpy as np
 
 from .errors import ShapeMismatch
-from .grid import is_on_boundary
 from .treespec import Composite, Leaf, Power, child_at
 
 
@@ -41,24 +43,34 @@ def _component(value, rel_path):
     return node
 
 
+def _flat_values(basis, vector) -> np.ndarray:
+    """Flat storage of ``vector``, which must be laid out for the root basis."""
+    layout = basis.root_basis.layout
+    if vector.layout is not layout and vector.layout.keys != layout.keys:
+        raise ShapeMismatch("vector is not laid out like the basis")
+    return vector.values
+
+
 def _interpolate(basis, coefficients, fn, mask) -> None:
-    grid = basis.root_basis.grid
-    view = basis.local_view()
-    for e in range(grid.num_elements):
-        view.bind(e)
-        geometry = view.geometry
-        for leaf in view.leaves:
-            fe = leaf.finite_element
-            rel = leaf.rel_path
-
-            def on_reference(ref):
-                return _component(fn(geometry.transform(ref)), rel)
-
-            nodal = fe.interpolate(on_reference)
-            for m in range(fe.count):
-                mi = view.index(leaf.local_index(m))
-                if mask is None or mask[mi]:
-                    coefficients[mi] = float(nodal[m])
+    root = basis.root_basis
+    values = _flat_values(root, coefficients)
+    allowed = None if mask is None else _flat_values(root, mask)
+    nx, ny = root.grid.nx, root.grid.ny
+    samples = {}  # range values of fn at the nodes of each order
+    for leaf in basis.local_view().leaves:
+        offsets = root.node_grid(leaf.tree_path).ravel()
+        k = leaf.finite_element.order
+        if k not in samples:
+            samples[k] = [
+                fn((a / (k * nx), b / (k * ny)))
+                for b in range(k * ny + 1)
+                for a in range(k * nx + 1)
+            ]
+        nodal = np.array([_component(v, leaf.rel_path) for v in samples[k]], dtype=float)
+        if allowed is not None:
+            chosen = allowed[offsets].astype(bool)
+            offsets, nodal = offsets[chosen], nodal[chosen]
+        values[offsets] = nodal
 
 
 def interpolate(basis, coefficients, fn) -> None:
@@ -66,8 +78,10 @@ def interpolate(basis, coefficients, fn) -> None:
 
     ``fn`` maps global coordinates to a range value matching the subtree of
     ``basis`` (or to a scalar, which broadcasts).  Coefficients must be
-    shaped for the root basis.  Shared nodes are visited once per adjacent
-    element; all visits write the same value.
+    laid out like the root basis, else ShapeMismatch.  Each global node of
+    each leaf in scope is visited once, on the leaf's node grid: a leaf of
+    order k takes its value at ``(a / (k*nx), b / (k*ny))``, and ``fn`` is
+    called once per node position of each order.
     """
     _interpolate(basis, coefficients, fn, None)
 
@@ -75,28 +89,27 @@ def interpolate(basis, coefficients, fn) -> None:
 def interpolate_masked(basis, coefficients, fn, mask) -> None:
     """Interpolate ``fn`` but write only entries whose mask slot is true.
 
-    The mask is authoritative per global entry: no write happens anywhere
-    the mask is false, regardless of which elements visit the entry.
+    ``mask`` is laid out like the coefficients; no write happens anywhere
+    the mask is false.  Nodes are visited as in :func:`interpolate`.
     """
     _interpolate(basis, coefficients, fn, mask)
 
 
 def for_each_boundary_dof(basis, callback) -> None:
-    """Invoke ``callback(multi_index)`` for every boundary node of ``basis``.
+    """Call ``callback(multi_index)`` once per boundary node of ``basis``.
 
-    Walks all elements, so multi-indices shared between elements are
-    reported once per adjacent element; callers needing distinct entries
-    collect into a set.  A node is a boundary node when its position lies
-    on the boundary of the unit square.
+    The boundary nodes of a leaf are the outer ring of its node grid (its
+    first and last row and column); leaves come depth first and each ring
+    row by row, so every multi-index is reported exactly once.
     """
-    grid = basis.root_basis.grid
-    view = basis.local_view()
-    for e in range(grid.num_elements):
-        view.bind(e)
-        for leaf in view.leaves:
-            for m in range(leaf.size):
-                if is_on_boundary(leaf.dof_position(m)):
-                    callback(view.index(leaf.local_index(m)))
+    root = basis.root_basis
+    keys = root.layout.keys
+    for leaf in basis.local_view().leaves:
+        offsets = root.node_grid(leaf.tree_path)
+        ring = np.ones(offsets.shape, dtype=bool)
+        ring[1:-1, 1:-1] = False
+        for offset in offsets[ring].tolist():
+            callback(keys[offset])
 
 
 def _range_shell(tree):

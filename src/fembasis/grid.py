@@ -107,18 +107,6 @@ class StructuredGrid:
         return j * self.nx + i, (lx, ly)
 
 
-def is_on_boundary(point) -> bool:
-    """True when a point lies on the boundary of the unit square.
-
-    Uses the shared tolerance BOUNDARY_TOL; callers are expected to pass
-    points inside the domain.
-    """
-    x, y = point
-    return (
-        min(x, 1.0 - x) <= BOUNDARY_TOL or min(y, 1.0 - y) <= BOUNDARY_TOL
-    )
-
-
 _GRID_RE = re.compile(r"^(\d+)x(\d+)$")
 
 

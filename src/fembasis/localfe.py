@@ -78,10 +78,6 @@ class LagrangeQk:
         out[:, 1] = np.outer(dy, lx).ravel()
         return out
 
-    def interpolate(self, fn) -> np.ndarray:
-        """Nodal interpolation coefficients of a reference-coordinate function."""
-        return np.array([float(fn(tuple(p))) for p in self.nodes])
-
     def __repr__(self):
         return f"LagrangeQk(order={self.order})"
 

@@ -2,12 +2,11 @@
 
 A multi-index is a short tuple of natural numbers addressing one basis
 function of a global function space basis.  A set of multi-indices is read
-as the set of leaf paths of an ordered tree; the helpers here test prefix
-relations, compute the degree (child count) the tree has below a given
-prefix, and check the defining property of such index trees: the children
-of every node are numbered consecutively from zero, and no entry is an
-inner node.  A :class:`Layout` lists the entries of one index tree in
-lexicographic order; the position of an entry is its flat offset.
+as the set of leaf paths of an ordered tree, an index tree: the children of
+every node are numbered consecutively from zero, and no entry is an inner
+node.  A :class:`Layout` lists the entries of one index tree in
+lexicographic order; the position of an entry is its flat offset, and
+:meth:`Layout.degree` is the child count the tree has below a prefix.
 """
 
 from __future__ import annotations
@@ -98,53 +97,3 @@ def is_prefix(prefix, index) -> bool:
     p = tuple(prefix)
     i = tuple(index)
     return len(p) <= len(i) and i[: len(p)] == p
-
-
-def is_strict_prefix(prefix, index) -> bool:
-    """True when ``prefix`` is a prefix of ``index`` and shorter than it."""
-    return len(tuple(prefix)) < len(tuple(index)) and is_prefix(prefix, index)
-
-
-def prefix_degree(entries, prefix) -> int:
-    """Number of children the index tree of ``entries`` has below ``prefix``.
-
-    Returns ``max(k for (prefix, k, ...) in entries) + 1``, which is 0 when
-    ``prefix`` is itself an entry.  Raises PrefixNotFound when ``prefix`` is
-    neither an entry nor a strict prefix of one.
-    """
-    p = tuple(as_multi_index(prefix))
-    t = len(p)
-    best = -1
-    seen_entry = False
-    for e in entries:
-        e = tuple(e)
-        if e == p:
-            seen_entry = True
-        elif len(e) > t and e[:t] == p:
-            if e[t] > best:
-                best = e[t]
-    if seen_entry:
-        return 0
-    if best < 0:
-        raise PrefixNotFound(f"{MultiIndex(p)} is neither an entry nor a prefix")
-    return best + 1
-
-
-def validate_index_tree(entries) -> bool:
-    """Check that a set of multi-indices forms a valid index tree.
-
-    Valid means: for every entry and every strict prefix P of it with next
-    digit i, the digits observed below P are exactly 0..max (no gaps), and
-    P itself is not an entry.  The empty set is trivially valid.
-    """
-    entry_set = {tuple(e) for e in entries}
-    children: dict[tuple, set] = {}
-    for e in entry_set:
-        for t in range(len(e)):
-            children.setdefault(e[:t], set()).add(e[t])
-    for prefix, digits in children.items():
-        if prefix in entry_set:
-            return False
-        if len(digits) != max(digits) + 1:
-            return False
-    return True

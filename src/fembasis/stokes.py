@@ -107,17 +107,20 @@ def assemble_stokes_matrix(
     """Add every element matrix to ``system`` (must be empty) as one block.
 
     Writes every entry of every element matrix, including the structural
-    zeros of the pressure-pressure block.
+    zeros of the pressure-pressure block.  The grid is uniform (as
+    :func:`stokes_preconditioner` also assumes): every element has the
+    same size and Jacobian, so all element matrices are the same and the
+    matrix is computed once, on element 0.
     """
     if system.frozen:
         raise AlreadyFrozen("cannot assemble into a frozen system")
     if len(system):
         raise ValueError("assembly expects an empty system")
-    grid = basis.grid
     view = basis.local_view()
-    for e in range(grid.num_elements):
+    view.bind(0)
+    element_matrix = assemble_element_matrix(view, view.geometry, quad_points)
+    for e in range(basis.grid.num_elements):
         view.bind(e)
-        element_matrix = assemble_element_matrix(view, view.geometry, quad_points)
         indices = view.multi_indices()
         system.add_block(indices, indices, element_matrix)
 
@@ -131,31 +134,23 @@ def apply_dirichlet(
 ) -> None:
     """Strongly enforce boundary velocities on the assembled system.
 
-    Marks every velocity boundary node, writes the interpolated boundary
-    data into the rhs through the mask, and turns the marked rows into
-    identity rows.  With ``pin_pressure`` the first pressure entry is fixed
-    to zero the same way.
-
-    :func:`stokes_preconditioner` passes exactly these identity-row slots
-    through unchanged; a change to which slots are fixed here must be made
-    there too.
+    Every velocity boundary node (the ring of each velocity leaf's node
+    grid, see :func:`for_each_boundary_dof`) becomes an identity row and
+    is marked in a mask through which the interpolated boundary data is
+    written into the rhs.  With ``pin_pressure`` the first pressure entry
+    is fixed to zero the same way.  :func:`stokes_preconditioner` reads
+    the boundary as the ring of the same grids.
     """
     velocity = subspace_basis(basis, (0,))
     mask = NestedVector()
     mask.resize_from_basis(basis, fill=False)
-    marked = []
-    seen = set()
 
-    def mark(mi):
-        if mi not in seen:
-            seen.add(mi)
-            marked.append(mi)
-            mask[mi] = True
-
-    for_each_boundary_dof(velocity, mark)
-    interpolate_masked(velocity, rhs, boundary_values, mask)
-    for mi in marked:
+    def fix(mi):
+        mask[mi] = True
         system.set_row_to_identity(mi)
+
+    for_each_boundary_dof(velocity, fix)
+    interpolate_masked(velocity, rhs, boundary_values, mask)
     if pin_pressure:
         first_pressure = basis.leaf_dof_index((1,), 0)
         system.set_row_to_identity(first_pressure)
@@ -197,24 +192,19 @@ def stokes_preconditioner(basis: GlobalBasis, slot, pin_pressure: bool = False):
     with ``pin_pressure``, the first pressure entry) pass through
     unchanged, so zero slots of the initial iterate stay exact.
 
-    ``slot`` maps the multi-indices of ``basis`` to flat positions; leaf
-    nodes reach it through ``basis.leaf_dof_index``, so every numbering
-    works.  Returns the flat M^-1 application.
+    ``slot`` maps the multi-indices of ``basis`` to flat positions; it is
+    read once per key into an offset-to-slot array, which each leaf's
+    :meth:`~fembasis.basis.GlobalBasis.node_grid` indexes, so every
+    numbering works.  The velocity interior is the node grid without its
+    outer ring, the ring :func:`apply_dirichlet` fixes.  Returns the flat
+    M^-1 application.
     """
     vel, press = _split_taylor_hood_leaves(basis.local_view())
     nx, ny = basis.grid.nx, basis.grid.ny
-
-    def node_slots(leaf, order):
-        path = leaf.tree_path
-        rows, cols = order * ny + 1, order * nx + 1
-        flat = (slot[basis.leaf_dof_index(path, f)] for f in range(rows * cols))
-        return np.fromiter(flat, dtype=np.intp, count=rows * cols).reshape(rows, cols)
-
-    # identity-row slots, which must match what apply_dirichlet fixes: all
-    # velocity nodes outside the interior grid and, pinned, the pressure
-    # entry at flat node 0 (leaf_dof_index((1,), 0))
-    interior = [node_slots(leaf, 2)[1:-1, 1:-1] for leaf in vel]
-    pressure = node_slots(press, 1)
+    keys = basis.layout.keys
+    slots = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
+    interior = [slots[basis.node_grid(leaf.tree_path)][1:-1, 1:-1] for leaf in vel]
+    pressure = slots[basis.node_grid(press.tree_path)]
     fixed = pressure[0, 0] if pin_pressure else None
 
     kx, mx = line_matrices(2, nx)

@@ -111,6 +111,19 @@ def trie_is_index_tree(entries):
     return check(trie) if trie else True
 
 
+def tree_children(node):
+    """Children of an inner tree node, read through its attributes only."""
+    return (node.child,) * node.count if hasattr(node, "count") else node.children
+
+
+def tree_leaves(tree, path=()):
+    """(path, order) of every leaf below ``tree``, depth first."""
+    if hasattr(tree, "order"):
+        return [(path, tree.order)]
+    kids = tree_children(tree)
+    return [leaf for i, kid in enumerate(kids) for leaf in tree_leaves(kid, path + (i,))]
+
+
 def expected_leaf_index(tree, nx, ny, leaf_path, flat):
     """Plain-tuple fold of a leaf's node number through the merge rules.
 
@@ -119,13 +132,10 @@ def expected_leaf_index(tree, nx, ny, leaf_path, flat):
     inner node's rule leaf to root.
     """
 
-    def children(node):
-        return (node.child,) * node.count if hasattr(node, "count") else node.children
-
     def degree(node):  # number of children below the root of node's index tree
         if hasattr(node, "order"):
             return (node.order * nx + 1) * (node.order * ny + 1)
-        kids, rule = children(node), node.strategy.short
+        kids, rule = tree_children(node), node.strategy.short
         if rule == "BL":
             return len(kids)
         if rule == "FL":
@@ -134,7 +144,7 @@ def expected_leaf_index(tree, nx, ny, leaf_path, flat):
 
     steps, node = [], tree
     for digit in leaf_path:
-        kids = children(node)
+        kids = tree_children(node)
         steps.append((node.strategy.short, digit, [degree(k) for k in kids], len(kids)))
         node = kids[digit]
     mi = (flat,)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import expected_leaf_index, random_tree, tree_children, tree_leaves
 
 from fembasis import (
     NestedVector,
@@ -18,6 +19,7 @@ from fembasis import (
     parse_tree,
     subspace_basis,
 )
+from fembasis.cli import TABLE1_COLUMNS, strategy_table_bases
 
 TH2 = "composite(power(lagrange(2),2),lagrange(1))"
 
@@ -215,3 +217,112 @@ def test_evaluate_discrete_outside_domain():
     basis, v = fresh("lagrange(1)", nx=1, ny=1)
     with pytest.raises(OutsideDomain):
         evaluate_discrete(basis, v, (2.0, 0.0))
+
+
+# -- nodal operations against closed-form node positions ---------------------
+
+
+def leaf_field(path, p):
+    """A non-polynomial scalar field, different for every leaf path."""
+    w = 1.0 + sum((d + 1) * 0.37 ** i for i, d in enumerate(path))
+    return math.sin(w * p[0] + 2.0 * p[1]) + math.exp(-w * p[1]) * p[0]
+
+
+def range_value(tree, p, path=()):
+    """Range value shaped like ``tree``: leaf_field at every leaf path."""
+    if hasattr(tree, "order"):
+        return leaf_field(path, p)
+    return [range_value(kid, p, path + (i,)) for i, kid in enumerate(tree_children(tree))]
+
+
+def node_position(order, nx, ny, flat):
+    """Closed-form coordinates of a leaf's global node number ``flat``."""
+    a, b = flat % (order * nx + 1), flat // (order * nx + 1)
+    return a / (order * nx), b / (order * ny)
+
+
+def assert_interpolates_every_node(tree, nx, ny, leaves, v):
+    for path, order in leaves:
+        for flat in range((order * nx + 1) * (order * ny + 1)):
+            want = leaf_field(path, node_position(order, nx, ny, flat))
+            got = v[expected_leaf_index(tree, nx, ny, path, flat)]
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def random_bases(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        nx, ny = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        tree = random_tree(rng)
+        yield make_basis(StructuredGrid(nx, ny), tree), tree, nx, ny
+
+
+def test_interpolation_hits_every_node_of_random_trees():
+    for basis, tree, nx, ny in random_bases(71, 12):
+        v = NestedVector()
+        v.resize_from_basis(basis, fill=math.nan)
+        interpolate(basis, v, lambda p: range_value(tree, p))
+        assert not np.isnan(v.values).any()
+        assert_interpolates_every_node(tree, nx, ny, tree_leaves(tree), v)
+
+
+@pytest.mark.parametrize("column", [label for label, _, _ in TABLE1_COLUMNS])
+def test_interpolation_hits_every_node_under_table1_numbering(column):
+    nx, ny = 3, 2
+    basis = dict(strategy_table_bases(StructuredGrid(nx, ny), 3))[column]
+    tree = basis.tree
+    v = NestedVector()
+    v.resize_from_basis(basis)
+    interpolate(basis, v, lambda p: range_value(tree, p))
+    assert_interpolates_every_node(tree, nx, ny, tree_leaves(tree), v)
+
+
+def test_subspace_interpolation_hits_every_node_below_its_prefix():
+    nx, ny = 3, 2
+    basis = dict(strategy_table_bases(StructuredGrid(nx, ny), 3))["FL(FI)"]
+    tree = basis.tree
+    velocity = tree.children[0]
+    v = NestedVector()
+    v.resize_from_basis(basis, fill=-3.0)
+    interpolate(subspace_basis(basis, (0,)), v, lambda p: range_value(velocity, p, (0,)))
+    inside = [leaf for leaf in tree_leaves(tree) if leaf[0][0] == 0]
+    assert_interpolates_every_node(tree, nx, ny, inside, v)
+    for flat in range((nx + 1) * (ny + 1)):
+        assert v[expected_leaf_index(tree, nx, ny, (1,), flat)] == -3.0
+
+
+def test_boundary_walk_reports_each_ring_node_once():
+    bases = list(random_bases(73, 12))
+    for _, basis in strategy_table_bases(StructuredGrid(3, 2), 2):
+        bases.append((basis, basis.tree, 3, 2))
+        bases.append((subspace_basis(basis, (0,)), basis.tree, 3, 2))
+    for basis, tree, nx, ny in bases:
+        prefix = basis.prefix_path
+        leaves = [(path, k) for path, k in tree_leaves(tree) if path[: len(prefix)] == prefix]
+        expected = set()
+        for path, k in leaves:
+            for flat in range((k * nx + 1) * (k * ny + 1)):
+                a, b = flat % (k * nx + 1), flat // (k * nx + 1)
+                if a in (0, k * nx) or b in (0, k * ny):
+                    expected.add(expected_leaf_index(tree, nx, ny, path, flat))
+        reported = []
+        for_each_boundary_dof(basis, reported.append)
+        assert len(reported) == sum(2 * (k * nx + k * ny) for _, k in leaves)
+        assert len(set(reported)) == len(reported)
+        assert set(reported) == expected
+
+
+def test_interpolation_rejects_a_vector_of_another_layout():
+    basis, v = fresh(TH2, nx=2, ny=2)
+    other = NestedVector()
+    other.resize_from_basis(make_basis(StructuredGrid(2, 2), parse_tree("lagrange(2)")))
+    with pytest.raises(ShapeMismatch):
+        interpolate(basis, other, lambda p: [[1.0, 1.0], 1.0])
+    mask = NestedVector()
+    mask.resize_from_basis(make_basis(StructuredGrid(2, 1), parse_tree(TH2)), fill=True)
+    with pytest.raises(ShapeMismatch):
+        interpolate_masked(basis, v, lambda p: [[1.0, 1.0], 1.0], mask)
+    # an equal layout built elsewhere is accepted
+    copy = NestedVector(v.data)
+    interpolate(basis, copy, lambda p: [[1.0, 1.0], 2.0])
+    assert copy[(1, 8)] == 2.0

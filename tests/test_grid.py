@@ -1,4 +1,4 @@
-"""Structured grid geometry, point location and boundary detection."""
+"""Structured grid geometry, point location and grid shape parsing."""
 
 import math
 from fractions import Fraction
@@ -11,7 +11,6 @@ from fembasis import (
     OutsideDomain,
     ParseError,
     StructuredGrid,
-    is_on_boundary,
     parse_grid_shape,
 )
 
@@ -43,13 +42,6 @@ def test_transform_corners():
     geom = g.element_geometry(15)
     assert geom.transform((0.0, 0.0)) == (0.75, 0.75)
     assert geom.transform((1.0, 1.0)) == (1.0, 1.0)
-
-
-def test_is_on_boundary():
-    assert is_on_boundary((0.0, 0.5))
-    assert is_on_boundary((0.3, 1.0))
-    assert not is_on_boundary((0.3, 0.4))
-    assert is_on_boundary((1e-11, 0.5))  # inside tolerance
 
 
 def test_locate_examples():

@@ -86,21 +86,6 @@ def test_gradients_match_finite_differences():
                 assert np.max(np.abs(grads[m] - fd_gradient(fe, m, p))) <= 1e-6
 
 
-def test_local_interpolation():
-    q1 = LagrangeQk(1)
-    assert np.allclose(q1.interpolate(lambda p: 1.0), np.ones(4), atol=0)
-    assert np.allclose(q1.interpolate(lambda p: p[0]), [0, 1, 0, 1], atol=0)
-
-    q2 = LagrangeQk(2)
-    f = lambda p: p[0] ** 2 * p[1] ** 2
-    coeffs = q2.interpolate(f)
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        p = tuple(rng.random(2))
-        value = float(coeffs @ q2.values(p))
-        assert abs(value - f(p)) <= 1e-12  # Q2 reproduces tensor quadratics
-
-
 def test_shared_element_cache():
     assert lagrange_element(2) is lagrange_element(2)
     assert lagrange_element(1).order == 1

@@ -1,18 +1,10 @@
-"""Multi-index construction, prefix algebra and index tree validation."""
+"""Multi-index construction, prefix relations and layout degrees."""
 
 import numpy as np
 import pytest
 
-from fembasis import (
-    CapacityExceeded,
-    MultiIndex,
-    PrefixNotFound,
-    is_prefix,
-    is_strict_prefix,
-    prefix_degree,
-    validate_index_tree,
-)
-from helpers import trie_is_index_tree
+from fembasis import CapacityExceeded, MultiIndex, PrefixNotFound, is_prefix
+from fembasis.multiindex import Layout
 
 
 def test_construction_and_rendering():
@@ -49,8 +41,6 @@ def test_is_prefix_examples():
     assert is_prefix((), (2,))
     assert not is_prefix((1,), (0, 1))
     assert is_prefix((0, 1), (0, 1))
-    assert not is_strict_prefix((0, 1), (0, 1))
-    assert is_strict_prefix((0,), (0, 1))
 
 
 def test_is_prefix_reflexive_and_antisymmetric():
@@ -65,47 +55,23 @@ def test_is_prefix_reflexive_and_antisymmetric():
             assert a == b
 
 
-def test_validate_index_tree_examples():
-    assert validate_index_tree({(0, 0), (0, 1), (1,)})
-    assert not validate_index_tree({(0,), (0, 1)})  # entry below an entry
-    assert not validate_index_tree({(0, 0), (0, 2)})  # gap in the digits
-    assert validate_index_tree(set())
-
-
-def test_validate_index_tree_matches_trie_oracle():
-    rng = np.random.default_rng(23)
-    agree = 0
-    for _ in range(300):
-        n = int(rng.integers(1, 40))
-        entries = set()
-        for _ in range(n):
-            length = int(rng.integers(1, 5))
-            entries.add(tuple(int(d) for d in rng.integers(0, 6, size=length)))
-        expected = trie_is_index_tree(entries)
-        assert validate_index_tree(entries) == expected
-        agree += 1
-    assert agree == 300
-
-
-def test_validate_accepts_generated_trees():
-    # sets built by stacking digits below complete levels are always valid
-    entries = {(i, j) for i in range(3) for j in range(4)} | {(3,)}
-    assert validate_index_tree(entries)
-    assert trie_is_index_tree(entries)
+def degree(entries, prefix):
+    """Layout.degree over the entries in lexicographic order."""
+    return Layout(sorted(MultiIndex(e) for e in entries)).degree(prefix)
 
 
 def test_prefix_degree_on_velocity_pressure_set():
     n2, n1 = 4, 3
     entries = {(0, i, j) for i in range(3) for j in range(n2)}
     entries |= {(1, k) for k in range(n1)}
-    assert prefix_degree(entries, ()) == 2
-    assert prefix_degree(entries, (0,)) == 3
-    assert prefix_degree(entries, (0, 1)) == n2
-    assert prefix_degree(entries, (1, 0)) == 0  # full entry
+    assert degree(entries, ()) == 2
+    assert degree(entries, (0,)) == 3
+    assert degree(entries, (0, 1)) == n2
+    assert degree(entries, (1, 0)) == 0  # full entry
     with pytest.raises(PrefixNotFound):
-        prefix_degree(entries, (5,))
+        degree(entries, (5,))
     with pytest.raises(PrefixNotFound):
-        prefix_degree(entries, (1, 0, 0))
+        degree(entries, (1, 0, 0))
 
 
 def test_prefix_degree_matches_bruteforce():
@@ -118,7 +84,7 @@ def test_prefix_degree_matches_bruteforce():
         prefixes = {e[:t] for e in entries for t in range(len(e) + 1)}
         for p in prefixes:
             if p in entries:
-                assert prefix_degree(entries, p) == 0
+                assert degree(entries, p) == 0
             else:
                 nxt = [e[len(p)] for e in entries if len(e) > len(p) and e[: len(p)] == p]
-                assert prefix_degree(entries, p) == max(nxt) + 1
+                assert degree(entries, p) == max(nxt) + 1
