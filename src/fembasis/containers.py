@@ -189,9 +189,9 @@ class SparseSystem:
             cols.append(np.tile(c, len(r)))
             values.append(block.ravel())
         rows, cols, values = map(np.concatenate, (rows, cols, values))
-        # stable, and bincount adds in input order: duplicates are summed
-        # in the order they were added
-        order = np.lexsort((cols, rows))
+        # row-major by one combined key; stable, and bincount adds in input
+        # order: duplicates are summed in the order they were added
+        order = np.argsort(rows * len(keys) + cols, kind="stable")
         rows, cols, values = rows[order], cols[order], values[order]
         new = np.ones(len(rows), dtype=bool)
         new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])

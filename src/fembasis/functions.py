@@ -3,7 +3,7 @@
 All operations here accept either a GlobalBasis or a SubspaceBasis.
 Interpolation and boundary walks are nodal: they visit each global node of
 a leaf once, on its node grid (:meth:`~fembasis.basis.GlobalBasis.node_grid`);
-evaluation binds a local view to the element that contains the point.  The
+evaluation slices the node grid of the containing element.  The
 range values of functions mirror the basis subtree in scope: a leaf is
 addressed by its tree path relative to that subtree, so a velocity-pressure
 basis expects values like [[vx, vy], p] while its velocity subspace expects
@@ -17,16 +17,18 @@ import numbers
 import numpy as np
 
 from .errors import ShapeMismatch
-from .treespec import Composite, Leaf, Power, child_at
+from .localfe import values_1d
+from .treespec import Leaf, Power, child_at
 
 
 def _is_scalar(value) -> bool:
-    return isinstance(value, (numbers.Real, np.floating, np.integer))
+    scalar_types = (numbers.Real, np.floating, np.integer)
+    return type(value) in (float, int) or isinstance(value, scalar_types)
 
 
 def _component(value, rel_path):
     """Leaf component of a range value; scalars broadcast to every leaf."""
-    if _is_scalar(value):
+    if type(value) not in (list, tuple) and _is_scalar(value):
         return value
     node = value
     for digit in rel_path:
@@ -56,17 +58,19 @@ def _interpolate(basis, coefficients, fn, mask) -> None:
     values = _flat_values(root, coefficients)
     allowed = None if mask is None else _flat_values(root, mask)
     nx, ny = root.grid.nx, root.grid.ny
-    samples = {}  # range values of fn at the nodes of each order
-    for leaf in basis.local_view().leaves:
+    leaves = basis.local_view().leaves
+    top = max(leaf.finite_element.order for leaf in leaves)
+    # node (a, b) of order k is sample (a*s, b*s) with s = top/k: a/(k*nx) and
+    # a*s/(top*nx) round the same rational, so fn sees the same arguments
+    samples = [
+        [fn((a / (top * nx), b / (top * ny))) for a in range(top * nx + 1)]
+        for b in range(top * ny + 1)
+    ]
+    for leaf in leaves:
         offsets = root.node_grid(leaf.tree_path).ravel()
-        k = leaf.finite_element.order
-        if k not in samples:
-            samples[k] = [
-                fn((a / (k * nx), b / (k * ny)))
-                for b in range(k * ny + 1)
-                for a in range(k * nx + 1)
-            ]
-        nodal = np.array([_component(v, leaf.rel_path) for v in samples[k]], dtype=float)
+        step = top // leaf.finite_element.order
+        grid = [row[::step] for row in samples[::step]]
+        nodal = np.array([_component(v, leaf.rel_path) for row in grid for v in row], dtype=float)
         if allowed is not None:
             chosen = allowed[offsets].astype(bool)
             offsets, nodal = offsets[chosen], nodal[chosen]
@@ -81,7 +85,8 @@ def interpolate(basis, coefficients, fn) -> None:
     laid out like the root basis, else ShapeMismatch.  Each global node of
     each leaf in scope is visited once, on the leaf's node grid: a leaf of
     order k takes its value at ``(a / (k*nx), b / (k*ny))``, and ``fn`` is
-    called once per node position of each order.
+    called once per node of the finest order in scope, whose lattice holds
+    the nodes of every coarser order.
     """
     _interpolate(basis, coefficients, fn, None)
 
@@ -112,39 +117,35 @@ def for_each_boundary_dof(basis, callback) -> None:
             callback(keys[offset])
 
 
-def _range_shell(tree):
-    """Zero range value shaped like a basis subtree (scalar for a leaf)."""
+def _shaped(tree, path, leaf_value):
+    """Range value shaped like ``tree``: ``leaf_value(order, path)`` per leaf."""
     if isinstance(tree, Leaf):
-        return 0.0
-    if isinstance(tree, Power):
-        return [_range_shell(tree.child) for _ in range(tree.count)]
-    return [_range_shell(c) for c in tree.children]
+        return leaf_value(tree.order, path)
+    children = (tree.child,) * tree.count if isinstance(tree, Power) else tree.children
+    return [_shaped(child, path + (n,), leaf_value) for n, child in enumerate(children)]
 
 
 def evaluate_discrete(basis, coefficients, point):
     """Value of the coefficient field of ``basis`` at a global point.
 
-    Locates the containing element and combines shape function values with
-    the stored coefficients.  Returns a scalar for a single-leaf subtree,
-    nested lists otherwise.  Points outside the unit square raise
-    OutsideDomain.
+    Contracts each leaf's coefficients on the containing element's block
+    of its node grid with the 1-D shape function values in x and y.
+    Coefficients must be laid out like the root basis, else ShapeMismatch.
+    Returns a scalar for a single-leaf subtree, nested lists otherwise.
+    Points outside the unit square raise OutsideDomain.
     """
     root = basis.root_basis
-    element, local = root.grid.locate(point)
-    view = basis.local_view()
-    view.bind(element)
-    subtree = child_at(root.tree, basis.prefix_path)
-    result = _range_shell(subtree)
-    for leaf in view.leaves:
-        values = leaf.finite_element.values(local)
-        acc = 0.0
-        for m in range(leaf.size):
-            acc += float(coefficients[view.index(leaf.local_index(m))]) * float(values[m])
-        if not leaf.rel_path:
-            result = acc
-        else:
-            target = result
-            for digit in leaf.rel_path[:-1]:
-                target = target[digit]
-            target[leaf.rel_path[-1]] = acc
-    return result
+    values = _flat_values(root, coefficients)
+    element, (xi, eta) = root.grid.locate(point)
+    i, j = root.grid.cell_coords(element)
+    tables = {}  # 1-D shape function values (lx, ly) per order
+
+    def leaf_value(k, path):
+        if k not in tables:
+            tables[k] = values_1d(k, xi), values_1d(k, eta)
+        lx, ly = tables[k]
+        block = values[root.node_grid(path)[j * k : (j + 1) * k + 1, i * k : (i + 1) * k + 1]]
+        # + 0.0: a zero field reads 0.0 whatever sign of zero the sum has
+        return float(ly @ block @ lx) + 0.0
+
+    return _shaped(child_at(root.tree, basis.prefix_path), basis.prefix_path, leaf_value)

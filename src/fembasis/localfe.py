@@ -3,9 +3,10 @@
 Order k places (k+1)^2 nodes at (a/k, b/k) for a, b in 0..k; the node with
 local index m = b*(k+1) + a carries the shape function l_a(xi) * l_b(eta)
 built from the one-dimensional Lagrange polynomials over the equispaced
-nodes.  Orders 1 and 2 are supported.  :func:`line_matrices` assembles
-the same one-dimensional polynomials into stiffness and mass matrices
-of a uniformly split unit interval.
+nodes.  Orders 1 and 2 are supported, and :func:`values_1d` tabulates
+their one-dimensional values in closed form (Q1: 1-x, x; Q2: (2x-1)(x-1),
+4x(1-x), x(2x-1)).  :func:`line_matrices` assembles the same polynomials
+into stiffness and mass matrices of a uniformly split unit interval.
 """
 
 from __future__ import annotations
@@ -16,16 +17,14 @@ from .errors import UnsupportedOrder
 from .quadrature import gauss_legendre_unit
 
 
-def _values_1d(nodes, x):
-    n = len(nodes)
-    out = np.empty(n)
-    for a in range(n):
-        v = 1.0
-        for b in range(n):
-            if b != a:
-                v *= (x - nodes[b]) / (nodes[a] - nodes[b])
-        out[a] = v
-    return out
+def values_1d(order: int, x) -> np.ndarray:
+    """1-D Lagrange polynomials of ``order`` at ``x`` (scalar or array) along axis 0.
+
+    Bitwise equal to the product formula up to the sign of a zero: scaling by 2 is exact.
+    """
+    if order == 1:
+        return np.array([1.0 - x, x])
+    return np.array([(2.0 * x - 1.0) * (x - 1.0), 4.0 * x * (1.0 - x), x * (2.0 * x - 1.0)])
 
 
 def _derivatives_1d(nodes, x):
@@ -62,15 +61,13 @@ class LagrangeQk:
     def values(self, point) -> np.ndarray:
         """All shape function values at a reference point, local node order."""
         xi, eta = point
-        lx = _values_1d(self.nodes_1d, xi)
-        ly = _values_1d(self.nodes_1d, eta)
-        return np.outer(ly, lx).ravel()
+        return np.outer(values_1d(self.order, eta), values_1d(self.order, xi)).ravel()
 
     def gradients(self, point) -> np.ndarray:
         """Reference gradients, shape (count, 2)."""
         xi, eta = point
-        lx = _values_1d(self.nodes_1d, xi)
-        ly = _values_1d(self.nodes_1d, eta)
+        lx = values_1d(self.order, xi)
+        ly = values_1d(self.order, eta)
         dx = _derivatives_1d(self.nodes_1d, xi)
         dy = _derivatives_1d(self.nodes_1d, eta)
         out = np.empty((self.count, 2))
@@ -102,7 +99,7 @@ def line_matrices(order: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
     """
     nodes = lagrange_element(order).nodes_1d
     points, weights = gauss_legendre_unit(order + 1)
-    values = np.array([_values_1d(nodes, x) for x in points])
+    values = values_1d(order, points).T
     slopes = np.array([_derivatives_1d(nodes, x) for x in points])
     h = 1.0 / cells
     local_stiffness = slopes.T @ (weights[:, None] * slopes) / h

@@ -7,10 +7,12 @@ import pytest
 from helpers import expected_leaf_index, random_tree, tree_children, tree_leaves
 
 from fembasis import (
+    LocalView,
     NestedVector,
     OutsideDomain,
     ShapeMismatch,
     StructuredGrid,
+    child_at,
     evaluate_discrete,
     for_each_boundary_dof,
     interpolate,
@@ -68,6 +70,8 @@ def test_range_shape_mismatch():
     basis, v = fresh(TH2, nx=1, ny=1)
     with pytest.raises(ShapeMismatch):
         interpolate(basis, v, lambda p: [p[0], p[1]])  # missing pressure slot
+    with pytest.raises(ShapeMismatch):
+        interpolate(basis, v, lambda p: [[p[0], p[1]], [1.0]])  # pressure not a scalar
 
 
 def test_interpolation_is_idempotent():
@@ -326,3 +330,120 @@ def test_interpolation_rejects_a_vector_of_another_layout():
     copy = NestedVector(v.data)
     interpolate(basis, copy, lambda p: [[1.0, 1.0], 2.0])
     assert copy[(1, 8)] == 2.0
+
+
+@pytest.mark.parametrize(
+    "tree_text, calls",
+    [(TH2, 9 * 9), ("lagrange(1)", 5 * 5), ("power(lagrange(1),3)", 5 * 5)],
+)
+def test_interpolation_samples_fn_once_on_the_finest_lattice(tree_text, calls):
+    nx = ny = 4
+    basis, v = fresh(tree_text, nx=nx, ny=ny)
+    tree = basis.tree
+    seen = []
+
+    def fn(p):
+        seen.append(p)
+        return range_value(tree, p)
+
+    interpolate(basis, v, fn)
+    assert len(seen) == calls == len(set(seen))
+    # per-order sampling at a / (k*nx): the coefficients agree bitwise
+    expected = NestedVector()
+    expected.resize_from_basis(basis)
+    for path, order in tree_leaves(tree):
+        for flat in range((order * nx + 1) * (order * ny + 1)):
+            key = expected_leaf_index(tree, nx, ny, path, flat)
+            expected[key] = leaf_field(path, node_position(order, nx, ny, flat))
+    assert v.values.tobytes() == expected.values.tobytes()
+
+
+def exact_field(path, order, p):
+    """A field that a leaf of ``order`` reproduces exactly, shifted per leaf."""
+    x, y = p
+    shift = sum((d + 1) * 0.61 ** i for i, d in enumerate(path))
+    if order == 2:
+        return x * x * y - 0.5 * x * y * y + shift
+    return x * y - 0.3 * x + shift
+
+
+def exact_value(tree, p, path=()):
+    if hasattr(tree, "order"):
+        return exact_field(path, tree.order, p)
+    return [exact_value(kid, p, path + (i,)) for i, kid in enumerate(tree_children(tree))]
+
+
+def assert_close_tree(got, want):
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_close_tree(g, w)
+    else:
+        assert isinstance(got, float) and abs(got - want) <= 1e-12
+
+
+def probe_points(rng, nx, ny):
+    """Random points, inner element edges, the corners and the far edges."""
+    points = [tuple(float(c) for c in rng.random(2)) for _ in range(6)]
+    points += [(i / nx, float(rng.random())) for i in range(1, nx)]
+    points += [(float(rng.random()), j / ny) for j in range(1, ny)]
+    points += [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    points += [(1.0, float(rng.random())), (float(rng.random()), 1.0)]
+    return points
+
+
+def test_evaluate_discrete_matches_exact_fields_under_every_numbering():
+    cases = []
+    for _, basis in strategy_table_bases(StructuredGrid(3, 2), 3):
+        cases += [(basis, 3, 2), (subspace_basis(basis, (0,)), 3, 2)]
+        cases.append((subspace_basis(basis, (1,)), 3, 2))
+    rng = np.random.default_rng(79)
+    for n in range(12):
+        nx, ny = (3, 2) if n % 2 else (4, 4)
+        basis = make_basis(StructuredGrid(nx, ny), random_tree(rng))
+        cases.append((basis, nx, ny))
+        if not hasattr(basis.tree, "order"):
+            cases.append((subspace_basis(basis, (0,)), nx, ny))
+    for basis, nx, ny in cases:
+        root = basis.root_basis
+        v = NestedVector()
+        v.resize_from_basis(root)
+        interpolate(root, v, lambda p: exact_value(root.tree, p))
+        prefix = basis.prefix_path
+        subtree = child_at(root.tree, prefix)
+        for p in probe_points(rng, nx, ny):
+            assert_close_tree(evaluate_discrete(basis, v, p), exact_value(subtree, p, prefix))
+
+
+def test_evaluate_discrete_reads_no_local_view_and_no_key(monkeypatch):
+    basis, v = fresh(TH2, nx=2, ny=2)
+    interpolate(basis, v, lambda p: [[p[0], p[1]], 2.0])
+
+    def forbidden(*args):
+        raise AssertionError("evaluation went through the element path")
+
+    monkeypatch.setattr(LocalView, "__init__", forbidden)
+    monkeypatch.setattr(NestedVector, "__getitem__", forbidden)
+    value = evaluate_discrete(subspace_basis(basis, (0,)), v, (0.3, 0.7))
+    assert abs(value[0] - 0.3) <= 1e-13 and abs(value[1] - 0.7) <= 1e-13
+
+
+def test_evaluate_discrete_rejects_a_vector_of_another_layout():
+    basis, v = fresh(TH2, nx=2, ny=2)
+    interpolate(basis, v, lambda p: [[p[0], p[1]], 2.0])
+    other = NestedVector()
+    other.resize_from_basis(make_basis(StructuredGrid(2, 2), parse_tree("lagrange(2)")))
+    with pytest.raises(ShapeMismatch):
+        evaluate_discrete(basis, other, (0.3, 0.7))
+    # an equal layout built elsewhere is accepted
+    copy = NestedVector(v.data)
+    assert evaluate_discrete(basis, copy, (0.3, 0.7)) == evaluate_discrete(basis, v, (0.3, 0.7))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_evaluate_discrete_zero_field_reads_positive_zero(zero):
+    basis, v = fresh(TH2, nx=2, ny=2, fill=zero)
+    # Q2 shape functions are negative at some of these points
+    for p in [(0.3, 0.7), (0.125, 0.375), (0.9, 0.05), (1.0, 1.0)]:
+        (vx, vy), pressure = evaluate_discrete(basis, v, p)
+        assert all(math.copysign(1.0, value) == 1.0 for value in (vx, vy, pressure))
