@@ -23,11 +23,12 @@ the ranks per leaf and builds the ordered keys (:attr:`GlobalBasis.layout`)
 on first use.  A Lagrange leaf's basis functions are its global nodes, so
 its ranks form a node grid (:meth:`GlobalBasis.node_grid`); nodal work
 (interpolation, boundary nodes) visits each node once on that grid.
-Element-local access, for assembly and evaluation, happens through
-:class:`LocalView`: binding it to an element gathers the multi-index of
-every element-local basis function from a slice of the same grids.  Local
-indices enumerate the leaves depth-first and are consecutive within each
-leaf.
+The element windows of the same grids form one offset table per subtree
+(:meth:`GlobalBasis.element_offsets`), row ``e`` holding the offsets of
+element ``e``'s local basis functions; assembly hands that table to the
+sparse system as it is.  :class:`LocalView` reads its multi-indices from
+a row of the table.  Local indices enumerate the leaves depth-first and
+are consecutive within each leaf.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IndexOutOfRange, PathOutOfRange, UnboundView
 from .grid import StructuredGrid
@@ -151,6 +153,7 @@ class GlobalBasis:
             for (path, order, table), ranks in zip(leaves, per_leaf)
         ]
         self._leaf_by_path = {leaf.path: leaf for leaf in self._leaves}
+        self._element_offsets = {}
 
     @cached_property
     def layout(self) -> Layout:
@@ -194,6 +197,30 @@ class GlobalBasis:
             child_at(self.tree, leaf_path)  # raises PathOutOfRange if invalid
             raise PathOutOfRange(f"path {tuple(leaf_path)} is not a leaf")
         return placement.ranks
+
+    def element_offsets(self, prefix=()) -> np.ndarray:
+        """Flat offsets of every element's local basis functions.
+
+        Row ``e`` of the read-only ``(num_elements, local size)`` integer
+        table lists, in local-view order, the offsets of the functions of
+        the leaves below ``prefix`` on element ``e``: per leaf of order k
+        the ``(k+1)``-square window of its node grid at ``(k*i, k*j)``,
+        row by row, for the element at cell ``(i, j)``.
+        """
+        prefix = tuple(prefix)
+        table = self._element_offsets.get(prefix)
+        if table is None:
+            child_at(self.tree, prefix)  # validates the prefix
+            blocks = []
+            for leaf in self._leaves:
+                if leaf.path[: len(prefix)] == prefix:
+                    k = leaf.order
+                    windows = sliding_window_view(leaf.ranks, (k + 1, k + 1))
+                    blocks.append(windows[::k, ::k].reshape(self.grid.num_elements, -1))
+            table = np.hstack(blocks)
+            table.flags.writeable = False
+            self._element_offsets[prefix] = table
+        return table
 
     def leaf_dof_index(self, leaf_path, flat: int) -> MultiIndex:
         """Global multi-index of flat basis function ``flat`` of one leaf.
@@ -240,7 +267,8 @@ class LocalView:
     """Element-local window onto a basis (or onto one of its subtrees).
 
     ``bind`` fixes the element and caches one multi-index per local basis
-    function, the basis's own key objects; ``index`` then answers from the
+    function, the basis's own key objects, read from the element's row of
+    :meth:`GlobalBasis.element_offsets`; ``index`` then answers from the
     cache.  Unbound views only answer structural queries (max_size, leaves).
     """
 
@@ -301,18 +329,12 @@ class LocalView:
 
     def bind(self, element: int) -> None:
         """Bind to an element and cache all global multi-indices."""
-        grid = self._basis.grid
-        i, j = grid.cell_coords(element)  # raises IndexOutOfRange
-        ranks = []
-        for leaf in self._leaves:
-            k = leaf._placement.order
-            # local function m sits at node (a, b) = (m % (k+1), m // (k+1))
-            block = leaf._placement.ranks[j * k : (j + 1) * k + 1, i * k : (i + 1) * k + 1]
-            ranks.append(block.ravel())
+        geometry = self._basis.grid.element_geometry(element)  # raises IndexOutOfRange
         keys = self._basis.layout.keys
-        self._indices = [keys[r] for r in np.concatenate(ranks).tolist()]
+        offsets = self._basis.element_offsets(self._prefix)[element]
+        self._indices = [keys[r] for r in offsets.tolist()]
         self._element = element
-        self._geometry = grid.element_geometry(element)
+        self._geometry = geometry
 
     def unbind(self) -> None:
         self._element = None

@@ -7,10 +7,14 @@ flat offset.  Vectors shaped for a basis share the basis's layout, and the
 nested-list form survives only as the derived ``data`` view.
 
 A :class:`SparseSystem` keys matrix entries by (row, column) multi-index
-pairs.  It collects dense blocks of entries and a set of identity rows;
-summing them (on :meth:`~SparseSystem.freeze`) interns every key once,
-sorts the entries row-major by key and adds up duplicates into arrays,
-which all reads then use.
+pairs and stores every key as an integer id, its offset when the system
+holds an element batch over a layout.  It keeps dense element matrices
+with their offset tables, keyed dense blocks and a set of identity rows
+as they were added.  Products read them directly: a gather, one GEMM per
+element batch and a scatter, the keyed blocks as one COO product, then
+the identity rows.  Sorting the entries row-major and adding up
+duplicates happens only when the entries themselves are read
+(:meth:`~SparseSystem.triples`, ``len``).
 """
 
 from __future__ import annotations
@@ -129,18 +133,33 @@ class NestedVector:
         return f"NestedVector({self.data!r})"
 
 
+def _entries(parts):
+    """Flat (rows, cols, values) of parts, element by element, each row-major."""
+    rows, cols, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for r, c, matrix in parts:
+        rows.append(np.repeat(r, c.shape[1], axis=1).ravel())
+        cols.append(np.tile(c, r.shape[1]).ravel())
+        values.append(np.broadcast_to(matrix.ravel(), (len(r), matrix.size)).ravel())
+    return tuple(map(np.concatenate, (rows, cols, values)))
+
+
 class SparseSystem:
     """Sparse matrix keyed by (row, column) multi-index pairs.
 
-    Lives in two phases: an accumulation phase (add_block, add_to_entry,
-    set_row_to_identity) and, after freeze(), an immutable phase that
-    supports deterministic matrix-vector products.
+    Lives in two phases: an accumulation phase (add_elements, add_block,
+    add_to_entry, set_row_to_identity) and, after freeze(), an immutable
+    phase that supports deterministic matrix-vector products.  Keys are
+    stored as integer ids: their offsets in the layout of an element batch
+    once the system holds one, else ids interned on first use.
     """
 
     def __init__(self):
-        self._blocks = []  # (row keys, column keys, dense values)
-        self._identity_rows = {}  # insertion-ordered set of row keys
-        self._summed = None  # (sorted keys, row ids, column ids, values)
+        self._layout = None
+        self._ids = {}  # key -> id
+        self._keys = []  # id -> key
+        self._parts = []  # (row ids (E, m), column ids (E, n), matrix (m, n)) of E elements
+        self._identity = {}  # insertion-ordered set of row ids
+        self._summed = None  # (sorted keys, row ranks, column ranks, values) once frozen
         self._frozen = False
 
     @property
@@ -151,14 +170,45 @@ class SparseSystem:
         if self._frozen:
             raise AlreadyFrozen("system is frozen")
 
+    def _id(self, key) -> int:
+        key = as_multi_index(key)
+        if key not in self._ids:
+            if self._layout is not None:
+                raise ShapeMismatch(f"{key} has no offset in the system's layout")
+            self._ids[key] = len(self._keys)
+            self._keys.append(key)
+        return self._ids[key]
+
+    def add_elements(self, layout: Layout, offsets, matrix) -> None:
+        """Accumulate ``matrix`` onto offsets[e] x offsets[e] for every row e.
+
+        ``offsets`` is an integer table of offsets into ``layout``; table
+        and element matrix are stored as they are.  The system adopts
+        ``layout``: its offsets become the ids of all keys, those added
+        before included.  A key without an offset, or a second layout,
+        raises ShapeMismatch.
+        """
+        self._require_mutable()
+        if self._layout is not layout:
+            if self._layout is not None:
+                raise ShapeMismatch("the system holds elements of another layout")
+            moved = np.array([layout.offset.get(key, -1) for key in self._keys], dtype=np.intp)
+            if np.any(moved < 0):
+                raise ShapeMismatch("the system holds keys without an offset in the layout")
+            self._parts = [(moved[r], moved[c], m) for r, c, m in self._parts]
+            self._identity = dict.fromkeys(moved[list(self._identity)].tolist())
+            self._layout, self._ids, self._keys = layout, layout.offset, layout.keys
+        offsets = np.asarray(offsets, dtype=np.intp)
+        matrix = np.asarray(matrix, dtype=float).reshape(offsets.shape[1], offsets.shape[1])
+        self._parts.append((offsets, offsets, matrix))
+
     def add_block(self, rows, cols, values) -> None:
         """Accumulate the dense ``values`` onto the entries rows x cols."""
         self._require_mutable()
-        rows = tuple(map(as_multi_index, rows))
-        cols = tuple(map(as_multi_index, cols))
-        block = np.asarray(values, dtype=float).reshape(len(rows), len(cols))
-        self._blocks.append((rows, cols, block))
-        self._summed = None
+        rows = np.fromiter(map(self._id, rows), dtype=np.intp)[None]
+        cols = np.fromiter(map(self._id, cols), dtype=np.intp)[None]
+        values = np.asarray(values, dtype=float).reshape(rows.size, cols.size)
+        self._parts.append((rows, cols, values))
 
     def add_to_entry(self, row, col, value) -> None:
         """Accumulate ``value`` onto entry (row, col), creating it at 0."""
@@ -167,28 +217,29 @@ class SparseSystem:
     def set_row_to_identity(self, row) -> None:
         """Make ``row`` an identity row: 1 on the diagonal, 0 elsewhere.
 
-        The row is applied when entries are summed, so every stored entry
-        of the row is zeroed (and kept), including entries added to it
-        after this call.
+        The row is applied when entries are summed or multiplied, so every
+        stored entry of the row is zeroed (and kept), including entries
+        added to it after this call.
         """
         self._require_mutable()
-        self._identity_rows[as_multi_index(row)] = None
-        self._summed = None
+        self._identity[self._id(row)] = None
+
+    def _fixed(self) -> np.ndarray:
+        return np.fromiter(self._identity, dtype=np.intp, count=len(self._identity))
 
     def _sum(self):
-        identity = tuple(self._identity_rows)
-        keys = sorted(set(identity).union(*(r + c for r, c, _ in self._blocks)))
-        ids = {key: k for k, key in enumerate(keys)}
-        fixed = np.array([ids[key] for key in identity], dtype=np.intp)
+        fixed = self._fixed()
         # each identity row's diagonal joins as a structural entry
-        rows, cols, values = [fixed], [fixed], [np.zeros(len(fixed))]
-        for r, c, block in self._blocks:
-            r = np.array([ids[key] for key in r], dtype=np.intp)
-            c = np.array([ids[key] for key in c], dtype=np.intp)
-            rows.append(np.repeat(r, len(c)))
-            cols.append(np.tile(c, len(r)))
-            values.append(block.ravel())
-        rows, cols, values = map(np.concatenate, (rows, cols, values))
+        structural = (fixed[:, None], fixed[:, None], np.zeros((1, 1)))
+        rows, cols, values = _entries([structural] + self._parts)
+        keys = self._keys
+        if self._layout is None:
+            # interned ids follow first use; rank them in key order
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            rank = np.empty(len(keys), dtype=np.intp)
+            rank[order] = np.arange(len(keys))
+            rows, cols, fixed = rank[rows], rank[cols], rank[fixed]
+            keys = [keys[k] for k in order]
         # row-major by one combined key; stable, and bincount adds in input
         # order: duplicates are summed in the order they were added
         order = np.argsort(rows * len(keys) + cols, kind="stable")
@@ -203,65 +254,86 @@ class SparseSystem:
         return keys, rows, cols, summed
 
     def _arrays(self):
-        if self._summed is None:
+        if self._summed is None or not self._frozen:
             self._summed = self._sum()
         return self._summed
 
     def freeze(self) -> None:
-        """Sum all entries into sorted arrays and switch to the immutable phase."""
+        """Switch to the immutable phase; entries are summed only when read."""
         self._require_mutable()
-        self._arrays()
         self._frozen = True
-        self._blocks = []
-
-    def _keyed(self):
-        keys, row_ids, col_ids, values = self._arrays()
-        rows = map(keys.__getitem__, row_ids.tolist())
-        cols = map(keys.__getitem__, col_ids.tolist())
-        return zip(rows, cols, values.tolist())
 
     def triples(self):
         """Sorted (row, col, value) triples; requires a frozen system."""
         if not self._frozen:
             raise NotFrozen("freeze() the system first")
-        return tuple(self._keyed())
+        keys, row_ids, col_ids, values = self._arrays()
+        rows = map(keys.__getitem__, row_ids.tolist())
+        cols = map(keys.__getitem__, col_ids.tolist())
+        return tuple(zip(rows, cols, values.tolist()))
 
     def __len__(self) -> int:
-        return len(self._arrays()[3])
+        return len(self._arrays()[3]) if self._parts or self._identity else 0
 
-    def items(self):
-        """Yield ((row, col), value) pairs in sorted order."""
-        for r, c, v in self._keyed():
-            yield (r, c), v
-
-    def coo(self, slot):
-        """Frozen entries as (rows, cols, values) arrays of slot positions.
-
-        ``slot`` maps every key of the system to a flat position; it is
-        asked once per distinct key.  A key without a slot raises
-        ShapeMismatch.
-        """
+    def _placement(self, layout: Layout):
+        """Map of ids to slots of ``layout``; requires a frozen system."""
         if not self._frozen:
             raise NotFrozen("freeze() the system first")
-        keys, row_ids, col_ids, values = self._arrays()
+        if layout is self._layout:
+            return lambda ids: ids
         try:
-            position = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
+            slots = np.array([layout.offset[key] for key in self._keys], dtype=np.intp)
         except KeyError as missing:
             raise ShapeMismatch(
                 f"system key {missing.args[0]} has no slot in the vector layout"
             ) from None
-        return position[row_ids], position[col_ids], values
+        return slots.__getitem__
+
+    def operator(self, layout: Layout):
+        """The product v -> A v of a frozen system on flat arrays over ``layout``.
+
+        Each element batch is a gather, one GEMM with its matrix and one
+        bincount scatter; keyed blocks add as one COO product, and
+        identity rows copy their slot of v.  ``layout`` needs a slot for
+        every key of the system, else ShapeMismatch.
+        """
+        place, n = self._placement(layout), len(layout)
+        batches = [(place(r).ravel(), place(c), m.T) for r, c, m in self._parts if len(r) > 1]
+        rows, cols, values = _entries(part for part in self._parts if len(part[0]) == 1)
+        rows, cols, fixed = place(rows), place(cols), place(self._fixed())
+
+        def apply(v):
+            y = np.zeros(n)
+            for r, c, matrix_t in batches:
+                y += np.bincount(r, weights=(v[c] @ matrix_t).ravel(), minlength=n)
+            y += np.bincount(rows, weights=values * v[cols], minlength=n)
+            y[fixed] = v[fixed]
+            return y
+
+        return apply
+
+    def diagonal(self, layout: Layout) -> np.ndarray:
+        """Diagonal of a frozen system as a flat array over ``layout``.
+
+        Entries (k, k) add in the order they were added, as in triples();
+        identity rows read 1.0, rows without a diagonal entry 0.0.
+        """
+        place = self._placement(layout)
+        ids, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        for r, c, matrix in self._parts:
+            on = r[:, :, None] == c[:, None, :]
+            ids.append(np.broadcast_to(r[:, :, None], on.shape)[on])
+            values.append(np.broadcast_to(matrix, on.shape)[on])
+        ids, values = place(np.concatenate(ids)), np.concatenate(values)
+        diagonal = np.zeros(len(layout))
+        diagonal += np.bincount(ids, weights=values, minlength=len(layout))
+        diagonal[place(self._fixed())] = 1.0
+        return diagonal
 
     def matvec(self, x: NestedVector) -> NestedVector:
         """y = A x for a frozen system; y is shaped like x.
 
-        ``x`` must provide a scalar slot for every row and column key;
+        ``x`` must provide a scalar slot for every key of the system;
         missing slots raise ShapeMismatch.
         """
-        rows, cols, values = self.coo(x.layout.offset)
-        y = np.bincount(rows, weights=values * x.values[cols], minlength=len(x.layout))
-        return NestedVector.from_flat(x.layout, y)
-
-    def dump(self) -> str:
-        """One sorted "(row) (col) value" line per entry, for debugging."""
-        return "\n".join(f"{r} {c} {float(v)!r}" for (r, c), v in self.items())
+        return NestedVector.from_flat(x.layout, self.operator(x.layout)(x.values))

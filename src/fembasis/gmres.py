@@ -3,9 +3,10 @@
 The core routine works on flat numpy arrays and an abstract matvec,
 optionally right-preconditioned.  :func:`solve_system` bridges it to the
 multi-index world: a rhs :class:`~fembasis.containers.NestedVector` is
-already a flat array over its layout, and the entries of a frozen
-:class:`~fembasis.containers.SparseSystem` become positions in that layout
-through one lookup per distinct key.
+already a flat array over its layout, and the matvec is the flat product
+of a frozen :class:`~fembasis.containers.SparseSystem` over that layout
+(:meth:`~fembasis.containers.SparseSystem.operator`), the same one
+``SparseSystem.matvec`` uses.
 """
 
 from __future__ import annotations
@@ -159,14 +160,8 @@ def solve_system(
     """
     cfg = config if config is not None else SolverConfig()
     layout = rhs.layout
-    rows, cols, vals = system.coo(layout.offset)
-    n = len(layout)
-
-    def matvec(v):
-        return np.bincount(rows, weights=vals * v[cols], minlength=n)
-
     x, relres, iters = gmres(
-        matvec,
+        system.operator(layout),
         rhs.values,
         restart=cfg.restart,
         tol=cfg.tolerance,

@@ -3,10 +3,11 @@
 Order k places (k+1)^2 nodes at (a/k, b/k) for a, b in 0..k; the node with
 local index m = b*(k+1) + a carries the shape function l_a(xi) * l_b(eta)
 built from the one-dimensional Lagrange polynomials over the equispaced
-nodes.  Orders 1 and 2 are supported, and :func:`values_1d` tabulates
-their one-dimensional values in closed form (Q1: 1-x, x; Q2: (2x-1)(x-1),
-4x(1-x), x(2x-1)).  :func:`line_matrices` assembles the same polynomials
-into stiffness and mass matrices of a uniformly split unit interval.
+nodes.  Orders 1 and 2 are supported, and :func:`values_1d` and
+:func:`derivatives_1d` tabulate their one-dimensional values and slopes
+in closed form (Q1: 1-x, x; Q2: (2x-1)(x-1), 4x(1-x), x(2x-1)).
+:func:`line_matrices` assembles the same polynomials into stiffness and
+mass matrices of a uniformly split unit interval.
 """
 
 from __future__ import annotations
@@ -27,22 +28,15 @@ def values_1d(order: int, x) -> np.ndarray:
     return np.array([(2.0 * x - 1.0) * (x - 1.0), 4.0 * x * (1.0 - x), x * (2.0 * x - 1.0)])
 
 
-def _derivatives_1d(nodes, x):
-    # l_a'(x) = sum_c 1/(x_a - x_c) * prod_{b != a,c} (x - x_b)/(x_a - x_b)
-    n = len(nodes)
-    out = np.empty(n)
-    for a in range(n):
-        total = 0.0
-        for c in range(n):
-            if c == a:
-                continue
-            term = 1.0 / (nodes[a] - nodes[c])
-            for b in range(n):
-                if b != a and b != c:
-                    term *= (x - nodes[b]) / (nodes[a] - nodes[b])
-            total += term
-        out[a] = total
-    return out
+def derivatives_1d(order: int, x) -> np.ndarray:
+    """First derivatives of :func:`values_1d` at ``x`` along axis 0.
+
+    Q1: -1, 1; Q2: 4x-3, 4-8x, 4x-1.
+    """
+    x = np.asarray(x, dtype=float)
+    if order == 1:
+        return np.array([np.full_like(x, -1.0), np.full_like(x, 1.0)])
+    return np.array([4.0 * x - 3.0, 4.0 - 8.0 * x, 4.0 * x - 1.0])
 
 
 class LagrangeQk:
@@ -53,7 +47,6 @@ class LagrangeQk:
             raise UnsupportedOrder(f"order {order} unsupported, expected 1 or 2")
         self.order = order
         self.count = (order + 1) ** 2
-        self.nodes_1d = np.linspace(0.0, 1.0, order + 1)
         self.nodes = np.array(
             [(a / order, b / order) for b in range(order + 1) for a in range(order + 1)]
         )
@@ -68,8 +61,8 @@ class LagrangeQk:
         xi, eta = point
         lx = values_1d(self.order, xi)
         ly = values_1d(self.order, eta)
-        dx = _derivatives_1d(self.nodes_1d, xi)
-        dy = _derivatives_1d(self.nodes_1d, eta)
+        dx = derivatives_1d(self.order, xi)
+        dy = derivatives_1d(self.order, eta)
         out = np.empty((self.count, 2))
         out[:, 0] = np.outer(ly, dx).ravel()
         out[:, 1] = np.outer(dy, lx).ravel()
@@ -97,10 +90,9 @@ def line_matrices(order: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
     order * cells + 1 rows.  The Gauss rule with order + 1 points
     integrates both products exactly.
     """
-    nodes = lagrange_element(order).nodes_1d
     points, weights = gauss_legendre_unit(order + 1)
     values = values_1d(order, points).T
-    slopes = np.array([_derivatives_1d(nodes, x) for x in points])
+    slopes = derivatives_1d(order, points).T
     h = 1.0 / cells
     local_stiffness = slopes.T @ (weights[:, None] * slopes) / h
     local_mass = values.T @ (weights[:, None] * values) * h

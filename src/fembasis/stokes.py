@@ -104,13 +104,14 @@ def assemble_element_matrix(view, geometry, quad_points: int = 3) -> np.ndarray:
 def assemble_stokes_matrix(
     basis: GlobalBasis, system: SparseSystem, quad_points: int = 3
 ) -> None:
-    """Add every element matrix to ``system`` (must be empty) as one block.
+    """Add the element matrices to ``system`` (must be empty) as one batch.
 
-    Writes every entry of every element matrix, including the structural
+    Stores every entry of every element matrix, including the structural
     zeros of the pressure-pressure block.  The grid is uniform (as
     :func:`stokes_preconditioner` also assumes): every element has the
-    same size and Jacobian, so all element matrices are the same and the
-    matrix is computed once, on element 0.
+    same size and Jacobian, so all element matrices are the same.  The
+    matrix is computed once, on element 0, and added at every row of
+    :meth:`~fembasis.basis.GlobalBasis.element_offsets`.
     """
     if system.frozen:
         raise AlreadyFrozen("cannot assemble into a frozen system")
@@ -119,10 +120,7 @@ def assemble_stokes_matrix(
     view = basis.local_view()
     view.bind(0)
     element_matrix = assemble_element_matrix(view, view.geometry, quad_points)
-    for e in range(basis.grid.num_elements):
-        view.bind(e)
-        indices = view.multi_indices()
-        system.add_block(indices, indices, element_matrix)
+    system.add_elements(basis.layout, basis.element_offsets(), element_matrix)
 
 
 def apply_dirichlet(
@@ -158,18 +156,19 @@ def apply_dirichlet(
 
 
 def weak_divergence_norm(system: SparseSystem, solution: NestedVector) -> float:
-    """2-norm of the pressure-row residual block applied to the solution.
+    """2-norm of the divergence rows of the frozen system applied to the solution.
 
-    Pressure rows (leading digit 1) hold the divergence pairing and are
-    untouched by the Dirichlet rewrite, so this measures how far the
-    discrete velocity is from weak divergence-freedom.
+    The divergence rows are the rows whose diagonal is exactly 0.0: the
+    pressure rows, whose pressure-pressure block is zero.  Velocity rows
+    carry the Laplacian's positive diagonal and identity rows (including
+    a pinned pressure) carry 1.0, so the rule holds under every numbering.
+    The divergence rows hold the divergence pairing and are untouched by
+    the Dirichlet rewrite, so this measures how far the discrete velocity
+    is from weak divergence-freedom.
     """
-    product = system.matvec(solution)
-    total = 0.0
-    for mi, value in product.entries():
-        if mi and mi[0] == 1:
-            total += float(value) ** 2
-    return math.sqrt(total)
+    product = system.matvec(solution).values
+    divergence = product[system.diagonal(solution.layout) == 0.0]
+    return math.sqrt(divergence @ divergence)
 
 
 def _fast_diagonalisation(stiffness, mass):
@@ -276,7 +275,7 @@ def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> C
     )
 
     divergence = weak_divergence_norm(system, solution)
-    rhs_norm = math.sqrt(sum(float(v) ** 2 for _, v in rhs.entries()))
+    rhs_norm = math.sqrt(rhs.values @ rhs.values)
 
     velocity = subspace_basis(basis, (0,))
     pressure = subspace_basis(basis, (1,))

@@ -16,6 +16,7 @@ from fembasis import (
     parse_tree,
     subspace_basis,
 )
+from fembasis.cli import strategy_table_bases
 from helpers import (
     enumerate_multi_indices,
     expected_leaf_index,
@@ -297,3 +298,36 @@ def test_every_dof_matches_the_plain_tuple_fold():
                     expected = expected_leaf_index(tree, nx, ny, leaf.tree_path, node)
                     assert view.index(leaf.local_index(m)) == expected
 
+
+def _bases_and_prefixes():
+    """The Table-1 bases with their velocity subspaces, and random trees."""
+    cases = []
+    for _, basis in strategy_table_bases(StructuredGrid(3, 2), 2):
+        cases += [(basis, ()), (basis, (0,))]
+    rng = np.random.default_rng(71)
+    for _ in range(8):
+        tree = random_tree(rng)
+        basis = make_basis(StructuredGrid(int(rng.integers(1, 4)), int(rng.integers(1, 4))), tree)
+        leaves = _leaf_paths(tree)
+        path = leaves[int(rng.integers(len(leaves)))][0]
+        cases += [(basis, ()), (basis, path[: int(rng.integers(len(path) + 1))])]
+    return cases
+
+
+def test_element_offsets_rows_are_the_bound_view_offsets():
+    for basis, prefix in _bases_and_prefixes():
+        table = basis.element_offsets(prefix)
+        view = subspace_basis(basis, prefix).local_view()
+        assert table.shape == (basis.grid.num_elements, view.max_size)
+        assert not table.flags.writeable
+        assert basis.element_offsets(prefix) is table
+        for e in range(basis.grid.num_elements):
+            view.bind(e)
+            offsets = [basis.layout.offset[mi] for mi in view.multi_indices()]
+            assert table[e].tolist() == offsets
+
+
+def test_element_offsets_validates_the_prefix():
+    basis = make_basis(StructuredGrid(2, 2), parse_tree(TH2))
+    with pytest.raises(PathOutOfRange):
+        basis.element_offsets((2,))

@@ -11,8 +11,14 @@ from fembasis import (
     ShapeMismatch,
     SparseSystem,
     StructuredGrid,
+    apply_dirichlet,
+    assemble_element_matrix,
+    assemble_stokes_matrix,
+    for_each_boundary_dof,
     make_basis,
     parse_tree,
+    subspace_basis,
+    taylor_hood_tree,
 )
 from helpers import random_tree
 
@@ -128,7 +134,8 @@ def test_add_to_entry_accumulates():
     m.add_to_entry((0,), (1,), 0.5)
     m.add_to_entry((0,), (0,), 0.0)  # structural zero stays stored
     assert len(m) == 2
-    assert dict(m.items())[((0,), (1,))] == 2.5
+    m.freeze()
+    assert {(r, c): v for r, c, v in m.triples()}[((0,), (1,))] == 2.5
 
 
 def test_set_row_to_identity():
@@ -138,7 +145,8 @@ def test_set_row_to_identity():
     m.add_to_entry((1,), (0,), 5.0)
     m.set_row_to_identity((0,))
     m.add_to_entry((0,), (2,), 7.0)  # identity rows apply when entries are summed
-    items = dict(m.items())
+    m.freeze()
+    items = {(r, c): v for r, c, v in m.triples()}
     assert items[((0,), (0,))] == 1.0
     assert items[((0,), (1,))] == 0.0
     assert items[((0,), (2,))] == 0.0
@@ -237,13 +245,142 @@ def test_matvec_is_bitwise_deterministic():
     assert run() == run()
 
 
-def test_dump_format():
+
+def mixed_system(rng, identity_first):
+    """A system of an element batch, keyed blocks and identity rows.
+
+    Returns the frozen system, a vector laid out like its batch and the
+    dense matrix accumulated straight from the adds.
+    """
+    x = NestedVector([[0.0] * 7, [[0.0, 0.0]] * 4, 0.0])
+    keys, n = x.layout.keys, len(x.layout)
+    dense = np.zeros((n, n))
+    fixed = []
     m = SparseSystem()
-    m.add_to_entry((1, 0), (0, 1), 0.5)
-    m.add_to_entry((0, 1), (1, 0), -2.0)
-    m.add_to_entry((0, 1), (0, 1), 1.0)
-    assert m.dump().splitlines() == [
-        "(0,1) (0,1) 1.0",
-        "(0,1) (1,0) -2.0",
-        "(1,0) (0,1) 0.5",
-    ]
+
+    def add(i, j, v):
+        m.add_to_entry(keys[i], keys[j], v)
+        dense[i, j] += v
+
+    if identity_first:
+        fixed += [3, 11]
+        for i in fixed:
+            m.set_row_to_identity(keys[i])
+        add(3, 5, 2.0)
+        add(12, 0, -1.5)
+    offsets = rng.integers(n, size=(9, 4))
+    matrix = rng.normal(size=(4, 4))
+    m.add_elements(x.layout, offsets, matrix)
+    for row in offsets:  # rows may repeat an offset, which then accumulates
+        np.add.at(dense, np.ix_(row, row), matrix)
+    for _ in range(20):
+        add(int(rng.integers(n)), int(rng.integers(n)), float(rng.normal()))
+    rows, cols = rng.integers(n, size=3), rng.integers(n, size=2)
+    block = rng.normal(size=(3, 2))
+    m.add_block([keys[i] for i in rows], [keys[j] for j in cols], block)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            dense[r, c] += block[i, j]
+    fixed += [0, 14]
+    for i in fixed[-2:]:
+        m.set_row_to_identity(keys[i])
+    dense[fixed] = 0.0
+    dense[fixed, fixed] = 1.0
+    m.freeze()
+    x.values[:] = rng.normal(size=n)
+    return m, x, dense
+
+
+@pytest.mark.parametrize("identity_first", [False, True])
+def test_mixed_system_matvec_matches_a_dense_oracle(identity_first):
+    rng = np.random.default_rng(67 + identity_first)
+    for _ in range(10):
+        m, x, dense = mixed_system(rng, identity_first)
+        slot = x.layout.offset
+        summed = np.zeros_like(dense)
+        for r, c, v in m.triples():
+            summed[slot[r], slot[c]] += v
+        assert np.max(np.abs(summed - dense)) <= 1e-13
+        expected = summed @ x.values
+        y = m.matvec(x).values
+        assert np.max(np.abs(y - expected)) <= 1e-13 * (1.0 + np.max(np.abs(expected)))
+        # equal keys on another layout object go through a slot lookup
+        assert np.array_equal(m.matvec(NestedVector(x.data)).values, y)
+        assert np.array_equal(m.diagonal(x.layout), np.diag(summed))
+
+
+def test_add_elements_adopts_one_layout():
+    x, other = NestedVector([0.0] * 4), NestedVector([0.0] * 4)
+    m = SparseSystem()
+    m.add_to_entry((9,), (0,), 1.0)
+    with pytest.raises(ShapeMismatch):
+        m.add_elements(x.layout, [[0, 1]], np.eye(2))  # (9,) has no offset
+    m = SparseSystem()
+    m.add_elements(x.layout, [[0, 1], [1, 2]], np.eye(2))
+    with pytest.raises(ShapeMismatch):
+        m.add_to_entry((4,), (0,), 1.0)
+    with pytest.raises(ShapeMismatch):
+        m.add_elements(other.layout, [[0, 1]], np.eye(2))
+    with pytest.raises(ValueError):
+        m.add_elements(x.layout, [[0, 1]], np.eye(3))  # 3x3 matrix, 2 offsets
+    m.add_to_entry((3,), (3,), 2.0)
+    m.freeze()
+    x.values[:] = [1.0, 2.0, 3.0, 4.0]
+    assert m.matvec(x).data == [1.0, 4.0, 3.0, 8.0]
+    assert len(m) == 8  # the 2x2 blocks overlap on (1, 1)
+
+
+def interning_sum(blocks, identity):
+    """Summed entries built the way the key-interning SparseSystem built them.
+
+    ``blocks`` holds (row keys, column keys, dense block) in insertion
+    order, ``identity`` the identity row keys.
+    """
+    keys = sorted(set(identity).union(*(r + c for r, c, _ in blocks)))
+    ids = {key: k for k, key in enumerate(keys)}
+    fixed = np.array([ids[key] for key in identity], dtype=np.intp)
+    rows, cols, values = [fixed], [fixed], [np.zeros(len(fixed))]
+    for r, c, block in blocks:
+        r = np.array([ids[key] for key in r], dtype=np.intp)
+        c = np.array([ids[key] for key in c], dtype=np.intp)
+        rows.append(np.repeat(r, len(c)))
+        cols.append(np.tile(c, len(r)))
+        values.append(block.ravel())
+    rows, cols, values = map(np.concatenate, (rows, cols, values))
+    order = np.argsort(rows * len(keys) + cols, kind="stable")
+    rows, cols, values = rows[order], cols[order], values[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    summed = np.bincount(np.cumsum(new) - 1, weights=values, minlength=int(new.sum()))
+    rows, cols = rows[new], cols[new]
+    on_fixed = np.isin(rows, fixed)
+    summed[on_fixed] = 0.0
+    summed[on_fixed & (rows == cols)] = 1.0
+    return keys, rows, cols, summed
+
+
+def test_summed_taylor_hood_system_is_bitwise_the_interned_sum():
+    basis = make_basis(StructuredGrid(32, 32), taylor_hood_tree())
+    system = SparseSystem()
+    assemble_stokes_matrix(basis, system)
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    apply_dirichlet(system, rhs, basis)
+    system.freeze()
+
+    view = basis.local_view()
+    view.bind(0)
+    matrix = assemble_element_matrix(view, view.geometry)
+    blocks = []
+    for e in range(basis.grid.num_elements):
+        view.bind(e)
+        blocks.append((view.multi_indices(), view.multi_indices(), matrix))
+    identity = []
+    for_each_boundary_dof(subspace_basis(basis, (0,)), identity.append)
+    keys, rows, cols, values = interning_sum(blocks, tuple(identity))
+
+    triples = system.triples()
+    assert len(triples) == len(system) == 377_289
+    assert [r for r, _, _ in triples] == [keys[k] for k in rows.tolist()]
+    assert [c for _, c, _ in triples] == [keys[k] for k in cols.tolist()]
+    assert np.array([v for _, _, v in triples]).tobytes() == values.tobytes()

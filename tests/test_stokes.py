@@ -126,7 +126,8 @@ def assembled_matrix_dict(nx, ny):
     basis = make_basis(StructuredGrid(nx, ny), taylor_hood_tree())
     system = SparseSystem()
     assemble_stokes_matrix(basis, system)
-    return basis, system, dict(system.items())
+    system.freeze()
+    return basis, system, {(row, col): value for row, col, value in system.triples()}
 
 
 def test_global_matrix_symmetry_before_dirichlet():
@@ -195,6 +196,17 @@ def test_weak_divergence_norm_of_zero_vector():
     basis, system, rhs = prepared_cavity_system()
     zero = rhs.zeros_like()
     assert weak_divergence_norm(system, zero) == 0.0
+
+
+def test_cavity_run_and_divergence_never_sum_the_entries(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the sorted summed entries were built")
+
+    monkeypatch.setattr(SparseSystem, "_sum", refuse)
+    summary = run_driven_cavity(4, 4, out_path=str(tmp_path / "c.vtu"))
+    assert summary.converged
+    basis, system, rhs = prepared_cavity_system(4, 4)
+    assert math.isfinite(weak_divergence_norm(system, rhs))
 
 
 def test_cavity_run_invariants(tmp_path):
@@ -359,3 +371,44 @@ def test_preconditioned_solve_agrees_across_numberings():
     assert len(fields) == len(TABLE1_COLUMNS)
     for field in fields[1:]:
         assert np.max(np.abs(field - fields[0])) <= 1e-6
+
+
+def solved_cavity(basis, pin_pressure):
+    system = SparseSystem()
+    assemble_stokes_matrix(basis, system)
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    apply_dirichlet(system, rhs, basis, pin_pressure=pin_pressure)
+    system.freeze()
+    preconditioner = partial(stokes_preconditioner, basis, pin_pressure=pin_pressure)
+    solution, relres, _ = solve_system(system, rhs, x0=rhs, preconditioner=preconditioner)
+    assert relres <= 1e-8
+    return system, solution
+
+
+def vertex_fields(basis, solution):
+    """Velocity components and pressure at every grid vertex."""
+    values = solution.values
+    velocity = [values[basis.node_grid((0, k))[::2, ::2]] for k in range(2)]
+    return np.stack(velocity + [values[basis.node_grid((1,))]])
+
+
+@pytest.mark.parametrize("pin_pressure", [False, True], ids=["free", "pinned"])
+@pytest.mark.parametrize("column", range(len(TABLE1_COLUMNS)), ids=[c[0] for c in TABLE1_COLUMNS])
+def test_weak_divergence_norm_under_every_numbering(column, pin_pressure):
+    grid = StructuredGrid(4, 4)
+    _, basis = strategy_table_bases(grid, 2)[column]
+    system, solution = solved_cavity(basis, pin_pressure)
+    reference_basis = make_basis(grid, taylor_hood_tree())
+    _, reference = solved_cavity(reference_basis, pin_pressure)
+    fields = vertex_fields(basis, solution)
+    assert np.max(np.abs(fields - vertex_fields(reference_basis, reference))) <= 1e-6
+
+    # the divergence rows are the pressure rows, minus a pinned pressure
+    pressure = basis.node_grid((1,)).ravel()[1 if pin_pressure else 0 :]
+    zero_diagonal = np.flatnonzero(system.diagonal(solution.layout) == 0.0)
+    assert np.array_equal(zero_diagonal, np.sort(pressure))
+    norm = weak_divergence_norm(system, solution)
+    expected = np.linalg.norm(system.matvec(solution).values[pressure])
+    assert math.isclose(norm, expected, rel_tol=1e-12, abs_tol=0.0)
+    assert norm <= 1e-6
