@@ -256,12 +256,6 @@ class LeafView:
     def size(self) -> int:
         return self._placement.fe.count
 
-    def local_index(self, k: int) -> int:
-        """View-local index of this leaf's k-th element-local function."""
-        if not 0 <= k < self.size:
-            raise IndexOutOfRange(f"leaf-local index {k} outside size {self.size}")
-        return self.offset + k
-
 
 class LocalView:
     """Element-local window onto a basis (or onto one of its subtrees).

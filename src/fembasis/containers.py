@@ -7,21 +7,20 @@ flat offset.  Vectors shaped for a basis share the basis's layout, and the
 nested-list form survives only as the derived ``data`` view.
 
 A :class:`SparseSystem` keys matrix entries by (row, column) multi-index
-pairs and stores every key as an integer id, its offset when the system
-holds an element batch over a layout.  It keeps dense element matrices
-with their offset tables, keyed dense blocks and a set of identity rows
-as they were added.  Products read them directly: a gather, one GEMM per
-element batch and a scatter, the keyed blocks as one COO product, then
-the identity rows.  Sorting the entries row-major and adding up
-duplicates happens only when the entries themselves are read
-(:meth:`~SparseSystem.triples`, ``len``).
+pairs and stores every key as an integer id, its offset once the system
+has adopted a layout.  It keeps dense element matrices with their offset
+tables, keyed dense blocks and a set of identity rows as they were added.
+Products read them directly: a gather, one GEMM per element batch and a
+scatter, the keyed blocks as one COO product, then the identity rows.
+Sorting the entries row-major and adding up duplicates happens only when
+the entries themselves are read (:meth:`~SparseSystem.triples`, ``len``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import AlreadyFrozen, NotFrozen, ShapeMismatch
+from .errors import AlreadyFrozen, IndexOutOfRange, NotFrozen, ShapeMismatch
 from .multiindex import Layout, MultiIndex, as_multi_index
 
 
@@ -146,11 +145,11 @@ def _entries(parts):
 class SparseSystem:
     """Sparse matrix keyed by (row, column) multi-index pairs.
 
-    Lives in two phases: an accumulation phase (add_elements, add_block,
-    add_to_entry, set_row_to_identity) and, after freeze(), an immutable
-    phase that supports deterministic matrix-vector products.  Keys are
-    stored as integer ids: their offsets in the layout of an element batch
-    once the system holds one, else ids interned on first use.
+    Lives in two phases: an accumulation phase (the add_* and set_*
+    methods) and, after freeze(), an immutable phase that supports
+    deterministic matrix-vector products.  Keys are stored as integer ids:
+    their offsets in a layout once the system has adopted one (add_elements,
+    set_rows_to_identity), else ids interned on first use.
     """
 
     def __init__(self):
@@ -179,6 +178,19 @@ class SparseSystem:
             self._keys.append(key)
         return self._ids[key]
 
+    def _adopt(self, layout: Layout) -> None:
+        """Make the offsets of ``layout`` the ids of all keys, those added so far included."""
+        if self._layout is layout:
+            return
+        if self._layout is not None:
+            raise ShapeMismatch("the system holds entries of another layout")
+        moved = np.array([layout.offset.get(key, -1) for key in self._keys], dtype=np.intp)
+        if np.any(moved < 0):
+            raise ShapeMismatch("the system holds keys without an offset in the layout")
+        self._parts = [(moved[r], moved[c], m) for r, c, m in self._parts]
+        self._identity = dict.fromkeys(moved[list(self._identity)].tolist())
+        self._layout, self._ids, self._keys = layout, layout.offset, layout.keys
+
     def add_elements(self, layout: Layout, offsets, matrix) -> None:
         """Accumulate ``matrix`` onto offsets[e] x offsets[e] for every row e.
 
@@ -189,15 +201,7 @@ class SparseSystem:
         raises ShapeMismatch.
         """
         self._require_mutable()
-        if self._layout is not layout:
-            if self._layout is not None:
-                raise ShapeMismatch("the system holds elements of another layout")
-            moved = np.array([layout.offset.get(key, -1) for key in self._keys], dtype=np.intp)
-            if np.any(moved < 0):
-                raise ShapeMismatch("the system holds keys without an offset in the layout")
-            self._parts = [(moved[r], moved[c], m) for r, c, m in self._parts]
-            self._identity = dict.fromkeys(moved[list(self._identity)].tolist())
-            self._layout, self._ids, self._keys = layout, layout.offset, layout.keys
+        self._adopt(layout)
         offsets = np.asarray(offsets, dtype=np.intp)
         matrix = np.asarray(matrix, dtype=float).reshape(offsets.shape[1], offsets.shape[1])
         self._parts.append((offsets, offsets, matrix))
@@ -223,6 +227,19 @@ class SparseSystem:
         """
         self._require_mutable()
         self._identity[self._id(row)] = None
+
+    def set_rows_to_identity(self, layout: Layout, offsets) -> None:
+        """:meth:`set_row_to_identity` on the keys at ``offsets`` of ``layout``, in order.
+
+        The system adopts ``layout`` as :meth:`add_elements` does.  An
+        offset outside ``layout`` raises IndexOutOfRange.
+        """
+        self._require_mutable()
+        offsets = np.asarray(offsets, dtype=np.intp).ravel()
+        if offsets.size and not 0 <= offsets.min() <= offsets.max() < len(layout):
+            raise IndexOutOfRange(f"offsets outside a layout of {len(layout)} entries")
+        self._adopt(layout)
+        self._identity.update(dict.fromkeys(offsets.tolist()))
 
     def _fixed(self) -> np.ndarray:
         return np.fromiter(self._identity, dtype=np.intp, count=len(self._identity))

@@ -100,21 +100,22 @@ def interpolate_masked(basis, coefficients, fn, mask) -> None:
     _interpolate(basis, coefficients, fn, mask)
 
 
-def for_each_boundary_dof(basis, callback) -> None:
-    """Call ``callback(multi_index)`` once per boundary node of ``basis``.
+def boundary_offsets(basis) -> np.ndarray:
+    """Flat offsets of the boundary nodes of ``basis``, each once.
 
     The boundary nodes of a leaf are the outer ring of its node grid (its
     first and last row and column); leaves come depth first and each ring
-    row by row, so every multi-index is reported exactly once.
+    row by row.
     """
-    root = basis.root_basis
-    keys = root.layout.keys
-    for leaf in basis.local_view().leaves:
-        offsets = root.node_grid(leaf.tree_path)
-        ring = np.ones(offsets.shape, dtype=bool)
-        ring[1:-1, 1:-1] = False
-        for offset in offsets[ring].tolist():
-            callback(keys[offset])
+    grids = [basis.root_basis.node_grid(leaf.tree_path) for leaf in basis.local_view().leaves]
+    return np.concatenate([np.hstack((g[0], g[1:-1, [0, -1]].ravel(), g[-1])) for g in grids])
+
+
+def for_each_boundary_dof(basis, callback) -> None:
+    """Call ``callback(multi_index)`` per boundary node, in :func:`boundary_offsets` order."""
+    keys = basis.root_basis.layout.keys
+    for offset in boundary_offsets(basis).tolist():
+        callback(keys[offset])
 
 
 def _shaped(tree, path, leaf_value):

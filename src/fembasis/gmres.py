@@ -154,9 +154,9 @@ def solve_system(
     Returns (solution, relative residual, iterations) with the solution
     shaped like the rhs.  Row and column keys of the system must address
     scalar slots of the rhs layout; ``x0``, if given, shares that layout.
-    ``preconditioner``, if given, is called once with the slot lookup
-    (multi-index to flat position) and returns the flat M^-1 application
-    handed to :func:`gmres`.
+    ``preconditioner``, if given, is the M^-1 application on flat arrays
+    over the rhs layout, such as :func:`~fembasis.stokes.stokes_preconditioner`;
+    it goes to :func:`gmres` unchanged.
     """
     cfg = config if config is not None else SolverConfig()
     layout = rhs.layout
@@ -167,6 +167,6 @@ def solve_system(
         tol=cfg.tolerance,
         maxiter=cfg.max_iterations,
         x0=None if x0 is None else x0.values,
-        precondition=None if preconditioner is None else preconditioner(layout.offset),
+        precondition=preconditioner,
     )
     return NestedVector.from_flat(layout, x), float(relres), iters

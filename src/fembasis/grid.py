@@ -27,11 +27,6 @@ class ElementGeometry:
     hx: float
     hy: float
 
-    def transform(self, ref) -> tuple[float, float]:
-        """Global coordinates of a reference point (xi, eta)."""
-        xi, eta = ref
-        return (self.x0 + self.hx * xi, self.y0 + self.hy * eta)
-
     @property
     def jacobian_determinant(self) -> float:
         return self.hx * self.hy

@@ -47,9 +47,6 @@ class LagrangeQk:
             raise UnsupportedOrder(f"order {order} unsupported, expected 1 or 2")
         self.order = order
         self.count = (order + 1) ** 2
-        self.nodes = np.array(
-            [(a / order, b / order) for b in range(order + 1) for a in range(order + 1)]
-        )
 
     def values(self, point) -> np.ndarray:
         """All shape function values at a reference point, local node order."""

@@ -9,21 +9,21 @@ velocity to (0,1) on the left wall and (0,0) elsewhere; rows of fixed
 entries become identity rows.  The resulting symmetric-saddle system is
 solved with restarted GMRes, right-preconditioned with a
 block-diagonal saddle point preconditioner (:func:`stokes_preconditioner`),
-and written to an ASCII VTU file.
+and written to an ASCII VTU file.  All of it reads flat offsets off the
+basis's node grids; multi-index keys are left to the public API.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .basis import GlobalBasis, make_basis, subspace_basis
 from .containers import NestedVector, SparseSystem
 from .errors import AlreadyFrozen
-from .functions import evaluate_discrete, for_each_boundary_dof, interpolate_masked
+from .functions import boundary_offsets, interpolate_masked
 from .gmres import SolverConfig, solve_system
 from .grid import StructuredGrid
 from .localfe import line_matrices
@@ -133,26 +133,23 @@ def apply_dirichlet(
     """Strongly enforce boundary velocities on the assembled system.
 
     Every velocity boundary node (the ring of each velocity leaf's node
-    grid, see :func:`for_each_boundary_dof`) becomes an identity row and
-    is marked in a mask through which the interpolated boundary data is
-    written into the rhs.  With ``pin_pressure`` the first pressure entry
-    is fixed to zero the same way.  :func:`stokes_preconditioner` reads
-    the boundary as the ring of the same grids.
+    grid, see :func:`~fembasis.functions.boundary_offsets`) becomes an
+    identity row and is marked in a mask through which the interpolated
+    boundary data is written into the rhs, which is laid out like ``basis``.
+    With ``pin_pressure`` the pressure node at (0, 0) is then fixed to zero
+    the same way.  :func:`stokes_preconditioner` reads the same rings.
     """
     velocity = subspace_basis(basis, (0,))
+    ring = boundary_offsets(velocity)
     mask = NestedVector()
     mask.resize_from_basis(basis, fill=False)
-
-    def fix(mi):
-        mask[mi] = True
-        system.set_row_to_identity(mi)
-
-    for_each_boundary_dof(velocity, fix)
+    mask.values[ring] = True
+    system.set_rows_to_identity(basis.layout, ring)
     interpolate_masked(velocity, rhs, boundary_values, mask)
     if pin_pressure:
-        first_pressure = basis.leaf_dof_index((1,), 0)
-        system.set_row_to_identity(first_pressure)
-        rhs[first_pressure] = 0.0
+        pinned = basis.node_grid((1,))[0, 0]
+        system.set_rows_to_identity(basis.layout, [pinned])
+        rhs.values[pinned] = 0.0
 
 
 def weak_divergence_norm(system: SparseSystem, solution: NestedVector) -> float:
@@ -178,8 +175,8 @@ def _fast_diagonalisation(stiffness, mass):
     return inv_factor.T @ q, lam
 
 
-def stokes_preconditioner(basis: GlobalBasis, slot, pin_pressure: bool = False):
-    """Block-diagonal saddle point preconditioner on flat solver slots.
+def stokes_preconditioner(basis: GlobalBasis, pin_pressure: bool = False):
+    """Block-diagonal saddle point preconditioner on flat arrays over the basis layout.
 
     Pairs the velocity Laplacian with the Q1 pressure mass matrix (Elman,
     Silvester & Wathen, *Finite Elements and Fast Iterative Solvers*,
@@ -191,19 +188,16 @@ def stokes_preconditioner(basis: GlobalBasis, slot, pin_pressure: bool = False):
     with ``pin_pressure``, the first pressure entry) pass through
     unchanged, so zero slots of the initial iterate stay exact.
 
-    ``slot`` maps the multi-indices of ``basis`` to flat positions; it is
-    read once per key into an offset-to-slot array, which each leaf's
-    :meth:`~fembasis.basis.GlobalBasis.node_grid` indexes, so every
-    numbering works.  The velocity interior is the node grid without its
-    outer ring, the ring :func:`apply_dirichlet` fixes.  Returns the flat
-    M^-1 application.
+    Vectors are laid out like ``basis``, so each leaf's
+    :meth:`~fembasis.basis.GlobalBasis.node_grid` indexes them directly
+    and every numbering works.  The velocity interior is the node grid
+    without its outer ring, the ring :func:`apply_dirichlet` fixes.
+    Returns the flat M^-1 application.
     """
     vel, press = _split_taylor_hood_leaves(basis.local_view())
     nx, ny = basis.grid.nx, basis.grid.ny
-    keys = basis.layout.keys
-    slots = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
-    interior = [slots[basis.node_grid(leaf.tree_path)][1:-1, 1:-1] for leaf in vel]
-    pressure = slots[basis.node_grid(press.tree_path)]
+    interior = [basis.node_grid(leaf.tree_path)[1:-1, 1:-1] for leaf in vel]
+    pressure = basis.node_grid(press.tree_path)
     fixed = pressure[0, 0] if pin_pressure else None
 
     kx, mx = line_matrices(2, nx)
@@ -252,8 +246,9 @@ class CavitySummary:
 def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> CavitySummary:
     """Assemble, solve and write the driven cavity on an nx-by-ny grid.
 
-    Prints the one-line summary (dim/iters/relres/div) and returns the
-    full summary object.
+    The VTU file holds the nodal values at the grid vertices.  Prints the
+    one-line summary (dim/iters/relres/div) and returns the full summary
+    object.
     """
     cfg = config if config is not None else SolverConfig()
     grid = StructuredGrid(nx, ny)
@@ -266,7 +261,7 @@ def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> C
     apply_dirichlet(system, rhs, basis, driven_cavity_data, cfg.pin_pressure)
     system.freeze()
 
-    preconditioner = partial(stokes_preconditioner, basis, pin_pressure=cfg.pin_pressure)
+    preconditioner = stokes_preconditioner(basis, cfg.pin_pressure)
 
     # starting from the rhs keeps identity rows exact from the first
     # iterate on, so boundary values survive the solve bitwise
@@ -277,16 +272,13 @@ def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> C
     divergence = weak_divergence_norm(system, solution)
     rhs_norm = math.sqrt(rhs.values @ rhs.values)
 
-    velocity = subspace_basis(basis, (0,))
-    pressure = subspace_basis(basis, (1,))
-
-    def velocity_at(p):
-        return evaluate_discrete(velocity, solution, p)
-
-    def pressure_at(p):
-        return evaluate_discrete(pressure, solution, p)
-
-    write_vtu(grid, velocity_at, pressure_at, out_path)
+    values = solution.values
+    velocity = np.column_stack(
+        [values[basis.node_grid((0, k))[::2, ::2]].ravel() for k in range(VELOCITY_COMPONENTS)]
+    )
+    pressure = values[basis.node_grid((1,))].ravel()
+    # + 0.0: a zero value is written as 0.0 whatever its sign
+    write_vtu(grid, velocity + 0.0, pressure + 0.0, out_path)
 
     summary = CavitySummary(
         dimension=basis.dimension(),

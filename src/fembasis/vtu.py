@@ -1,11 +1,13 @@
 """ASCII XML unstructured-grid output for structured quad grids.
 
 Writes one quad cell (VTK cell type 9) per grid element with point data
-sampled at the grid vertices: a 3-component "velocity" array (third
-component zero) and a scalar "pressure" array.
+given at the grid vertices: a 3-component "velocity" array (missing
+components zero) and a scalar "pressure" array.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .grid import StructuredGrid
 
@@ -16,33 +18,32 @@ def _fmt(value) -> str:
 
 
 def write_vtu(grid: StructuredGrid, velocity, pressure, path) -> None:
-    """Write fields to ``path`` in ASCII VTU form.
+    """Write vertex fields to ``path`` in ASCII VTU form.
 
-    ``velocity`` maps a vertex position to a sequence of at most three
-    components (missing ones are padded with zero); ``pressure`` maps it to
-    one number.  Vertices are written in lexicographic order from the
-    lower-left corner; cell connectivity is counter-clockwise.
+    ``velocity`` is a ``(num_vertices, c)`` array of ``c <= 3`` components
+    (padded with zeros to three), ``pressure`` a ``(num_vertices,)``
+    array; other shapes raise ValueError.  Row ``v`` holds vertex ``v``,
+    and vertices are written in lexicographic order from the lower-left
+    corner; cell connectivity is counter-clockwise.
     """
-    points = [grid.vertex_position(v) for v in range(grid.num_vertices)]
+    n = grid.num_vertices
+    velocity = np.asarray(velocity, dtype=float)
+    pressure = np.asarray(pressure, dtype=float)
+    if velocity.ndim != 2 or velocity.shape[0] != n or velocity.shape[1] > 3:
+        raise ValueError(f"velocity has shape {velocity.shape}, expected ({n}, c) with c <= 3")
+    if pressure.shape != (n,):
+        raise ValueError(f"pressure has shape {pressure.shape}, expected ({n},)")
+    velocity = np.pad(velocity, ((0, 0), (0, 3 - velocity.shape[1])))
 
-    velocity_lines = []
-    for p in points:
-        comps = [float(c) for c in velocity(p)]
-        if len(comps) > 3:
-            raise ValueError(f"velocity at {p} has {len(comps)} components")
-        comps += [0.0] * (3 - len(comps))
-        velocity_lines.append(" ".join(_fmt(c) for c in comps))
-    pressure_lines = [_fmt(pressure(p)) for p in points]
+    velocity_lines = [" ".join(map(_fmt, row)) for row in velocity.tolist()]
+    pressure_lines = [_fmt(p) for p in pressure.tolist()]
+    points = map(grid.vertex_position, range(n))
     point_lines = [f"{_fmt(x)} {_fmt(y)} {_fmt(0.0)}" for x, y in points]
 
-    connectivity = []
-    for e in range(grid.num_elements):
-        i, j = grid.cell_coords(e)
-        v00 = grid.vertex_index(i, j)
-        v10 = grid.vertex_index(i + 1, j)
-        v11 = grid.vertex_index(i + 1, j + 1)
-        v01 = grid.vertex_index(i, j + 1)
-        connectivity.append(f"{v00} {v10} {v11} {v01}")
+    # a cell's corners counter-clockwise from its lower-left vertex v
+    row = grid.nx + 1
+    lower_left = (grid.vertex_index(*grid.cell_coords(e)) for e in range(grid.num_elements))
+    connectivity = [f"{v} {v + 1} {v + row + 1} {v + row}" for v in lower_left]
     offsets = [str(4 * (e + 1)) for e in range(grid.num_elements)]
     types = ["9"] * grid.num_elements
 

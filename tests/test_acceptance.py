@@ -125,7 +125,9 @@ def test_criterion_3_shape_functions():
     h = 1e-5
     for order in (1, 2):
         fe = lagrange_element(order)
-        for m, node in enumerate(fe.nodes):
+        # local index b*(k+1)+a sits at (a/k, b/k)
+        nodes = [(a / order, b / order) for b in range(order + 1) for a in range(order + 1)]
+        for m, node in enumerate(nodes):
             values = fe.values(node)
             expected = np.zeros(fe.count)
             expected[m] = 1.0

@@ -124,11 +124,6 @@ def test_leaves_are_depth_first_and_consecutive():
     view = basis.local_view()
     assert [leaf.tree_path for leaf in view.leaves] == [(0, 0), (0, 1), (1,)]
     assert [leaf.offset for leaf in view.leaves] == [0, 9, 18]
-    leaf = view.leaves[1]
-    assert leaf.local_index(0) == 9
-    assert leaf.local_index(8) == 17
-    with pytest.raises(IndexOutOfRange):
-        leaf.local_index(9)
 
 
 def test_first_velocity_and_pressure_indices():
@@ -146,7 +141,7 @@ def test_flat_flat_pressure_offset():
     assert basis.leaf_dof_index((1,), 0) == (243,)
     view = basis.local_view()
     view.bind(0)
-    assert view.index(view.leaves[-1].local_index(0)) == (243,)
+    assert view.index(view.leaves[-1].offset) == (243,)
 
 
 def test_leaf_dof_index_validation():
@@ -235,7 +230,7 @@ def test_same_multi_index_means_same_node():
                 a, b = m % (k + 1), m // (k + 1)
                 node = ((j * k + b) * (k * grid.nx + 1) + (i * k + a))
                 key = (leaf.tree_path, node)
-                mi = view.index(leaf.local_index(m))
+                mi = view.index(leaf.offset + m)
                 assert owner.setdefault(mi, key) == key
 
 
@@ -296,7 +291,7 @@ def test_every_dof_matches_the_plain_tuple_fold():
                     a, b = m % (k + 1), m // (k + 1)
                     node = (j * k + b) * (k * nx + 1) + (i * k + a)
                     expected = expected_leaf_index(tree, nx, ny, leaf.tree_path, node)
-                    assert view.index(leaf.local_index(m)) == expected
+                    assert view.index(leaf.offset + m) == expected
 
 
 def _bases_and_prefixes():

@@ -5,6 +5,7 @@ import pytest
 
 from fembasis import (
     AlreadyFrozen,
+    IndexOutOfRange,
     MultiIndex,
     NestedVector,
     NotFrozen,
@@ -246,9 +247,10 @@ def test_matvec_is_bitwise_deterministic():
 
 
 
-def mixed_system(rng, identity_first):
+def mixed_system(rng, identity_first, by_offsets):
     """A system of an element batch, keyed blocks and identity rows.
 
+    Identity rows are set by key or, with ``by_offsets``, by offset.
     Returns the frozen system, a vector laid out like its batch and the
     dense matrix accumulated straight from the adds.
     """
@@ -262,10 +264,16 @@ def mixed_system(rng, identity_first):
         m.add_to_entry(keys[i], keys[j], v)
         dense[i, j] += v
 
+    def set_identity(rows):
+        if by_offsets:
+            m.set_rows_to_identity(x.layout, rows)
+        else:
+            for i in rows:
+                m.set_row_to_identity(keys[i])
+
     if identity_first:
         fixed += [3, 11]
-        for i in fixed:
-            m.set_row_to_identity(keys[i])
+        set_identity(fixed)
         add(3, 5, 2.0)
         add(12, 0, -1.5)
     offsets = rng.integers(n, size=(9, 4))
@@ -282,8 +290,7 @@ def mixed_system(rng, identity_first):
         for j, c in enumerate(cols):
             dense[r, c] += block[i, j]
     fixed += [0, 14]
-    for i in fixed[-2:]:
-        m.set_row_to_identity(keys[i])
+    set_identity(fixed[-2:])
     dense[fixed] = 0.0
     dense[fixed, fixed] = 1.0
     m.freeze()
@@ -291,11 +298,15 @@ def mixed_system(rng, identity_first):
     return m, x, dense
 
 
-@pytest.mark.parametrize("identity_first", [False, True])
-def test_mixed_system_matvec_matches_a_dense_oracle(identity_first):
+@pytest.mark.parametrize(
+    "identity_first,by_offsets",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-by-offsets", "True-by-offsets"],
+)
+def test_mixed_system_matvec_matches_a_dense_oracle(identity_first, by_offsets):
     rng = np.random.default_rng(67 + identity_first)
     for _ in range(10):
-        m, x, dense = mixed_system(rng, identity_first)
+        m, x, dense = mixed_system(rng, identity_first, by_offsets)
         slot = x.layout.offset
         summed = np.zeros_like(dense)
         for r, c, v in m.triples():
@@ -328,6 +339,30 @@ def test_add_elements_adopts_one_layout():
     x.values[:] = [1.0, 2.0, 3.0, 4.0]
     assert m.matvec(x).data == [1.0, 4.0, 3.0, 8.0]
     assert len(m) == 8  # the 2x2 blocks overlap on (1, 1)
+
+    # identity rows by offset adopt the layout the same way
+    m = SparseSystem()
+    m.add_to_entry((9,), (0,), 1.0)
+    with pytest.raises(ShapeMismatch):
+        m.set_rows_to_identity(x.layout, [0])  # (9,) has no offset
+    m = SparseSystem()
+    m.add_to_entry((2,), (1,), 5.0)
+    m.add_to_entry((1,), (2,), 6.0)
+    m.set_row_to_identity((1,))
+    m.set_rows_to_identity(x.layout, [3, 0])  # keys added before move over
+    with pytest.raises(ShapeMismatch):
+        m.set_rows_to_identity(other.layout, [2])
+    for outside in ([4], [-1]):
+        with pytest.raises(IndexOutOfRange):
+            m.set_rows_to_identity(x.layout, outside)
+    with pytest.raises(ShapeMismatch):
+        m.add_elements(other.layout, [[0, 1]], np.eye(2))
+    m.add_elements(x.layout, [[1, 2]], np.eye(2))
+    m.freeze()
+    assert m.matvec(x).data == [1.0, 2.0, 13.0, 4.0]
+    assert [(r, c) for r, c, _ in m.triples()] == [
+        ((0,), (0,)), ((1,), (1,)), ((1,), (2,)), ((2,), (1,)), ((2,), (2,)), ((3,), (3,))
+    ]
 
 
 def interning_sum(blocks, identity):

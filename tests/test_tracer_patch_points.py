@@ -51,4 +51,7 @@ def test_tracer_patches_and_restores_the_cavity_run(tmp_path, capsys):
     names = {span[spans.NAME] for span in tracer.spans}
     assert "basis.bind" in names
     assert {"stokes.assemble", "containers.freeze", "gmres.gmres"} <= names
+    # the tracer reads the VTU path from the fourth positional argument
+    assert "vtu.write" in names
+    assert tracer.values[tracer.pass_id]["vtu.bytes"] > 0
     assert [vars(owner)[attr] for owner, attr in points] == originals

@@ -2,9 +2,17 @@
 
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from fembasis import StructuredGrid, write_vtu
+from fembasis import (
+    SolverConfig,
+    StructuredGrid,
+    evaluate_discrete,
+    run_driven_cavity,
+    subspace_basis,
+    write_vtu,
+)
 
 
 def load(path):
@@ -16,9 +24,15 @@ def load(path):
     return piece, arrays
 
 
+def vertex_fields(grid, velocity, pressure):
+    """Vertex arrays of the point functions ``velocity`` and ``pressure``."""
+    points = [grid.vertex_position(v) for v in range(grid.num_vertices)]
+    return np.array([velocity(p) for p in points]), np.array([pressure(p) for p in points])
+
+
 def write_sample(path, nx=4, ny=4):
     grid = StructuredGrid(nx, ny)
-    write_vtu(grid, lambda p: (p[0], p[1]), lambda p: p[0] + 10 * p[1], path)
+    write_vtu(grid, *vertex_fields(grid, lambda p: (p[0], p[1]), lambda p: p[0] + 10 * p[1]), path)
     return grid
 
 
@@ -71,7 +85,7 @@ def test_field_values_round_trip_exactly(tmp_path):
 def test_zero_fields(tmp_path):
     path = tmp_path / "zero.vtu"
     grid = StructuredGrid(3, 2)
-    write_vtu(grid, lambda p: (0.0, 0.0), lambda p: 0.0, str(path))
+    write_vtu(grid, np.zeros((grid.num_vertices, 2)), np.zeros(grid.num_vertices), str(path))
     piece, arrays = load(path)
     assert set(arrays["velocity"]) == {"0.0"}
     assert set(arrays["pressure"]) == {"0.0"}
@@ -80,7 +94,7 @@ def test_zero_fields(tmp_path):
 def test_scalar_velocity_is_padded(tmp_path):
     path = tmp_path / "pad.vtu"
     grid = StructuredGrid(1, 1)
-    write_vtu(grid, lambda p: (7.0,), lambda p: 0.0, str(path))
+    write_vtu(grid, np.full((4, 1), 7.0), np.zeros(4), str(path))
     piece, arrays = load(path)
     assert arrays["velocity"][0:3] == ["7.0", "0.0", "0.0"]
 
@@ -88,7 +102,20 @@ def test_scalar_velocity_is_padded(tmp_path):
 def test_too_many_components_rejected(tmp_path):
     grid = StructuredGrid(1, 1)
     with pytest.raises(ValueError):
-        write_vtu(grid, lambda p: (1.0, 2.0, 3.0, 4.0), lambda p: 0.0, str(tmp_path / "x.vtu"))
+        write_vtu(grid, np.ones((4, 4)), np.zeros(4), str(tmp_path / "x.vtu"))
+
+
+@pytest.mark.parametrize(
+    "velocity,pressure",
+    [((3, 2), (4,)), ((4,), (4,)), ((4, 2), (3,)), ((4, 2), (4, 1))],
+    ids=["vertex-count", "1-d-velocity", "pressure-count", "2-d-pressure"],
+)
+def test_wrong_shapes_rejected(tmp_path, velocity, pressure):
+    grid = StructuredGrid(1, 1)
+    path = tmp_path / "x.vtu"
+    with pytest.raises(ValueError):
+        write_vtu(grid, np.zeros(velocity), np.zeros(pressure), str(path))
+    assert not path.exists()
 
 
 def test_header_attributes(tmp_path):
@@ -102,3 +129,25 @@ def test_header_attributes(tmp_path):
     assert point_data.get("Scalars") == "pressure"
     names = {da.get("Name"): da.get("type") for da in point_data.iter("DataArray")}
     assert names == {"velocity": "Float64", "pressure": "Float64"}
+
+
+@pytest.mark.parametrize("pin_pressure", [False, True], ids=["free", "pinned"])
+def test_cavity_file_matches_point_evaluation(tmp_path, pin_pressure):
+    # the cavity writes nodal values; the reference evaluates the discrete
+    # field at every vertex
+    path = tmp_path / "cavity.vtu"
+    summary = run_driven_cavity(5, 6, SolverConfig(pin_pressure=pin_pressure), path)
+    basis, solution = summary.basis, summary.solution
+    velocity = subspace_basis(basis, (0,))
+    pressure = subspace_basis(basis, (1,))
+    reference = tmp_path / "reference.vtu"
+    write_vtu(
+        summary.grid,
+        *vertex_fields(
+            summary.grid,
+            lambda p: evaluate_discrete(velocity, solution, p),
+            lambda p: evaluate_discrete(pressure, solution, p),
+        ),
+        reference,
+    )
+    assert path.read_bytes() == reference.read_bytes()
