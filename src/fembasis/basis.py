@@ -20,9 +20,9 @@ Each strategy is one column operation on the table of child ``i``
 The rank of a multi-index in lexicographic order is the flat offset of its
 basis function in every container shaped for the basis; the basis stores
 the ranks per leaf and builds the ordered keys (:attr:`GlobalBasis.layout`)
-on first use.  A Lagrange leaf's basis functions are its global nodes, so
-its ranks form a node grid (:meth:`GlobalBasis.node_grid`); nodal work
-(interpolation, boundary nodes) visits each node once on that grid.
+on their first read.  A Lagrange leaf's basis functions are its global
+nodes, so its ranks form a node grid (:meth:`GlobalBasis.node_grid`); nodal
+work (interpolation, boundary nodes) visits each node once on that grid.
 The element windows of the same grids form one offset table per subtree
 (:meth:`GlobalBasis.element_offsets`), row ``e`` holding the offsets of
 element ``e``'s local basis functions; assembly hands that table to the
@@ -157,12 +157,21 @@ class GlobalBasis:
 
     @cached_property
     def layout(self) -> Layout:
-        """Multi-indices of all basis functions in flat-offset order."""
-        # every digit is below the dimension; one shared int object per value
-        ints = list(range(self._dimension))
-        rows = (row for leaf in self._leaves for row in leaf.table.tolist())
-        keys = [MultiIndex(map(ints.__getitem__, row)) for row in rows]
-        return Layout(keys[k] for k in self._order.tolist())
+        """Multi-indices of all basis functions in flat-offset order.
+
+        The layout knows its length at once; its keys are built on their
+        first read (flat-offset work never reads them).
+        """
+        leaves, order, dimension = self._leaves, self._order, self._dimension
+
+        def keys():
+            # every digit is below the dimension; one shared int object per value
+            ints = list(range(dimension))
+            rows = (row for leaf in leaves for row in leaf.table.tolist())
+            by_leaf = [MultiIndex(map(ints.__getitem__, row)) for row in rows]
+            return [by_leaf[k] for k in order.tolist()]
+
+        return Layout(keys, dimension)
 
     # -- basis-like surface shared with SubspaceBasis ----------------------
 
@@ -260,10 +269,12 @@ class LeafView:
 class LocalView:
     """Element-local window onto a basis (or onto one of its subtrees).
 
-    ``bind`` fixes the element and caches one multi-index per local basis
-    function, the basis's own key objects, read from the element's row of
-    :meth:`GlobalBasis.element_offsets`; ``index`` then answers from the
-    cache.  Unbound views only answer structural queries (max_size, leaves).
+    ``bind`` fixes the element and keeps its row of
+    :meth:`GlobalBasis.element_offsets`.  The first ``index`` (or
+    ``multi_indices``) after ``bind`` turns the row into one multi-index
+    per local basis function, the basis's own key objects, and later calls
+    answer from that list.  Unbound views only answer structural queries
+    (max_size, leaves).
     """
 
     def __init__(self, basis: GlobalBasis, prefix: tuple = ()):
@@ -280,7 +291,8 @@ class LocalView:
         self._max_size = offset
         self._element = None
         self._geometry = None
-        self._indices: list[MultiIndex] = []
+        self._offsets = None  # the bound element's row of element_offsets
+        self._indices = None  # its keys, once index or multi_indices asks
 
     @property
     def basis(self) -> GlobalBasis:
@@ -319,36 +331,43 @@ class LocalView:
     def size(self) -> int:
         if self._element is None:
             raise UnboundView("size requires a bound view")
-        return len(self._indices)
+        return len(self._offsets)
 
     def bind(self, element: int) -> None:
-        """Bind to an element and cache all global multi-indices."""
+        """Bind to an element; its multi-indices are built on the first ``index``."""
         geometry = self._basis.grid.element_geometry(element)  # raises IndexOutOfRange
-        keys = self._basis.layout.keys
-        offsets = self._basis.element_offsets(self._prefix)[element]
-        self._indices = [keys[r] for r in offsets.tolist()]
+        self._offsets = self._basis.element_offsets(self._prefix)[element]
+        self._indices = None
         self._element = element
         self._geometry = geometry
 
     def unbind(self) -> None:
         self._element = None
         self._geometry = None
-        self._indices = []
+        self._offsets = None
+        self._indices = None
+
+    def _bound_indices(self, caller: str) -> list:
+        if self._element is None:
+            raise UnboundView(f"{caller} requires a bound view")
+        keys = self._basis.layout.keys
+        self._indices = [keys[r] for r in self._offsets.tolist()]
+        return self._indices
 
     def index(self, local: int) -> MultiIndex:
         """Global multi-index of a local basis function of the bound element."""
-        if self._element is None:
-            raise UnboundView("index requires a bound view")
-        if not 0 <= local < len(self._indices):
-            raise IndexOutOfRange(
-                f"local index {local} outside view size {len(self._indices)}"
-            )
-        return self._indices[local]
+        indices = self._indices
+        if indices is None:
+            indices = self._bound_indices("index")
+        if not 0 <= local < len(indices):
+            raise IndexOutOfRange(f"local index {local} outside view size {len(indices)}")
+        return indices[local]
 
     def multi_indices(self) -> tuple:
-        if self._element is None:
-            raise UnboundView("multi_indices requires a bound view")
-        return tuple(self._indices)
+        indices = self._indices
+        if indices is None:
+            indices = self._bound_indices("multi_indices")
+        return tuple(indices)
 
 
 class SubspaceBasis:

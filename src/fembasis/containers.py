@@ -125,7 +125,8 @@ class NestedVector:
     def __eq__(self, other):
         if not isinstance(other, NestedVector):
             return NotImplemented
-        same_keys = self._layout is other._layout or self._layout.keys == other._layout.keys
+        a, b = self._layout, other._layout
+        same_keys = a is b or (len(a) == len(b) and a.keys == b.keys)
         return same_keys and bool(np.array_equal(self._values, other._values))
 
     def __repr__(self):
@@ -149,16 +150,17 @@ class SparseSystem:
     methods) and, after freeze(), an immutable phase that supports
     deterministic matrix-vector products.  Keys are stored as integer ids:
     their offsets in a layout once the system has adopted one (add_elements,
-    set_rows_to_identity), else ids interned on first use.
+    set_rows_to_identity), else ids interned on first use.  An adopted
+    layout's keys are read only by the keyed methods.
     """
 
     def __init__(self):
         self._layout = None
-        self._ids = {}  # key -> id
-        self._keys = []  # id -> key
+        self._ids = {}  # key -> id, until a layout is adopted
+        self._keys = []  # id -> key, until a layout is adopted
         self._parts = []  # (row ids (E, m), column ids (E, n), matrix (m, n)) of E elements
         self._identity = {}  # insertion-ordered set of row ids
-        self._summed = None  # (sorted keys, row ranks, column ranks, values) once frozen
+        self._summed = None  # (key layout, row ranks, column ranks, values) once frozen
         self._frozen = False
 
     @property
@@ -171,9 +173,12 @@ class SparseSystem:
 
     def _id(self, key) -> int:
         key = as_multi_index(key)
-        if key not in self._ids:
-            if self._layout is not None:
+        if self._layout is not None:
+            offset = self._layout.offset.get(key)
+            if offset is None:
                 raise ShapeMismatch(f"{key} has no offset in the system's layout")
+            return offset
+        if key not in self._ids:
             self._ids[key] = len(self._keys)
             self._keys.append(key)
         return self._ids[key]
@@ -189,7 +194,7 @@ class SparseSystem:
             raise ShapeMismatch("the system holds keys without an offset in the layout")
         self._parts = [(moved[r], moved[c], m) for r, c, m in self._parts]
         self._identity = dict.fromkeys(moved[list(self._identity)].tolist())
-        self._layout, self._ids, self._keys = layout, layout.offset, layout.keys
+        self._layout, self._ids, self._keys = layout, None, None
 
     def add_elements(self, layout: Layout, offsets, matrix) -> None:
         """Accumulate ``matrix`` onto offsets[e] x offsets[e] for every row e.
@@ -249,17 +254,18 @@ class SparseSystem:
         # each identity row's diagonal joins as a structural entry
         structural = (fixed[:, None], fixed[:, None], np.zeros((1, 1)))
         rows, cols, values = _entries([structural] + self._parts)
-        keys = self._keys
-        if self._layout is None:
+        layout = self._layout
+        if layout is None:
             # interned ids follow first use; rank them in key order
+            keys = self._keys
             order = sorted(range(len(keys)), key=keys.__getitem__)
             rank = np.empty(len(keys), dtype=np.intp)
             rank[order] = np.arange(len(keys))
             rows, cols, fixed = rank[rows], rank[cols], rank[fixed]
-            keys = [keys[k] for k in order]
+            layout = Layout(keys[k] for k in order)
         # row-major by one combined key; stable, and bincount adds in input
         # order: duplicates are summed in the order they were added
-        order = np.argsort(rows * len(keys) + cols, kind="stable")
+        order = np.argsort(rows * len(layout) + cols, kind="stable")
         rows, cols, values = rows[order], cols[order], values[order]
         new = np.ones(len(rows), dtype=bool)
         new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
@@ -268,7 +274,7 @@ class SparseSystem:
         on_fixed = np.isin(rows, fixed)
         summed[on_fixed] = 0.0
         summed[on_fixed & (rows == cols)] = 1.0
-        return keys, rows, cols, summed
+        return layout, rows, cols, summed
 
     def _arrays(self):
         if self._summed is None or not self._frozen:
@@ -284,7 +290,8 @@ class SparseSystem:
         """Sorted (row, col, value) triples; requires a frozen system."""
         if not self._frozen:
             raise NotFrozen("freeze() the system first")
-        keys, row_ids, col_ids, values = self._arrays()
+        layout, row_ids, col_ids, values = self._arrays()
+        keys = layout.keys
         rows = map(keys.__getitem__, row_ids.tolist())
         cols = map(keys.__getitem__, col_ids.tolist())
         return tuple(zip(rows, cols, values.tolist()))
@@ -298,8 +305,9 @@ class SparseSystem:
             raise NotFrozen("freeze() the system first")
         if layout is self._layout:
             return lambda ids: ids
+        keys = self._keys if self._layout is None else self._layout.keys
         try:
-            slots = np.array([layout.offset[key] for key in self._keys], dtype=np.intp)
+            slots = np.array([layout.offset[key] for key in keys], dtype=np.intp)
         except KeyError as missing:
             raise ShapeMismatch(
                 f"system key {missing.args[0]} has no slot in the vector layout"

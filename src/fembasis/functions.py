@@ -21,9 +21,11 @@ from .localfe import values_1d
 from .treespec import Leaf, Power, child_at
 
 
+_SCALAR_TYPES = (numbers.Real, np.floating, np.integer)
+
+
 def _is_scalar(value) -> bool:
-    scalar_types = (numbers.Real, np.floating, np.integer)
-    return type(value) in (float, int) or isinstance(value, scalar_types)
+    return type(value) in (float, int) or isinstance(value, _SCALAR_TYPES)
 
 
 def _component(value, rel_path):
@@ -45,10 +47,28 @@ def _component(value, rel_path):
     return node
 
 
+def _column(samples, rel_path) -> np.ndarray:
+    """Leaf component at ``rel_path`` of every sample, as floats.
+
+    Indexes the whole list one digit at a time; a sample that is a scalar
+    (broadcast) or has no scalar there sends the column through
+    :func:`_component` sample by sample, which broadcasts or raises.
+    """
+    column = samples
+    try:
+        for digit in rel_path:
+            column = [value[digit] for value in column]
+    except (TypeError, KeyError, IndexError):
+        column = None
+    if column is None or not all(issubclass(t, _SCALAR_TYPES) for t in set(map(type, column))):
+        column = [_component(value, rel_path) for value in samples]
+    return np.array(column, dtype=float)
+
+
 def _flat_values(basis, vector) -> np.ndarray:
     """Flat storage of ``vector``, which must be laid out for the root basis."""
-    layout = basis.root_basis.layout
-    if vector.layout is not layout and vector.layout.keys != layout.keys:
+    a, b = vector.layout, basis.root_basis.layout
+    if a is not b and (len(a) != len(b) or a.keys != b.keys):
         raise ShapeMismatch("vector is not laid out like the basis")
     return vector.values
 
@@ -60,21 +80,35 @@ def _interpolate(basis, coefficients, fn, mask) -> None:
     nx, ny = root.grid.nx, root.grid.ny
     leaves = basis.local_view().leaves
     top = max(leaf.finite_element.order for leaf in leaves)
-    # node (a, b) of order k is sample (a*s, b*s) with s = top/k: a/(k*nx) and
-    # a*s/(top*nx) round the same rational, so fn sees the same arguments
-    samples = [
-        [fn((a / (top * nx), b / (top * ny))) for a in range(top * nx + 1)]
-        for b in range(top * ny + 1)
-    ]
+    # node (a, b) of order k is lattice node (a*s, b*s) of the finest order,
+    # s = top/k: a/(k*nx) and a*s/(top*nx) round the same rational, so fn
+    # sees the same arguments; it is called once per lattice node written
+    width, height = top * nx + 1, top * ny + 1
+    lattice = np.arange(height * width).reshape(height, width)
+    marked = np.zeros(lattice.size, dtype=bool)
+    writes = []  # (relative path, offsets, lattice nodes) per leaf
     for leaf in leaves:
-        offsets = root.node_grid(leaf.tree_path).ravel()
+        offsets = root.node_grid(leaf.tree_path)
         step = top // leaf.finite_element.order
-        grid = [row[::step] for row in samples[::step]]
-        nodal = np.array([_component(v, leaf.rel_path) for row in grid for v in row], dtype=float)
+        nodes = lattice[::step, ::step]
         if allowed is not None:
             chosen = allowed[offsets].astype(bool)
-            offsets, nodal = offsets[chosen], nodal[chosen]
-        values[offsets] = nodal
+            offsets, nodes = offsets[chosen], nodes[chosen]
+        nodes = nodes.ravel()
+        marked[nodes] = True
+        writes.append((leaf.rel_path, offsets.ravel(), nodes))
+    xs = [a / (top * nx) for a in range(width)]
+    ys = [b / (top * ny) for b in range(height)]
+    rows, cols = np.divmod(np.flatnonzero(marked), width)
+    points = zip(map(xs.__getitem__, cols.tolist()), map(ys.__getitem__, rows.tolist()))
+    samples = list(map(fn, points))
+    sample_of = np.cumsum(marked) - 1  # lattice node -> its place in samples
+    for rel_path, offsets, nodes in writes:
+        if len(nodes) < len(samples):
+            picked = list(map(samples.__getitem__, sample_of[nodes].tolist()))
+        else:  # the leaf's nodes are all the sampled ones, in the same order
+            picked = samples
+        values[offsets] = _column(picked, rel_path)
 
 
 def interpolate(basis, coefficients, fn) -> None:
@@ -95,7 +129,9 @@ def interpolate_masked(basis, coefficients, fn, mask) -> None:
     """Interpolate ``fn`` but write only entries whose mask slot is true.
 
     ``mask`` is laid out like the coefficients; no write happens anywhere
-    the mask is false.  Nodes are visited as in :func:`interpolate`.
+    the mask is false.  Nodes are visited as in :func:`interpolate`, but
+    ``fn`` is called only at the nodes that some leaf's mask marks, once
+    each, in row-major order (never, for an all-false mask).
     """
     _interpolate(basis, coefficients, fn, mask)
 

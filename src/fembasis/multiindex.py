@@ -51,17 +51,37 @@ class Layout:
     """The entries of an index tree in lexicographic order.
 
     ``keys[k]`` is the multi-index at flat offset ``k`` and ``offset`` maps
-    every key (or an equal plain tuple) back to its offset.
+    every key (or an equal plain tuple) back to its offset.  ``keys`` is
+    either the entries themselves or a function that returns them; a
+    function needs the entry count as ``size`` and runs on the first read
+    of ``keys``.  ``offset`` is built on its first read, so a layout used
+    only through its length builds neither.
     """
 
-    __slots__ = ("keys", "offset")
+    __slots__ = ("_size", "_source", "_keys", "_offset")
 
-    def __init__(self, keys):
-        self.keys = tuple(keys)
-        self.offset = {key: k for k, key in enumerate(self.keys)}
+    def __init__(self, keys, size=None):
+        if callable(keys):
+            self._source, self._size, self._keys = keys, size, None
+        else:
+            self._source, self._keys = None, tuple(keys)
+            self._size = len(self._keys)
+        self._offset = None
+
+    @property
+    def keys(self) -> tuple:
+        if self._keys is None:
+            self._keys, self._source = tuple(self._source()), None
+        return self._keys
+
+    @property
+    def offset(self) -> dict:
+        if self._offset is None:
+            self._offset = {key: k for k, key in enumerate(self.keys)}
+        return self._offset
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self._size
 
     def degree(self, prefix) -> int:
         """Children of the tree below ``prefix``; 0 when it is an entry.

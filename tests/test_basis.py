@@ -17,6 +17,7 @@ from fembasis import (
     subspace_basis,
 )
 from fembasis.cli import strategy_table_bases
+from fembasis.multiindex import Layout
 from helpers import (
     enumerate_multi_indices,
     expected_leaf_index,
@@ -326,3 +327,63 @@ def test_element_offsets_validates_the_prefix():
     basis = make_basis(StructuredGrid(2, 2), parse_tree(TH2))
     with pytest.raises(PathOutOfRange):
         basis.element_offsets((2,))
+
+
+# -- keys are built on their first read --------------------------------------
+
+
+def forbid_keys(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a MultiIndex was built")
+
+    monkeypatch.setattr(MultiIndex, "__new__", refuse)
+
+
+def test_layout_length_builds_no_keys(monkeypatch):
+    basis = make_basis(StructuredGrid(5, 6), parse_tree(TH2))
+    with monkeypatch.context() as m:
+        forbid_keys(m)
+        assert len(basis.layout) == basis.dimension() == 2 * 13 * 11 + 6 * 7
+        assert basis.layout is basis.layout
+    assert basis.layout.keys[0] == (0, 0, 0)
+
+
+def test_lazy_layout_keys_equal_the_eager_build():
+    nx, ny = 3, 2
+    for _, basis in strategy_table_bases(StructuredGrid(nx, ny), 2):
+        tree = basis.tree
+        eager = Layout(sorted(
+            MultiIndex(expected_leaf_index(tree, nx, ny, path, flat))
+            for path, order in _leaf_paths(tree)
+            for flat in range((order * nx + 1) * (order * ny + 1))
+        ))
+        lazy = basis.layout
+        assert len(lazy) == len(eager) == basis.dimension()
+        assert lazy.keys == eager.keys
+        assert all(type(key) is MultiIndex for key in lazy.keys)
+        assert lazy.offset == eager.offset
+        assert lazy.keys is basis.layout.keys  # built once
+
+
+def test_bind_builds_no_keys_until_index(monkeypatch):
+    basis = make_basis(StructuredGrid(3, 2), parse_tree(TH2))
+    view = basis.local_view()
+    with monkeypatch.context() as m:
+        forbid_keys(m)
+        view.bind(4)
+        assert view.size == 22
+        assert view.geometry.hx == 1 / 3
+        assert view.element == 4
+    keys = basis.layout.keys
+    offsets = basis.element_offsets()
+    assert view.multi_indices() == tuple(keys[r] for r in offsets[4].tolist())
+    assert view.index(21) is keys[offsets[4, 21]]
+    view.bind(5)  # a new element drops the keys of the last one
+    assert [view.index(i) for i in range(22)] == [keys[r] for r in offsets[5].tolist()]
+    view.unbind()
+    with pytest.raises(UnboundView):
+        view.index(0)
+    with pytest.raises(UnboundView):
+        view.multi_indices()
+    with pytest.raises(UnboundView):
+        view.size

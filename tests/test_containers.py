@@ -108,6 +108,21 @@ def test_entries_and_copy():
     assert all(value == 0.0 for _, value in z.entries())
 
 
+def test_vector_equality_compares_lengths_before_keys(monkeypatch):
+    _, v = make_th_vector(3, 2)
+    _, w = make_th_vector(2, 2)
+    same = NestedVector(v.data)  # equal keys, another layout object
+    assert same == v and same.layout is not v.layout
+    same.values[-1] = 1.0
+    assert same != v
+    flat = NestedVector([0.0] * len(v.layout))  # same length, other keys
+    assert flat != v and v != flat
+    with monkeypatch.context() as m:
+        m.setattr(MultiIndex, "__new__", lambda *args: pytest.fail("a key was built"))
+        assert v != w and not w == v  # another size: no key tuple is built
+        assert v.copy() == v  # the same layout object: no key tuple either
+
+
 def test_mask_fill_value():
     basis, _ = make_th_vector(1, 1)
     mask = NestedVector()

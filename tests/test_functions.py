@@ -8,10 +8,13 @@ from helpers import expected_leaf_index, random_tree, tree_children, tree_leaves
 
 from fembasis import (
     LocalView,
+    MultiIndex,
     NestedVector,
     OutsideDomain,
     ShapeMismatch,
+    SparseSystem,
     StructuredGrid,
+    apply_dirichlet,
     child_at,
     evaluate_discrete,
     for_each_boundary_dof,
@@ -20,6 +23,7 @@ from fembasis import (
     make_basis,
     parse_tree,
     subspace_basis,
+    taylor_hood_tree,
 )
 from fembasis.cli import TABLE1_COLUMNS, strategy_table_bases
 
@@ -108,8 +112,10 @@ def test_all_false_mask_is_a_no_op():
     mask = NestedVector()
     mask.resize_from_basis(basis, fill=False)
     before = list(v.entries())
-    interpolate_masked(basis, v, lambda p: [[9.0, 9.0], 9.0], mask)
+    seen = []
+    interpolate_masked(basis, v, lambda p: seen.append(p) or [[9.0, 9.0], 9.0], mask)
     assert list(v.entries()) == before
+    assert seen == []  # fn runs only where something is written
 
 
 def test_mask_and_complement_compose_to_full():
@@ -447,3 +453,131 @@ def test_evaluate_discrete_zero_field_reads_positive_zero(zero):
     for p in [(0.3, 0.7), (0.125, 0.375), (0.9, 0.05), (1.0, 1.0)]:
         (vx, vy), pressure = evaluate_discrete(basis, v, p)
         assert all(math.copysign(1.0, value) == 1.0 for value in (vx, vy, pressure))
+
+
+# -- masked sampling: fn runs only at the nodes that are written --------------
+
+
+def test_dirichlet_samples_the_velocity_ring_once_per_node_in_row_major_order():
+    basis = make_basis(StructuredGrid(4, 4), taylor_hood_tree())
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    seen = []
+
+    def boundary_values(p):
+        seen.append(p)
+        return (0.0, 1.0) if p[0] <= 1e-8 else (0.0, 0.0)
+
+    apply_dirichlet(SparseSystem(), rhs, basis, boundary_values)
+    ring = [(a / 8, b / 8) for b in range(9) for a in range(9) if 0 in (a % 8, b % 8)]
+    assert len(seen) == 32  # the Q2 ring of the 9x9 lattice, not all 81 nodes
+    assert seen == ring
+
+
+@pytest.mark.parametrize("column", [label for label, _, _ in TABLE1_COLUMNS])
+def test_masked_interpolation_is_the_full_lattice_sample_kept_where_masked(column):
+    nx, ny = 3, 2
+    rng = np.random.default_rng(sum(map(ord, column)))
+    root = dict(strategy_table_bases(StructuredGrid(nx, ny), 2))[column]
+    tree = root.tree
+    for prefix in [(), (0,), (1,)]:
+        before = rng.standard_normal(root.dimension())
+        mask = NestedVector.from_flat(root.layout, rng.random(root.dimension()) < 0.3)
+        v = NestedVector.from_flat(root.layout, before.copy())
+        seen = []
+
+        def fn(p):
+            seen.append(p)
+            return range_value(child_at(tree, prefix), p, prefix)
+
+        interpolate_masked(subspace_basis(root, prefix), v, fn, mask)
+        # the old way: sample every node in scope, keep the masked slots
+        expected = NestedVector.from_flat(root.layout, before.copy())
+        written = set()
+        for path, order in tree_leaves(tree):
+            for flat in range((order * nx + 1) * (order * ny + 1)):
+                key = expected_leaf_index(tree, nx, ny, path, flat)
+                p = node_position(order, nx, ny, flat)
+                if path[: len(prefix)] == prefix and mask[key]:
+                    expected[key] = leaf_field(path, p)
+                    written.add(p)
+        assert v.values.tobytes() == expected.values.tobytes()
+        assert seen == sorted(written, key=lambda p: (p[1], p[0]))
+
+
+# -- the column contract: one column per leaf, per-sample walk on error -------
+
+
+def expected_vector(tree_text, nx, ny, leaf_value):
+    """Interpolant built node by node: leaf_value(path, p) at every node."""
+    basis, v = fresh(tree_text, nx=nx, ny=ny)
+    for path, order in tree_leaves(basis.tree):
+        for flat in range((order * nx + 1) * (order * ny + 1)):
+            p = node_position(order, nx, ny, flat)
+            v[expected_leaf_index(basis.tree, nx, ny, path, flat)] = leaf_value(path, p)
+    return v
+
+
+def th_leaf(value):
+    """leaf_value for a Taylor-Hood range value ``value(p)``: walks the path."""
+
+    def leaf_value(path, p):
+        node = value(p)
+        if isinstance(node, (list, tuple)):
+            for digit in path:
+                node = node[digit]
+        return float(node)
+
+    return leaf_value
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        # a broadcast scalar at some nodes, nested lists at the others
+        lambda p: 2.5 if p[0] < 0.5 else [[p[0], -p[1]], p[0] * p[1]],
+        lambda p: [[np.float64(p[0]), np.float32(p[1])], np.int64(3)],
+        lambda p: np.float32(0.1),
+        lambda p: [(p[0] < 0.5, True), False],
+        lambda p: p[1] > 0.5,
+    ],
+    ids=["mixed-scalar-and-lists", "numpy-scalars", "numpy-broadcast", "bools", "bool-broadcast"],
+)
+def test_interpolation_column_contract(fn):
+    basis, v = fresh(TH2, nx=3, ny=2)
+    interpolate(basis, v, fn)
+    want = expected_vector(TH2, 3, 2, th_leaf(fn))
+    assert v.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "tree_text, fn",
+    [
+        (TH2, lambda p: [[p[0]], p[1]]),  # a missing component
+        (TH2, lambda p: [[p[0], [p[1]]], 1.0]),  # a list at a leaf
+        (TH2, lambda p: [[p[0], "y"], 1.0]),  # a string at a leaf
+        (TH2, lambda p: [2.0, 1.0]),  # a scalar where a list is expected
+        (TH2, lambda p: [[p[0], p[1]], 1.0] if p != (1.0, 1.0) else [[p[0]], 1.0]),
+        (TH2, lambda p: [[np.True_, 0.0], 1.0]),  # numpy bools are no scalars
+        (TH2, lambda p: [[np.array(0.5), 0.0], 1.0]),  # nor are 0-d arrays
+        ("lagrange(1)", lambda p: [p[0]]),
+        ("lagrange(1)", lambda p: "x"),
+        ("lagrange(1)", lambda p: np.array(0.5)),
+    ],
+)
+def test_interpolation_column_contract_mismatches(tree_text, fn):
+    basis, v = fresh(tree_text, nx=3, ny=2)
+    with pytest.raises(ShapeMismatch):
+        interpolate(basis, v, fn)
+
+
+def test_another_size_is_rejected_before_any_key_is_built(monkeypatch):
+    basis, _ = fresh(TH2, nx=3, ny=2)
+    other = make_basis(StructuredGrid(2, 3), parse_tree("power(lagrange(2),2)"))
+    w = NestedVector()
+    w.resize_from_basis(other)
+    monkeypatch.setattr(MultiIndex, "__new__", lambda *args: pytest.fail("a key was built"))
+    with pytest.raises(ShapeMismatch):
+        interpolate(basis, w, lambda p: [[1.0, 1.0], 1.0])
+    with pytest.raises(ShapeMismatch):
+        evaluate_discrete(basis, w, (0.5, 0.5))

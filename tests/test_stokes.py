@@ -1,13 +1,19 @@
 """Stokes assembly, boundary handling and the driven cavity pipeline."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import fembasis
 from fembasis import (
     AlreadyFrozen,
     GlobalBasis,
+    MultiIndex,
     NestedVector,
     SolverConfig,
     SparseSystem,
@@ -224,6 +230,71 @@ def test_cavity_run_and_divergence_never_sum_the_entries(tmp_path, monkeypatch):
         assert summary.summary_line == line
         basis, system, rhs = prepared_cavity_system(5, 6, cfg.pin_pressure)
         assert math.isfinite(weak_divergence_norm(system, rhs))
+
+
+def test_cavity_run_builds_no_layout_keys(tmp_path, monkeypatch):
+    configs = [SolverConfig(), SolverConfig(pin_pressure=True)]
+    grids = [(5, 6), (9, 7)]
+    plain = {
+        (n, cfg.pin_pressure): run_driven_cavity(*n, cfg, tmp_path / "p.vtu").summary_line
+        for n in grids
+        for cfg in configs
+    }
+    built = []
+    new = MultiIndex.__new__
+
+    def counted(cls, digits=()):
+        built.append(tuple(digits))
+        return new(cls, digits)
+
+    monkeypatch.setattr(MultiIndex, "__new__", counted)
+    counts = []
+    for n in grids:
+        for cfg in configs:
+            built.clear()
+            summary = run_driven_cavity(*n, cfg, tmp_path / "c.vtu")
+            assert summary.summary_line == plain[n, cfg.pin_pressure]
+            assert len(summary.basis.layout) == summary.dimension
+            # only the empty keys of the NestedVector() placeholders
+            assert built == [()] * len(built)
+            counts.append(len(built))
+    assert max(counts) <= 2
+    assert len(set(counts)) == 1  # no key per degree of freedom
+
+
+def test_cavity_and_masked_interpolation_never_import_numpy_ma(tmp_path):
+    """numpy.ma loads lazily (np.unique imports it) and costs peak memory."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from fembasis import (
+            NestedVector, StructuredGrid, interpolate_masked, make_basis, parse_tree,
+            run_driven_cavity,
+        )
+        if "numpy.ma" in sys.modules:
+            sys.exit("importing numpy and fembasis already loads numpy.ma")
+        run_driven_cavity(4, 4, out_path=sys.argv[1])
+        basis = make_basis(StructuredGrid(3, 2), parse_tree("power(lagrange(2),2)"))
+        v, mask = NestedVector(), NestedVector()
+        v.resize_from_basis(basis)
+        mask.resize_from_basis(basis, fill=False)
+        mask.values[np.random.default_rng(3).random(basis.dimension()) < 0.5] = True
+        interpolate_masked(basis, v, lambda p: (p[0], p[1]), mask)
+        if "numpy.ma" in sys.modules:
+            sys.exit("the cavity path imported numpy.ma")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(fembasis.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "c.vtu")],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_cavity_run_invariants(tmp_path):
