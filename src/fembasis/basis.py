@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import IndexOutOfRange, PathOutOfRange, UnboundView
+from .errors import IndexOutOfRange, PathOutOfRange, PrefixNotFound, UnboundView
 from .grid import StructuredGrid
 from .localfe import lagrange_element
 from .multiindex import Layout, MultiIndex, as_multi_index
@@ -188,8 +188,21 @@ class GlobalBasis:
         return self._dimension
 
     def size(self, prefix=()) -> int:
-        """Degree of the index tree below ``prefix``; 0 at a full entry."""
-        return self.layout.degree(prefix)
+        """Degree of the index tree below ``prefix``; 0 at a full entry.
+
+        Read off the leaf index tables; a prefix of no entry raises PrefixNotFound.
+        """
+        prefix = as_multi_index(prefix)
+        n, last = len(prefix), -1  # the largest digit n of a row below prefix
+        for table in (leaf.table for leaf in self._leaves if leaf.table.shape[1] >= n):
+            below = table[np.all(table[:, :n] == prefix, axis=1)]
+            if table.shape[1] > n:
+                last = max(last, int(below[:, n].max(initial=-1)))
+            elif len(below):
+                return 0  # prefix is an entry
+        if last < 0:
+            raise PrefixNotFound(f"{prefix} is neither an entry nor a prefix")
+        return last + 1
 
     def local_view(self) -> "LocalView":
         return LocalView(self, ())

@@ -140,7 +140,7 @@ def main(argv=None) -> int:
         parser.error("indices needs --tree (or --table1 N)")
     try:
         return args.handler(args)
-    except FemBasisError as exc:
+    except (FemBasisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

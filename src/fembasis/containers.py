@@ -7,9 +7,10 @@ flat offset.  Vectors shaped for a basis share the basis's layout, and the
 nested-list form survives only as the derived ``data`` view.
 
 A :class:`SparseSystem` keys matrix entries by (row, column) multi-index
-pairs and stores every key as an integer id, its offset once the system
-has adopted a layout.  It keeps dense element matrices with their offset
-tables, keyed dense blocks and a set of identity rows as they were added.
+pairs and stores every key as an integer id: its slot once the system has
+adopted a layout, else its place in one interned key map.  It keeps dense
+element matrices with their offset tables, keyed dense blocks and a set of
+identity rows as they were added.
 Products read them directly: a gather, one GEMM per element batch and a
 scatter, the keyed blocks as one COO product, then the identity rows.
 Sorting the entries row-major and adding up duplicates happens only when
@@ -98,19 +99,11 @@ class NestedVector:
         self._layout = basis.root_basis.layout
         self._values = np.full(len(self._layout), fill, dtype=_dtype((fill,)))
 
-    def _offset(self, key) -> int:
-        if not isinstance(key, tuple):
-            key = tuple(as_multi_index(key))
-        offset = self._layout.offset.get(key)
-        if offset is None:
-            raise ShapeMismatch(f"{tuple(key)} addresses no scalar slot of this vector")
-        return offset
-
     def __getitem__(self, key):
-        return self._values.item(self._offset(key))
+        return self._values.item(self._layout.slot(key))
 
     def __setitem__(self, key, value) -> None:
-        self._values[self._offset(key)] = value
+        self._values[self._layout.slot(key)] = value
 
     def entries(self):
         """Yield (multi-index, value) for every scalar slot, in offset order."""
@@ -125,12 +118,19 @@ class NestedVector:
     def __eq__(self, other):
         if not isinstance(other, NestedVector):
             return NotImplemented
-        a, b = self._layout, other._layout
-        same_keys = a is b or (len(a) == len(b) and a.keys == b.keys)
+        same_keys = self._layout.same_keys(other._layout)
         return same_keys and bool(np.array_equal(self._values, other._values))
 
     def __repr__(self):
         return f"NestedVector({self.data!r})"
+
+
+def _in_range(layout: Layout, offsets) -> np.ndarray:
+    """``offsets`` as an intp array; an offset outside ``layout`` raises IndexOutOfRange."""
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if offsets.size and not 0 <= offsets.min() <= offsets.max() < len(layout):
+        raise IndexOutOfRange(f"offsets outside a layout of {len(layout)} entries")
+    return offsets
 
 
 def _entries(parts):
@@ -156,8 +156,7 @@ class SparseSystem:
 
     def __init__(self):
         self._layout = None
-        self._ids = {}  # key -> id, until a layout is adopted
-        self._keys = []  # id -> key, until a layout is adopted
+        self._ids = {}  # key -> id in order of first use, until a layout is adopted
         self._parts = []  # (row ids (E, m), column ids (E, n), matrix (m, n)) of E elements
         self._identity = {}  # insertion-ordered set of row ids
         self._summed = None  # (key layout, row ranks, column ranks, values) once frozen
@@ -172,16 +171,9 @@ class SparseSystem:
             raise AlreadyFrozen("system is frozen")
 
     def _id(self, key) -> int:
-        key = as_multi_index(key)
         if self._layout is not None:
-            offset = self._layout.offset.get(key)
-            if offset is None:
-                raise ShapeMismatch(f"{key} has no offset in the system's layout")
-            return offset
-        if key not in self._ids:
-            self._ids[key] = len(self._keys)
-            self._keys.append(key)
-        return self._ids[key]
+            return self._layout.slot(key)
+        return self._ids.setdefault(as_multi_index(key), len(self._ids))
 
     def _adopt(self, layout: Layout) -> None:
         """Make the offsets of ``layout`` the ids of all keys, those added so far included."""
@@ -189,12 +181,10 @@ class SparseSystem:
             return
         if self._layout is not None:
             raise ShapeMismatch("the system holds entries of another layout")
-        moved = np.array([layout.offset.get(key, -1) for key in self._keys], dtype=np.intp)
-        if np.any(moved < 0):
-            raise ShapeMismatch("the system holds keys without an offset in the layout")
+        moved = layout.slots(self._ids)
         self._parts = [(moved[r], moved[c], m) for r, c, m in self._parts]
         self._identity = dict.fromkeys(moved[list(self._identity)].tolist())
-        self._layout, self._ids, self._keys = layout, None, None
+        self._layout, self._ids = layout, None
 
     def add_elements(self, layout: Layout, offsets, matrix) -> None:
         """Accumulate ``matrix`` onto offsets[e] x offsets[e] for every row e.
@@ -203,11 +193,11 @@ class SparseSystem:
         and element matrix are stored as they are.  The system adopts
         ``layout``: its offsets become the ids of all keys, those added
         before included.  A key without an offset, or a second layout,
-        raises ShapeMismatch.
+        raises ShapeMismatch; an offset outside ``layout`` IndexOutOfRange.
         """
         self._require_mutable()
+        offsets = _in_range(layout, offsets)
         self._adopt(layout)
-        offsets = np.asarray(offsets, dtype=np.intp)
         matrix = np.asarray(matrix, dtype=float).reshape(offsets.shape[1], offsets.shape[1])
         self._parts.append((offsets, offsets, matrix))
 
@@ -240,11 +230,9 @@ class SparseSystem:
         offset outside ``layout`` raises IndexOutOfRange.
         """
         self._require_mutable()
-        offsets = np.asarray(offsets, dtype=np.intp).ravel()
-        if offsets.size and not 0 <= offsets.min() <= offsets.max() < len(layout):
-            raise IndexOutOfRange(f"offsets outside a layout of {len(layout)} entries")
+        offsets = _in_range(layout, offsets)
         self._adopt(layout)
-        self._identity.update(dict.fromkeys(offsets.tolist()))
+        self._identity.update(dict.fromkeys(offsets.ravel().tolist()))
 
     def _fixed(self) -> np.ndarray:
         return np.fromiter(self._identity, dtype=np.intp, count=len(self._identity))
@@ -257,12 +245,9 @@ class SparseSystem:
         layout = self._layout
         if layout is None:
             # interned ids follow first use; rank them in key order
-            keys = self._keys
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            rank = np.empty(len(keys), dtype=np.intp)
-            rank[order] = np.arange(len(keys))
+            layout = Layout(sorted(self._ids))
+            rank = layout.slots(self._ids)
             rows, cols, fixed = rank[rows], rank[cols], rank[fixed]
-            layout = Layout(keys[k] for k in order)
         # row-major by one combined key; stable, and bincount adds in input
         # order: duplicates are summed in the order they were added
         order = np.argsort(rows * len(layout) + cols, kind="stable")
@@ -305,14 +290,8 @@ class SparseSystem:
             raise NotFrozen("freeze() the system first")
         if layout is self._layout:
             return lambda ids: ids
-        keys = self._keys if self._layout is None else self._layout.keys
-        try:
-            slots = np.array([layout.offset[key] for key in keys], dtype=np.intp)
-        except KeyError as missing:
-            raise ShapeMismatch(
-                f"system key {missing.args[0]} has no slot in the vector layout"
-            ) from None
-        return slots.__getitem__
+        keys = self._ids if self._layout is None else self._layout.keys
+        return layout.slots(keys).__getitem__
 
     def operator(self, layout: Layout):
         """The product v -> A v of a frozen system on flat arrays over ``layout``.

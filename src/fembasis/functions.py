@@ -67,8 +67,7 @@ def _column(samples, rel_path) -> np.ndarray:
 
 def _flat_values(basis, vector) -> np.ndarray:
     """Flat storage of ``vector``, which must be laid out for the root basis."""
-    a, b = vector.layout, basis.root_basis.layout
-    if a is not b and (len(a) != len(b) or a.keys != b.keys):
+    if not vector.layout.same_keys(basis.root_basis.layout):
         raise ShapeMismatch("vector is not laid out like the basis")
     return vector.values
 

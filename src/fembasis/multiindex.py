@@ -5,17 +5,19 @@ function of a global function space basis.  A set of multi-indices is read
 as the set of leaf paths of an ordered tree, an index tree: the children of
 every node are numbered consecutively from zero, and no entry is an inner
 node.  A :class:`Layout` lists the entries of one index tree in
-lexicographic order; the position of an entry is its flat offset, and
-:meth:`Layout.degree` is the child count the tree has below a prefix.
+lexicographic order; the position of an entry is its flat offset.  Only
+the layout turns keys into offsets (:meth:`Layout.slot`) and compares key
+lists (:meth:`Layout.same_keys`); containers and functions ask it.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from typing import Iterable
 
-from .errors import CapacityExceeded, PrefixNotFound
+import numpy as np
+
+from .errors import CapacityExceeded, ShapeMismatch
 
 MAX_DIGITS = 8
 
@@ -83,22 +85,25 @@ class Layout:
     def __len__(self) -> int:
         return self._size
 
-    def degree(self, prefix) -> int:
-        """Children of the tree below ``prefix``; 0 when it is an entry.
+    def slot(self, key) -> int:
+        """Offset of ``key``: a tuple, a MultiIndex or any iterable of digits.
 
-        Raises PrefixNotFound when ``prefix`` is neither an entry nor a
-        strict prefix of one.
+        Raises ShapeMismatch when ``key`` is not an entry.
         """
-        p = tuple(as_multi_index(prefix))
-        keys = self.keys
-        lo = bisect_left(keys, p)
-        if lo < len(keys) and keys[lo] == p:
-            return 0
-        if lo == len(keys) or keys[lo][: len(p)] != p:
-            raise PrefixNotFound(f"{MultiIndex(p)} is neither an entry nor a prefix")
-        # the keys below p are consecutive; the last one has the largest digit
-        hi = bisect_left(keys, p[:-1] + (p[-1] + 1,)) if p else len(keys)
-        return keys[hi - 1][len(p)] + 1
+        if not isinstance(key, tuple):
+            key = tuple(as_multi_index(key))
+        offset = self.offset.get(key)
+        if offset is None:
+            raise ShapeMismatch(f"{key} is not an entry of the layout")
+        return offset
+
+    def slots(self, keys) -> np.ndarray:
+        """:meth:`slot` of every key, in order, as an intp array."""
+        return np.fromiter(map(self.slot, keys), dtype=np.intp)
+
+    def same_keys(self, other: Layout) -> bool:
+        """True when both layouts list the same keys in the same order."""
+        return self is other or (len(self) == len(other) and self.keys == other.keys)
 
 
 def as_multi_index(value) -> MultiIndex:

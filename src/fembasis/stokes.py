@@ -101,17 +101,15 @@ def assemble_element_matrix(view, geometry, quad_points: int = 3) -> np.ndarray:
     return A
 
 
-def assemble_stokes_matrix(
-    basis: GlobalBasis, system: SparseSystem, quad_points: int = 3
-) -> None:
+def assemble_stokes_matrix(basis: GlobalBasis, system: SparseSystem) -> None:
     """Add the element matrices to ``system`` (must be empty) as one batch.
 
     Stores every entry of every element matrix, including the structural
     zeros of the pressure-pressure block.  The grid is uniform (as
     :func:`stokes_preconditioner` also assumes): every element has the
     same size and Jacobian, so all element matrices are the same.  The
-    matrix is computed once, on element 0, and added at every row of
-    :meth:`~fembasis.basis.GlobalBasis.element_offsets`.
+    matrix is computed once, on element 0 (3x3 Gauss points), and added
+    at every row of :meth:`~fembasis.basis.GlobalBasis.element_offsets`.
     """
     if system.frozen:
         raise AlreadyFrozen("cannot assemble into a frozen system")
@@ -119,7 +117,7 @@ def assemble_stokes_matrix(
         raise ValueError("assembly expects an empty system")
     view = basis.local_view()
     view.bind(0)
-    element_matrix = assemble_element_matrix(view, view.geometry, quad_points)
+    element_matrix = assemble_element_matrix(view, view.geometry)
     system.add_elements(basis.layout, basis.element_offsets(), element_matrix)
 
 

@@ -348,6 +348,27 @@ def test_layout_length_builds_no_keys(monkeypatch):
     assert basis.layout.keys[0] == (0, 0, 0)
 
 
+def test_size_builds_no_layout_keys(monkeypatch):
+    basis = make_basis(StructuredGrid(4, 4), parse_tree(TH3))
+    built = []
+    new = MultiIndex.__new__
+
+    def counted(cls, digits=()):
+        digits = tuple(digits)
+        built.append(digits)
+        return new(cls, digits)
+
+    monkeypatch.setattr(MultiIndex, "__new__", counted)
+    for prefix, degree in [((), 2), ((0,), 81), ((0, 0), 3), ((0, 0, 1), 0), ((1, 7), 0)]:
+        built.clear()
+        assert basis.size(prefix) == degree
+        assert built in ([], [prefix])  # at most the prefix itself
+    built.clear()
+    with pytest.raises(PrefixNotFound):
+        basis.size((1, 7, 0))
+    assert built in ([], [(1, 7, 0)])
+
+
 def test_lazy_layout_keys_equal_the_eager_build():
     nx, ny = 3, 2
     for _, basis in strategy_table_bases(StructuredGrid(nx, ny), 2):

@@ -128,3 +128,21 @@ def test_stokes_pin_pressure(capsys, tmp_path):
     line = out.strip().splitlines()[-1]
     parts = dict(p.split("=") for p in line.split())
     assert float(parts["relres"]) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("indices", "--tree", "power(lagrange(1),0)", "--grid", "2x2"),
+        ("stokes", "--grid", "2x2", "--restart", "0", "--out", "c.vtu"),
+        ("stokes", "--grid", "2x2", "--tol", "-1", "--out", "c.vtu"),
+        ("stokes", "--grid", "2x2", "--max-iter", "-1", "--out", "c.vtu"),
+        ("stokes", "--grid", "2x2", "--out", "missing/c.vtu"),
+    ],
+)
+def test_bad_input_is_reported(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []

@@ -341,8 +341,17 @@ def test_add_elements_adopts_one_layout():
     m.add_to_entry((9,), (0,), 1.0)
     with pytest.raises(ShapeMismatch):
         m.add_elements(x.layout, [[0, 1]], np.eye(2))  # (9,) has no offset
+    outside = ([[0, len(x.layout)]], [[0, -1]])
+    m = SparseSystem()
+    for offsets in outside:
+        with pytest.raises(IndexOutOfRange):
+            m.add_elements(x.layout, offsets, np.eye(2))
+    m.add_to_entry((9,), (0,), 1.0)  # the raises adopted no layout
     m = SparseSystem()
     m.add_elements(x.layout, [[0, 1], [1, 2]], np.eye(2))
+    for offsets in outside:  # stores nothing: matvec and len below are unchanged
+        with pytest.raises(IndexOutOfRange):
+            m.add_elements(x.layout, offsets, np.eye(2))
     with pytest.raises(ShapeMismatch):
         m.add_to_entry((4,), (0,), 1.0)
     with pytest.raises(ShapeMismatch):

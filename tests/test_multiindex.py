@@ -1,9 +1,9 @@
-"""Multi-index construction, prefix relations and layout degrees."""
+"""Multi-index construction, prefix relations and layout lookups."""
 
 import numpy as np
 import pytest
 
-from fembasis import CapacityExceeded, MultiIndex, PrefixNotFound, is_prefix
+from fembasis import CapacityExceeded, MultiIndex, ShapeMismatch, is_prefix
 from fembasis.multiindex import Layout
 
 
@@ -55,36 +55,18 @@ def test_is_prefix_reflexive_and_antisymmetric():
             assert a == b
 
 
-def degree(entries, prefix):
-    """Layout.degree over the entries in lexicographic order."""
-    return Layout(sorted(MultiIndex(e) for e in entries)).degree(prefix)
-
-
-def test_prefix_degree_on_velocity_pressure_set():
-    n2, n1 = 4, 3
-    entries = {(0, i, j) for i in range(3) for j in range(n2)}
-    entries |= {(1, k) for k in range(n1)}
-    assert degree(entries, ()) == 2
-    assert degree(entries, (0,)) == 3
-    assert degree(entries, (0, 1)) == n2
-    assert degree(entries, (1, 0)) == 0  # full entry
-    with pytest.raises(PrefixNotFound):
-        degree(entries, (5,))
-    with pytest.raises(PrefixNotFound):
-        degree(entries, (1, 0, 0))
-
-
-def test_prefix_degree_matches_bruteforce():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        entries = set()
-        for _ in range(30):
-            length = int(rng.integers(1, 4))
-            entries.add(tuple(int(d) for d in rng.integers(0, 5, size=length)))
-        prefixes = {e[:t] for e in entries for t in range(len(e) + 1)}
-        for p in prefixes:
-            if p in entries:
-                assert degree(entries, p) == 0
-            else:
-                nxt = [e[len(p)] for e in entries if len(e) > len(p) and e[: len(p)] == p]
-                assert degree(entries, p) == max(nxt) + 1
+def test_layout_slots_and_same_keys():
+    layout = Layout([MultiIndex((0, 0)), MultiIndex((0, 1)), MultiIndex((1,))])
+    assert layout.slot([0, 1]) == 1
+    assert layout.slot(MultiIndex((1,))) == 2
+    assert layout.slot((0, 0)) == 0
+    for missing in ((0,), [2], (0, 0, 0)):
+        with pytest.raises(ShapeMismatch):
+            layout.slot(missing)
+    slots = layout.slots([(1,), (0, 0), [0, 1]])
+    assert slots.dtype == np.intp
+    assert slots.tolist() == [2, 0, 1]
+    assert layout.same_keys(layout)
+    assert layout.same_keys(Layout([(0, 0), (0, 1), (1,)]))
+    assert not layout.same_keys(Layout([(0, 0), (0, 1)]))
+    assert not layout.same_keys(Layout([(0, 0), (0, 1), (2,)]))
