@@ -6,15 +6,14 @@ in lexicographic order; a multi-index addresses exactly the slot at its
 flat offset.  Vectors shaped for a basis share the basis's layout, and the
 nested-list form survives only as the derived ``data`` view.
 
-A :class:`SparseSystem` keys matrix entries by (row, column) multi-index
-pairs and stores every key as an integer id: its slot once the system has
-adopted a layout, else its place in one interned key map.  It keeps dense
-element matrices with their offset tables, keyed dense blocks and a set of
-identity rows as they were added.
-Products read them directly: a gather, one GEMM per element batch and a
-scatter, the keyed blocks as one COO product, then the identity rows.
-Sorting the entries row-major and adding up duplicates happens only when
-the entries themselves are read (:meth:`~SparseSystem.triples`, ``len``).
+A :class:`SparseSystem` lives on one layout and stores every (row,
+column) multi-index key as its offset there, so vectors it multiplies
+must be laid out like it.  It keeps dense element matrices with their
+offset tables, keyed dense blocks and a set of identity rows as they were
+added.  Products read them directly: per part a gather, one GEMM and a
+scatter, then the identity rows.  Sorting the entries row-major and adding
+up duplicates happens only when the entries themselves are read
+(:meth:`~SparseSystem.triples`, ``len``).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AlreadyFrozen, IndexOutOfRange, NotFrozen, ShapeMismatch
-from .multiindex import Layout, MultiIndex, as_multi_index
+from .multiindex import Layout, MultiIndex
 
 
 def _dtype(values):
@@ -126,8 +125,11 @@ class NestedVector:
 
 
 def _in_range(layout: Layout, offsets) -> np.ndarray:
-    """``offsets`` as an intp array; an offset outside ``layout`` raises IndexOutOfRange."""
-    offsets = np.asarray(offsets, dtype=np.intp)
+    """``offsets`` as intp: TypeError unless integer, IndexOutOfRange outside ``layout``."""
+    offsets = np.asarray(offsets)
+    if offsets.size and not np.issubdtype(offsets.dtype, np.integer):
+        raise TypeError(f"offsets must be integers, not {offsets.dtype}")
+    offsets = offsets.astype(np.intp, copy=False)
     if offsets.size and not 0 <= offsets.min() <= offsets.max() < len(layout):
         raise IndexOutOfRange(f"offsets outside a layout of {len(layout)} entries")
     return offsets
@@ -143,23 +145,27 @@ def _entries(parts):
     return tuple(map(np.concatenate, (rows, cols, values)))
 
 
+_NO_LAYOUT = Layout(())  # a system's layout until it has one: no key is an entry
+
+
 class SparseSystem:
-    """Sparse matrix keyed by (row, column) multi-index pairs.
+    """Sparse matrix keyed by (row, column) multi-index pairs of one layout.
 
     Lives in two phases: an accumulation phase (the add_* and set_*
     methods) and, after freeze(), an immutable phase that supports
-    deterministic matrix-vector products.  Keys are stored as integer ids:
-    their offsets in a layout once the system has adopted one (add_elements,
-    set_rows_to_identity), else ids interned on first use.  An adopted
-    layout's keys are read only by the keyed methods.
+    deterministic matrix-vector products.  The system lives on one
+    :class:`~fembasis.multiindex.Layout`, given as ``SparseSystem(layout)``
+    or taken by the first add_elements or set_rows_to_identity, and stores
+    every key as its offset there.  A key that is not an entry of the
+    layout, or any key before the system has a layout, raises
+    ShapeMismatch and stores nothing.
     """
 
-    def __init__(self):
-        self._layout = None
-        self._ids = {}  # key -> id in order of first use, until a layout is adopted
-        self._parts = []  # (row ids (E, m), column ids (E, n), matrix (m, n)) of E elements
-        self._identity = {}  # insertion-ordered set of row ids
-        self._summed = None  # (key layout, row ranks, column ranks, values) once frozen
+    def __init__(self, layout: Layout | None = None):
+        self._layout = _NO_LAYOUT if layout is None else layout
+        self._parts = []  # (row slots (E, m), column slots (E, n), matrix (m, n)) of E elements
+        self._identity = {}  # insertion-ordered set of row slots
+        self._summed = None  # (row slots, column slots, values) once frozen
         self._frozen = False
 
     @property
@@ -170,42 +176,32 @@ class SparseSystem:
         if self._frozen:
             raise AlreadyFrozen("system is frozen")
 
-    def _id(self, key) -> int:
-        if self._layout is not None:
-            return self._layout.slot(key)
-        return self._ids.setdefault(as_multi_index(key), len(self._ids))
-
     def _adopt(self, layout: Layout) -> None:
-        """Make the offsets of ``layout`` the ids of all keys, those added so far included."""
-        if self._layout is layout:
-            return
-        if self._layout is not None:
-            raise ShapeMismatch("the system holds entries of another layout")
-        moved = layout.slots(self._ids)
-        self._parts = [(moved[r], moved[c], m) for r, c, m in self._parts]
-        self._identity = dict.fromkeys(moved[list(self._identity)].tolist())
-        self._layout, self._ids = layout, None
+        """Take ``layout`` if the system has none; else it must be the system's own."""
+        if self._layout is _NO_LAYOUT:
+            self._layout = layout
+        elif self._layout is not layout:
+            raise ShapeMismatch("the system lives on another layout")
 
     def add_elements(self, layout: Layout, offsets, matrix) -> None:
         """Accumulate ``matrix`` onto offsets[e] x offsets[e] for every row e.
 
         ``offsets`` is an integer table of offsets into ``layout``; table
-        and element matrix are stored as they are.  The system adopts
-        ``layout``: its offsets become the ids of all keys, those added
-        before included.  A key without an offset, or a second layout,
-        raises ShapeMismatch; an offset outside ``layout`` IndexOutOfRange.
+        and element matrix are stored as they are.  ``layout`` must be the
+        system's layout (the same object), or becomes it if the system has
+        none yet; another layout raises ShapeMismatch, a non-integer table
+        TypeError and an offset outside ``layout`` IndexOutOfRange.
         """
         self._require_mutable()
         offsets = _in_range(layout, offsets)
-        self._adopt(layout)
         matrix = np.asarray(matrix, dtype=float).reshape(offsets.shape[1], offsets.shape[1])
+        self._adopt(layout)
         self._parts.append((offsets, offsets, matrix))
 
     def add_block(self, rows, cols, values) -> None:
         """Accumulate the dense ``values`` onto the entries rows x cols."""
         self._require_mutable()
-        rows = np.fromiter(map(self._id, rows), dtype=np.intp)[None]
-        cols = np.fromiter(map(self._id, cols), dtype=np.intp)[None]
+        rows, cols = self._layout.slots(rows)[None], self._layout.slots(cols)[None]
         values = np.asarray(values, dtype=float).reshape(rows.size, cols.size)
         self._parts.append((rows, cols, values))
 
@@ -221,13 +217,12 @@ class SparseSystem:
         added to it after this call.
         """
         self._require_mutable()
-        self._identity[self._id(row)] = None
+        self._identity[self._layout.slot(row)] = None
 
     def set_rows_to_identity(self, layout: Layout, offsets) -> None:
         """:meth:`set_row_to_identity` on the keys at ``offsets`` of ``layout``, in order.
 
-        The system adopts ``layout`` as :meth:`add_elements` does.  An
-        offset outside ``layout`` raises IndexOutOfRange.
+        ``layout`` and ``offsets`` are checked as in :meth:`add_elements`.
         """
         self._require_mutable()
         offsets = _in_range(layout, offsets)
@@ -242,15 +237,9 @@ class SparseSystem:
         # each identity row's diagonal joins as a structural entry
         structural = (fixed[:, None], fixed[:, None], np.zeros((1, 1)))
         rows, cols, values = _entries([structural] + self._parts)
-        layout = self._layout
-        if layout is None:
-            # interned ids follow first use; rank them in key order
-            layout = Layout(sorted(self._ids))
-            rank = layout.slots(self._ids)
-            rows, cols, fixed = rank[rows], rank[cols], rank[fixed]
         # row-major by one combined key; stable, and bincount adds in input
         # order: duplicates are summed in the order they were added
-        order = np.argsort(rows * len(layout) + cols, kind="stable")
+        order = np.argsort(rows * len(self._layout) + cols, kind="stable")
         rows, cols, values = rows[order], cols[order], values[order]
         new = np.ones(len(rows), dtype=bool)
         new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
@@ -259,7 +248,7 @@ class SparseSystem:
         on_fixed = np.isin(rows, fixed)
         summed[on_fixed] = 0.0
         summed[on_fixed & (rows == cols)] = 1.0
-        return layout, rows, cols, summed
+        return rows, cols, summed
 
     def _arrays(self):
         if self._summed is None or not self._frozen:
@@ -269,48 +258,43 @@ class SparseSystem:
     def freeze(self) -> None:
         """Switch to the immutable phase; entries are summed only when read."""
         self._require_mutable()
-        self._frozen = True
+        self._frozen, self._summed = True, None  # sums read before freeze() may be stale
 
     def triples(self):
         """Sorted (row, col, value) triples; requires a frozen system."""
         if not self._frozen:
             raise NotFrozen("freeze() the system first")
-        layout, row_ids, col_ids, values = self._arrays()
-        keys = layout.keys
-        rows = map(keys.__getitem__, row_ids.tolist())
-        cols = map(keys.__getitem__, col_ids.tolist())
+        row_slots, col_slots, values = self._arrays()
+        keys = self._layout.keys
+        rows = map(keys.__getitem__, row_slots.tolist())
+        cols = map(keys.__getitem__, col_slots.tolist())
         return tuple(zip(rows, cols, values.tolist()))
 
     def __len__(self) -> int:
-        return len(self._arrays()[3]) if self._parts or self._identity else 0
+        return len(self._arrays()[2]) if self._parts or self._identity else 0
 
-    def _placement(self, layout: Layout):
-        """Map of ids to slots of ``layout``; requires a frozen system."""
+    def _require_laid_out_like(self, layout: Layout) -> None:
         if not self._frozen:
             raise NotFrozen("freeze() the system first")
-        if layout is self._layout:
-            return lambda ids: ids
-        keys = self._ids if self._layout is None else self._layout.keys
-        return layout.slots(keys).__getitem__
+        if not self._layout.same_keys(layout):
+            raise ShapeMismatch("vectors must be laid out like the system")
 
     def operator(self, layout: Layout):
         """The product v -> A v of a frozen system on flat arrays over ``layout``.
 
-        Each element batch is a gather, one GEMM with its matrix and one
-        bincount scatter; keyed blocks add as one COO product, and
-        identity rows copy their slot of v.  ``layout`` needs a slot for
-        every key of the system, else ShapeMismatch.
+        ``layout`` must list the system's keys in the same order, else
+        ShapeMismatch.  Each part (a keyed block is a batch of one) is a
+        gather, one GEMM with its matrix and one bincount scatter; then
+        identity rows copy their slot of v.
         """
-        place, n = self._placement(layout), len(layout)
-        batches = [(place(r).ravel(), place(c), m.T) for r, c, m in self._parts if len(r) > 1]
-        rows, cols, values = _entries(part for part in self._parts if len(part[0]) == 1)
-        rows, cols, fixed = place(rows), place(cols), place(self._fixed())
+        self._require_laid_out_like(layout)
+        n, fixed = len(layout), self._fixed()
+        batches = [(r.ravel(), c, m.T) for r, c, m in self._parts]
 
         def apply(v):
             y = np.zeros(n)
             for r, c, matrix_t in batches:
                 y += np.bincount(r, weights=(v[c] @ matrix_t).ravel(), minlength=n)
-            y += np.bincount(rows, weights=values * v[cols], minlength=n)
             y[fixed] = v[fixed]
             return y
 
@@ -321,23 +305,22 @@ class SparseSystem:
 
         Entries (k, k) add in the order they were added, as in triples();
         identity rows read 1.0, rows without a diagonal entry 0.0.
+        ``layout`` is checked as in :meth:`operator`.
         """
-        place = self._placement(layout)
-        ids, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        self._require_laid_out_like(layout)
+        slots, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for r, c, matrix in self._parts:
             on = r[:, :, None] == c[:, None, :]
-            ids.append(np.broadcast_to(r[:, :, None], on.shape)[on])
+            slots.append(np.broadcast_to(r[:, :, None], on.shape)[on])
             values.append(np.broadcast_to(matrix, on.shape)[on])
-        ids, values = place(np.concatenate(ids)), np.concatenate(values)
-        diagonal = np.zeros(len(layout))
-        diagonal += np.bincount(ids, weights=values, minlength=len(layout))
-        diagonal[place(self._fixed())] = 1.0
+        diagonal = np.bincount(np.concatenate(slots), np.concatenate(values), len(layout))
+        diagonal[self._fixed()] = 1.0
         return diagonal
 
     def matvec(self, x: NestedVector) -> NestedVector:
         """y = A x for a frozen system; y is shaped like x.
 
-        ``x`` must provide a scalar slot for every key of the system;
-        missing slots raise ShapeMismatch.
+        ``x`` must be laid out like the system (equal keys in the same
+        order), else ShapeMismatch.
         """
         return NestedVector.from_flat(x.layout, self.operator(x.layout)(x.values))

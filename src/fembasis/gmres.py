@@ -152,8 +152,8 @@ def solve_system(
     """Solve a frozen sparse system for a nested rhs.
 
     Returns (solution, relative residual, iterations) with the solution
-    shaped like the rhs.  Row and column keys of the system must address
-    scalar slots of the rhs layout; ``x0``, if given, shares that layout.
+    shaped like the rhs.  The rhs must be laid out like the system, else
+    ShapeMismatch; ``x0``, if given, shares the rhs layout.
     ``preconditioner``, if given, is the M^-1 application on flat arrays
     over the rhs layout, such as :func:`~fembasis.stokes.stokes_preconditioner`;
     it goes to :func:`gmres` unchanged.

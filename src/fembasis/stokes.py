@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -244,10 +245,14 @@ class CavitySummary:
 def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> CavitySummary:
     """Assemble, solve and write the driven cavity on an nx-by-ny grid.
 
-    The VTU file holds the nodal values at the grid vertices.  Prints the
-    one-line summary (dim/iters/relres/div) and returns the full summary
-    object.
+    The VTU file holds the nodal values at the grid vertices; a missing
+    directory for it raises FileNotFoundError before any work is done.
+    Prints the one-line summary (dim/iters/relres/div) and returns the
+    full summary object.
     """
+    out_dir = Path(out_path).parent
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"no directory {str(out_dir)!r} for the VTU file")
     cfg = config if config is not None else SolverConfig()
     grid = StructuredGrid(nx, ny)
     basis = make_basis(grid, taylor_hood_tree())

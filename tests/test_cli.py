@@ -142,6 +142,9 @@ def test_stokes_pin_pressure(capsys, tmp_path):
 )
 def test_bad_input_is_reported(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
+    for work in ("make_basis", "assemble_stokes_matrix"):  # input is checked before any work
+        refuse = lambda *_, work=work: pytest.fail(f"{work} ran")
+        monkeypatch.setattr(f"fembasis.stokes.{work}", refuse)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")

@@ -144,18 +144,25 @@ def test_storage_is_float64_unless_the_fill_is_bool():
     assert NestedVector([True, False])[(0,)] is True
 
 
+def flat_system(n):
+    """An empty system on the layout of a flat n-vector, keys (0,) to (n-1,)."""
+    return SparseSystem(NestedVector([0.0] * n).layout)
+
+
 def test_add_to_entry_accumulates():
-    m = SparseSystem()
+    m = flat_system(3)
     m.add_to_entry((0,), (1,), 2.0)
     m.add_to_entry((0,), (1,), 0.5)
     m.add_to_entry((0,), (0,), 0.0)  # structural zero stays stored
     assert len(m) == 2
+    m.add_to_entry((2,), (0,), 1.0)  # counted after freeze(), not left out by the len above
     m.freeze()
+    assert len(m) == len(m.triples()) == 3
     assert {(r, c): v for r, c, v in m.triples()}[((0,), (1,))] == 2.5
 
 
 def test_set_row_to_identity():
-    m = SparseSystem()
+    m = flat_system(3)
     m.add_to_entry((0,), (0,), 3.0)
     m.add_to_entry((0,), (1,), 4.0)
     m.add_to_entry((1,), (0,), 5.0)
@@ -170,7 +177,7 @@ def test_set_row_to_identity():
 
 
 def test_freeze_guards():
-    m = SparseSystem()
+    m = flat_system(1)
     m.add_to_entry((0,), (0,), 1.0)
     with pytest.raises(NotFrozen):
         m.triples()
@@ -184,7 +191,7 @@ def test_freeze_guards():
 
 
 def test_matvec_2x2():
-    m = SparseSystem()
+    m = flat_system(2)
     for (r, c), v in {((0,), (0,)): 2.0, ((0,), (1,)): 1.0,
                       ((1,), (0,)): 1.0, ((1,), (1,)): 3.0}.items():
         m.add_to_entry(r, c, v)
@@ -195,7 +202,7 @@ def test_matvec_2x2():
 
 
 def test_matvec_identity():
-    m = SparseSystem()
+    m = flat_system(5)
     for i in range(5):
         m.add_to_entry((i,), (i,), 1.0)
     m.freeze()
@@ -204,11 +211,14 @@ def test_matvec_identity():
 
 
 def test_matvec_requires_column_slots():
-    m = SparseSystem()
-    m.add_to_entry((0,), (9,), 1.0)
-    m.freeze()
+    m = flat_system(2)
     with pytest.raises(ShapeMismatch):
-        m.matvec(NestedVector([0.0, 0.0]))
+        m.add_to_entry((0,), (9,), 1.0)
+    m.add_to_entry((0,), (1,), 1.0)
+    m.freeze()
+    for other_keys in (NestedVector([0.0] * 3), NestedVector([[0.0, 0.0]])):
+        with pytest.raises(ShapeMismatch):
+            m.matvec(other_keys)
 
 
 def test_matvec_matches_dense_oracle():
@@ -216,7 +226,7 @@ def test_matvec_matches_dense_oracle():
     for _ in range(20):
         n = int(rng.integers(2, 8))
         keys = [(i,) for i in range(n)]
-        m = SparseSystem()
+        m = flat_system(n)
         dense = np.zeros((n, n))
         for _ in range(int(rng.integers(1, 50))):
             i, j = int(rng.integers(n)), int(rng.integers(n))
@@ -231,7 +241,7 @@ def test_matvec_matches_dense_oracle():
 
 def test_matvec_on_nested_keys():
     basis, x = make_th_vector(1, 1)
-    m = SparseSystem()
+    m = SparseSystem(x.layout)
     m.add_to_entry((1, 0), (0, 3, 1), 2.0)
     m.add_to_entry((1, 0), (1, 0), 1.0)
     m.freeze()
@@ -252,7 +262,7 @@ def test_matvec_is_bitwise_deterministic():
     x = [float(v) for v in rng.normal(size=n)]
 
     def run():
-        m = SparseSystem()
+        m = flat_system(n)
         for i, j, v in entries:
             m.add_to_entry((i,), (j,), v)
         m.freeze()
@@ -273,7 +283,7 @@ def mixed_system(rng, identity_first, by_offsets):
     keys, n = x.layout.keys, len(x.layout)
     dense = np.zeros((n, n))
     fixed = []
-    m = SparseSystem()
+    m = SparseSystem(x.layout)
 
     def add(i, j, v):
         m.add_to_entry(keys[i], keys[j], v)
@@ -330,23 +340,19 @@ def test_mixed_system_matvec_matches_a_dense_oracle(identity_first, by_offsets):
         expected = summed @ x.values
         y = m.matvec(x).values
         assert np.max(np.abs(y - expected)) <= 1e-13 * (1.0 + np.max(np.abs(expected)))
-        # equal keys on another layout object go through a slot lookup
+        # equal keys on another layout object multiply alike
         assert np.array_equal(m.matvec(NestedVector(x.data)).values, y)
         assert np.array_equal(m.diagonal(x.layout), np.diag(summed))
 
 
 def test_add_elements_adopts_one_layout():
     x, other = NestedVector([0.0] * 4), NestedVector([0.0] * 4)
-    m = SparseSystem()
-    m.add_to_entry((9,), (0,), 1.0)
-    with pytest.raises(ShapeMismatch):
-        m.add_elements(x.layout, [[0, 1]], np.eye(2))  # (9,) has no offset
     outside = ([[0, len(x.layout)]], [[0, -1]])
     m = SparseSystem()
     for offsets in outside:
         with pytest.raises(IndexOutOfRange):
             m.add_elements(x.layout, offsets, np.eye(2))
-    m.add_to_entry((9,), (0,), 1.0)  # the raises adopted no layout
+    m.add_elements(other.layout, [[0, 1]], np.eye(2))  # the raises adopted no layout
     m = SparseSystem()
     m.add_elements(x.layout, [[0, 1], [1, 2]], np.eye(2))
     for offsets in outside:  # stores nothing: matvec and len below are unchanged
@@ -366,14 +372,10 @@ def test_add_elements_adopts_one_layout():
 
     # identity rows by offset adopt the layout the same way
     m = SparseSystem()
-    m.add_to_entry((9,), (0,), 1.0)
-    with pytest.raises(ShapeMismatch):
-        m.set_rows_to_identity(x.layout, [0])  # (9,) has no offset
-    m = SparseSystem()
+    m.set_rows_to_identity(x.layout, [3, 0])
     m.add_to_entry((2,), (1,), 5.0)
     m.add_to_entry((1,), (2,), 6.0)
     m.set_row_to_identity((1,))
-    m.set_rows_to_identity(x.layout, [3, 0])  # keys added before move over
     with pytest.raises(ShapeMismatch):
         m.set_rows_to_identity(other.layout, [2])
     for outside in ([4], [-1]):
@@ -387,6 +389,49 @@ def test_add_elements_adopts_one_layout():
     assert [(r, c) for r, c, _ in m.triples()] == [
         ((0,), (0,)), ((1,), (1,)), ((1,), (2,)), ((2,), (1,)), ((2,), (2,)), ((3,), (3,))
     ]
+
+
+def test_offset_tables_must_be_integers():
+    x = NestedVector([0.0] * 4)
+    m = SparseSystem()
+    for offsets in ([[0.5, 1.7]], [[True, False]], np.array([[0, 1]], dtype=float)):
+        with pytest.raises(TypeError):
+            m.add_elements(x.layout, offsets, np.eye(2))
+        with pytest.raises(TypeError):
+            m.set_rows_to_identity(x.layout, np.ravel(offsets))
+    m.set_rows_to_identity(x.layout, [])  # an empty list stays accepted
+    m.add_elements(x.layout, np.array([[0, 1]], dtype=np.int32), np.eye(2))
+    m.freeze()
+    assert [(r, c) for r, c, _ in m.triples()] == [
+        ((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))
+    ]
+
+
+def test_a_key_outside_the_layout_stores_nothing():
+    with pytest.raises(ShapeMismatch):
+        SparseSystem().add_to_entry((0,), (0,), 1.0)  # no layout yet
+    x = NestedVector([[0.0, 0.0], [0.0, 0.0, 0.0]])
+    m = SparseSystem(x.layout)
+    m.add_to_entry((0, 0), (0, 0), 1.5)
+    m.add_block([(0, 1), (1, 2)], [(1, 0)], [[2.0], [3.0]])
+    with pytest.raises(ShapeMismatch):
+        m.add_block([(0, 0), (0, 2)], [(1, 0)], [[1.0], [1.0]])  # (0, 2) is no entry
+    with pytest.raises(ShapeMismatch):
+        m.add_to_entry((1,), (0, 0), 1.0)  # (1,) is an inner node
+    with pytest.raises(ShapeMismatch):
+        m.set_row_to_identity((2, 0))
+    m.set_row_to_identity((1, 1))
+    m.freeze()
+    assert m.triples() == (
+        ((0, 0), (0, 0), 1.5), ((0, 1), (1, 0), 2.0), ((1, 1), (1, 1), 1.0), ((1, 2), (1, 0), 3.0)
+    )
+    x.values[:] = [1.0, 2.0, 3.0, 4.0, 5.0]
+    same = NestedVector(x.data)
+    assert same.layout is not x.layout
+    assert m.matvec(x).data == [[1.5, 6.0], [0.0, 4.0, 9.0]]
+    assert np.array_equal(m.matvec(same).values, m.matvec(x).values)
+    assert m.diagonal(x.layout).tolist() == [1.5, 0.0, 0.0, 1.0, 0.0]
+    assert np.array_equal(m.diagonal(same.layout), m.diagonal(x.layout))
 
 
 def interning_sum(blocks, identity):

@@ -94,7 +94,7 @@ def test_initial_guess_is_used():
 
 def build_nested_system():
     basis = make_basis(StructuredGrid(1, 1), parse_tree("lagrange(1)"))
-    system = SparseSystem()
+    system = SparseSystem(basis.layout)
     rhs = NestedVector()
     rhs.resize_from_basis(basis)
     entries = {
@@ -126,16 +126,18 @@ def test_solve_system_on_nested_vectors():
 
 def test_solve_system_rejects_a_key_without_rhs_slot():
     _, system, rhs = build_nested_system()
-    system.add_to_entry((4,), (4,), 1.0)  # the Q1 basis on one cell has slots 0..3
+    with pytest.raises(ShapeMismatch):
+        system.add_to_entry((4,), (4,), 1.0)  # the Q1 basis on one cell has slots 0..3
     system.freeze()
     with pytest.raises(ShapeMismatch):
-        solve_system(system, rhs, SolverConfig())
+        solve_system(system, NestedVector([rhs.values.tolist()]), SolverConfig())  # other keys
+    assert solve_system(system, rhs, SolverConfig())[1] <= 1e-8  # the failed add stored nothing
 
 
 def test_solve_system_on_a_subset_of_the_rhs_layout():
     # rows 0 and 2 only: slots 1 and 3 have no entries, the rhs is zero there
     basis = make_basis(StructuredGrid(2, 2), parse_tree("lagrange(1)"))
-    system = SparseSystem()
+    system = SparseSystem(basis.layout)
     used = [(3,), (7,)]
     a = np.array([[4.0, 1.0], [2.0, 5.0]])
     for i, row in enumerate(used):

@@ -13,6 +13,7 @@ import fembasis
 from fembasis import (
     AlreadyFrozen,
     GlobalBasis,
+    LagrangeQk,
     MultiIndex,
     NestedVector,
     SolverConfig,
@@ -23,12 +24,14 @@ from fembasis import (
     assemble_element_matrix,
     assemble_stokes_matrix,
     driven_cavity_data,
+    evaluate_discrete,
     make_basis,
     parse_tree,
     run_driven_cavity,
     solve_system,
     stokes_preconditioner,
     taylor_hood_tree,
+    tensor_rule,
     weak_divergence_norm,
 )
 from fembasis.cli import TABLE1_COLUMNS, strategy_table_bases
@@ -118,7 +121,7 @@ def test_assembly_entry_count_single_element():
 
 def test_assembly_guards():
     basis = make_basis(StructuredGrid(1, 1), taylor_hood_tree())
-    system = SparseSystem()
+    system = SparseSystem(basis.layout)
     system.add_to_entry((1, 0), (1, 0), 1.0)
     with pytest.raises(ValueError):
         assemble_stokes_matrix(basis, system)
@@ -496,3 +499,78 @@ def test_weak_divergence_norm_under_every_numbering(column, pin_pressure):
     expected = np.linalg.norm(system.matvec(solution).values[pressure])
     assert math.isclose(norm, expected, rel_tol=1e-12, abs_tol=0.0)
     assert norm <= 1e-6
+
+
+def _g(t):
+    """g(t) = t^2 (1-t)^2 and its first three derivatives."""
+    return t**2 * (1 - t) ** 2, 2 * t * (1 - t) * (1 - 2 * t), 2 - 12 * t + 12 * t**2, 24 * t - 12
+
+
+def exact_velocity(x, y):
+    """curl of psi = g(x) g(y): divergence-free and zero with its gradient on the walls."""
+    (gx, dgx, _, _), (gy, dgy, _, _) = _g(x), _g(y)
+    return gx * dgy, -dgx * gy
+
+
+def exact_pressure(x, y):
+    return x**3 + y**3 - 0.5  # zero mean on the unit square
+
+
+def manufactured_load(basis):
+    """Velocity rows of f = -lap(u) - grad(p) tested with the Q2 shape functions.
+
+    3x3 Gauss points per element, the rule of assemble_element_matrix;
+    the pressure rows stay 0 (div u = 0).
+    """
+    grid = basis.grid
+    points, weights = tensor_rule(3)
+    j, i = np.divmod(np.arange(grid.num_elements), grid.nx)  # element e = j*nx + i
+    x = (i[:, None] + points[:, 0]) * grid.hx
+    y = (j[:, None] + points[:, 1]) * grid.hy
+    (gx, dgx, d2gx, d3gx), (gy, dgy, d2gy, d3gy) = _g(x), _g(y)
+    force = (-(d2gx * dgy + gx * d3gy) - 3 * x**2, d3gx * gy + dgx * d2gy - 3 * y**2)
+    shapes = np.array([LagrangeQk(2).values(point) for point in points])
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    offsets = basis.element_offsets()
+    for k, f in enumerate(force):  # velocity leaf k holds local functions k*NV .. (k+1)*NV-1
+        loads = (f * weights * grid.hx * grid.hy) @ shapes
+        np.add.at(rhs.values, offsets[:, k * NV : (k + 1) * NV], loads)
+    return rhs
+
+
+def manufactured_errors(n):
+    """L2 errors of velocity and of pressure modulo its mean on an n-by-n grid."""
+    basis = make_basis(StructuredGrid(n, n), taylor_hood_tree())
+    system = SparseSystem()
+    assemble_stokes_matrix(basis, system)
+    rhs = manufactured_load(basis)
+    apply_dirichlet(system, rhs, basis, boundary_values=lambda p: exact_velocity(*p))
+    system.freeze()
+    config = SolverConfig(tolerance=1e-12)
+    solution, relres, _ = solve_system(
+        system, rhs, config, x0=rhs, preconditioner=stokes_preconditioner(basis)
+    )
+    assert relres <= 1e-12
+
+    points, weights = tensor_rule(4)  # one order above the 3x3 rule, off its Gauss points
+    velocity, pressure, area = [], [], []
+    for e in range(basis.grid.num_elements):
+        i, j = basis.grid.cell_coords(e)
+        for (xi, eta), w in zip(points, weights):
+            x, y = (i + xi) / n, (j + eta) / n
+            (ux, uy), p = evaluate_discrete(basis, solution, (x, y))
+            ex, ey = exact_velocity(x, y)
+            velocity.append((ux - ex) ** 2 + (uy - ey) ** 2)
+            pressure.append(p - exact_pressure(x, y))
+            area.append(w / n**2)
+    area, pressure = np.array(area), np.array(pressure)
+    pressure -= area @ pressure
+    return math.sqrt(area @ velocity), math.sqrt(area @ pressure**2)
+
+
+def test_manufactured_solution_converges_at_the_taylor_hood_rates():
+    errors = np.array([manufactured_errors(n) for n in (4, 8, 16, 32)])
+    rates = np.log2(errors[:-1] / errors[1:])
+    assert np.all(rates[-2:, 0] >= 2.7), rates  # Q2 velocity: O(h^3)
+    assert np.all(rates[-2:, 1] >= 1.7), rates  # Q1 pressure: O(h^2)
