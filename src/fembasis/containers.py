@@ -111,9 +111,6 @@ class NestedVector:
     def copy(self) -> "NestedVector":
         return NestedVector.from_flat(self._layout, self._values.copy())
 
-    def zeros_like(self) -> "NestedVector":
-        return NestedVector.from_flat(self._layout, np.zeros(len(self._layout)))
-
     def __eq__(self, other):
         if not isinstance(other, NestedVector):
             return NotImplemented
@@ -189,11 +186,14 @@ class SparseSystem:
         ``offsets`` is an integer table of offsets into ``layout``; table
         and element matrix are stored as they are.  ``layout`` must be the
         system's layout (the same object), or becomes it if the system has
-        none yet; another layout raises ShapeMismatch, a non-integer table
-        TypeError and an offset outside ``layout`` IndexOutOfRange.
+        none yet; another layout or a table that is not 2-D raises
+        ShapeMismatch, a non-integer table TypeError and an offset outside
+        ``layout`` IndexOutOfRange.
         """
         self._require_mutable()
         offsets = _in_range(layout, offsets)
+        if offsets.ndim != 2:
+            raise ShapeMismatch(f"offset table has shape {offsets.shape}, expected 2-D")
         matrix = np.asarray(matrix, dtype=float).reshape(offsets.shape[1], offsets.shape[1])
         self._adopt(layout)
         self._parts.append((offsets, offsets, matrix))

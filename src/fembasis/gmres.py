@@ -1,4 +1,4 @@
-"""Restarted GMRes with modified Gram-Schmidt Arnoldi and Givens rotations.
+"""Restarted GMRes: Arnoldi by classical Gram-Schmidt, applied twice, and Givens rotations.
 
 The core routine works on flat numpy arrays and an abstract matvec,
 optionally right-preconditioned.  :func:`solve_system` bridges it to the
@@ -97,17 +97,10 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, preconditi
         while k < m and iters < maxiter:
             # copy: matvec may return its argument aliased (identity is legal)
             w = np.array(matvec(precondition(V[k])), dtype=float)
-            norm_before = float(np.linalg.norm(w))
-            for i in range(k + 1):
-                hik = float(V[i] @ w)
-                H[i, k] += hik
-                w -= hik * V[i]
-            # one re-orthogonalization pass when cancellation ate most of w
-            if float(np.linalg.norm(w)) < norm_before / math.sqrt(2.0):
-                for i in range(k + 1):
-                    corr = float(V[i] @ w)
-                    H[i, k] += corr
-                    w -= corr * V[i]
+            for _ in range(2):  # classical Gram-Schmidt, twice: orthogonal to round-off
+                h = V[: k + 1] @ w
+                H[: k + 1, k] += h
+                w -= h @ V[: k + 1]
             hk1 = float(np.linalg.norm(w))
             H[k + 1, k] = hk1
             if hk1 > 0.0:
@@ -137,12 +130,9 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, preconditi
                 stalled = True
                 break
 
-        y = np.zeros(k)
-        for i in range(k - 1, -1, -1):
-            if H[i, i] == 0.0:
-                continue
-            y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
         if k:
+            # the rotations left H[:k, :k] upper triangular with a nonzero diagonal
+            y = np.linalg.solve(H[:k, :k], g[:k])
             x = x + precondition(V[:k].T @ y)
 
 

@@ -71,16 +71,6 @@ class StructuredGrid:
         i, j = self.cell_coords(element)
         return ElementGeometry(element, i / self.nx, j / self.ny, self.hx, self.hy)
 
-    def vertex_index(self, i: int, j: int) -> int:
-        return j * (self.nx + 1) + i
-
-    def vertex_position(self, vertex: int) -> tuple[float, float]:
-        if not 0 <= vertex < self.num_vertices:
-            raise IndexOutOfRange(f"vertex {vertex} outside grid")
-        i = vertex % (self.nx + 1)
-        j = vertex // (self.nx + 1)
-        return (i / self.nx, j / self.ny)
-
     def locate(self, point) -> tuple[int, tuple[float, float]]:
         """Element containing a point plus its reference coordinates there.
 

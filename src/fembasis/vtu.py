@@ -37,12 +37,14 @@ def write_vtu(grid: StructuredGrid, velocity, pressure, path) -> None:
 
     velocity_lines = [" ".join(map(_fmt, row)) for row in velocity.tolist()]
     pressure_lines = [_fmt(p) for p in pressure.tolist()]
-    points = map(grid.vertex_position, range(n))
-    point_lines = [f"{_fmt(x)} {_fmt(y)} {_fmt(0.0)}" for x, y in points]
+    xs = [_fmt(i / grid.nx) for i in range(grid.nx + 1)]
+    ys = [_fmt(j / grid.ny) for j in range(grid.ny + 1)]
+    point_lines = [f"{x} {y} 0.0" for y in ys for x in xs]
 
-    # a cell's corners counter-clockwise from its lower-left vertex v
+    # a cell's corners counter-clockwise from its lower-left vertex v; cell
+    # e = j*nx + i has v = j*(nx+1) + i = e + j = e*(nx+1) // nx
     row = grid.nx + 1
-    lower_left = (grid.vertex_index(*grid.cell_coords(e)) for e in range(grid.num_elements))
+    lower_left = (np.arange(grid.num_elements) * row // grid.nx).tolist()
     connectivity = [f"{v} {v + 1} {v + row + 1} {v + row}" for v in lower_left]
     offsets = [str(4 * (e + 1)) for e in range(grid.num_elements)]
     types = ["9"] * grid.num_elements

@@ -221,7 +221,7 @@ def test_criterion_6_matrix_structure():
 
     samples = sorted(marked)[:3] + [(0, 31, 0), (1, 12)]
     for col_mi in samples:
-        e = rhs.zeros_like()
+        e = NestedVector.from_flat(rhs.layout, np.zeros(len(rhs.layout)))
         e[col_mi] = 1.0
         column = system.matvec(e)
         for row_mi in sorted(marked)[:3]:

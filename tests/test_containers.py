@@ -104,8 +104,6 @@ def test_entries_and_copy():
     w = v.copy()
     w[(2,)] = -1.0
     assert v[(2,)] == 3.0
-    z = v.zeros_like()
-    assert all(value == 0.0 for _, value in z.entries())
 
 
 def test_vector_equality_compares_lengths_before_keys(monkeypatch):
@@ -388,6 +386,20 @@ def test_add_elements_adopts_one_layout():
     assert m.matvec(x).data == [1.0, 2.0, 13.0, 4.0]
     assert [(r, c) for r, c, _ in m.triples()] == [
         ((0,), (0,)), ((1,), (1,)), ((1,), (2,)), ((2,), (1,)), ((2,), (2,)), ((3,), (3,))
+    ]
+
+
+def test_offset_tables_must_be_2d():
+    x, other = NestedVector([0.0] * 4), NestedVector([0.0] * 4)
+    m = SparseSystem()
+    for offsets, matrix in (([], np.zeros((0, 0))), ([0, 1], np.eye(2)), ([[[0, 1]]], np.eye(2))):
+        with pytest.raises(ShapeMismatch, match="offset table"):
+            m.add_elements(x.layout, offsets, matrix)
+    m.add_elements(other.layout, np.zeros((0, 2), dtype=int), np.eye(2))  # zero elements
+    m.add_elements(other.layout, [[2, 3]], np.eye(2))  # the raises adopted no layout
+    m.freeze()
+    assert [(r, c) for r, c, _ in m.triples()] == [
+        ((2,), (2,)), ((2,), (3,)), ((3,), (2,)), ((3,), (3,))
     ]
 
 

@@ -82,6 +82,27 @@ def test_maxiter_exhaustion_is_reported():
     assert relres > 1e-14
 
 
+def test_arnoldi_keeps_orthogonality_on_an_ill_conditioned_system():
+    # condition 1e10 over 80 iterations in one cycle: one Gram-Schmidt pass
+    # loses orthogonality and stops above 1e-4, two passes reach below 1e-6
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
+        a = q @ np.diag(np.logspace(0, 10, 80)) @ q.T + np.triu(rng.standard_normal((80, 80)), 1)
+        b = rng.standard_normal(80)
+        _, relres, _ = gmres(lambda v: a @ v, b, restart=80, tol=1e-12, maxiter=85)
+        assert relres <= 1e-5
+
+
+def test_stall_on_a_singular_inconsistent_system_stops_early():
+    # the third equation reads 0 = 1: the least residual is 1 / sqrt(3)
+    d = np.array([1.0, 2.0, 0.0])
+    maxiter = 1000
+    _, relres, iters = gmres(lambda v: d * v, np.ones(3), restart=10, maxiter=maxiter)
+    assert iters < maxiter
+    assert relres == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
+
+
 def test_initial_guess_is_used():
     d = np.array([2.0, 3.0])
     exact = np.array([0.5, 1.0 / 3.0])

@@ -24,9 +24,14 @@ def load(path):
     return piece, arrays
 
 
+def vertex_points(grid):
+    """Vertex positions (i / nx, j / ny), lexicographic from the lower-left corner."""
+    return [(i / grid.nx, j / grid.ny) for j in range(grid.ny + 1) for i in range(grid.nx + 1)]
+
+
 def vertex_fields(grid, velocity, pressure):
     """Vertex arrays of the point functions ``velocity`` and ``pressure``."""
-    points = [grid.vertex_position(v) for v in range(grid.num_vertices)]
+    points = vertex_points(grid)
     return np.array([velocity(p) for p in points]), np.array([pressure(p) for p in points])
 
 
@@ -74,8 +79,7 @@ def test_field_values_round_trip_exactly(tmp_path):
     piece, arrays = load(path)
     velocity = [float(v) for v in arrays["velocity"]]
     pressure = [float(v) for v in arrays["pressure"]]
-    for v in range(grid.num_vertices):
-        x, y = grid.vertex_position(v)
+    for v, (x, y) in enumerate(vertex_points(grid)):
         assert velocity[3 * v] == x  # bitwise, repr round trip
         assert velocity[3 * v + 1] == y
         assert velocity[3 * v + 2] == 0.0
