@@ -26,14 +26,17 @@ work (interpolation, boundary nodes) visits each node once on that grid.
 The element windows of the same grids form one offset table per subtree
 (:meth:`GlobalBasis.element_offsets`), row ``e`` holding the offsets of
 element ``e``'s local basis functions; assembly hands that table to the
-sparse system as it is.  :class:`LocalView` reads its multi-indices from
-a row of the table.  Local indices enumerate the leaves depth-first and
-are consecutive within each leaf.
+sparse system as it is, :class:`LocalView` reads its multi-indices from
+a row of the table, and point evaluation
+(:func:`~fembasis.functions.evaluate_discrete`) gathers the coefficients
+of the containing element through its row.  Local indices enumerate the
+leaves depth-first and are consecutive within each leaf.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -113,6 +116,20 @@ def _leaf_tables(tree: BasisTree, grid: StructuredGrid) -> list:
     ]
 
 
+def _nesting(tree: BasisTree, numbers):
+    """Function shaping a list of leaf values like ``tree``.
+
+    Leaf by leaf, depth first, takes ``values[n]`` for the next ``n`` drawn
+    from the iterator ``numbers``; a leaf yields its value, an inner node
+    the list of its children's.
+    """
+    if isinstance(tree, Leaf):
+        return itemgetter(next(numbers))
+    children = (tree.child,) * tree.count if isinstance(tree, Power) else tree.children
+    parts = [_nesting(child, numbers) for child in children]
+    return lambda values: [part(values) for part in parts]
+
+
 class _LeafPlacement:
     """One leaf of the basis tree placed on the grid."""
 
@@ -154,6 +171,7 @@ class GlobalBasis:
         ]
         self._leaf_by_path = {leaf.path: leaf for leaf in self._leaves}
         self._element_offsets = {}
+        self._row_plans = {}
 
     @cached_property
     def layout(self) -> Layout:
@@ -220,6 +238,10 @@ class GlobalBasis:
             raise PathOutOfRange(f"path {tuple(leaf_path)} is not a leaf")
         return placement.ranks
 
+    def _leaves_below(self, prefix: tuple) -> list:
+        """Placements of the leaves below ``prefix``, depth first."""
+        return [leaf for leaf in self._leaves if leaf.path[: len(prefix)] == prefix]
+
     def element_offsets(self, prefix=()) -> np.ndarray:
         """Flat offsets of every element's local basis functions.
 
@@ -234,15 +256,36 @@ class GlobalBasis:
         if table is None:
             child_at(self.tree, prefix)  # validates the prefix
             blocks = []
-            for leaf in self._leaves:
-                if leaf.path[: len(prefix)] == prefix:
-                    k = leaf.order
-                    windows = sliding_window_view(leaf.ranks, (k + 1, k + 1))
-                    blocks.append(windows[::k, ::k].reshape(self.grid.num_elements, -1))
+            for leaf in self._leaves_below(prefix):
+                k = leaf.order
+                windows = sliding_window_view(leaf.ranks, (k + 1, k + 1))
+                blocks.append(windows[::k, ::k].reshape(self.grid.num_elements, -1))
             table = np.hstack(blocks)
             table.flags.writeable = False
             self._element_offsets[prefix] = table
         return table
+
+    def _row_plan(self, prefix: tuple):
+        """How to read a row of ``element_offsets(prefix)`` leaf by leaf.
+
+        Returns ``(orders, windows, nest)``: the distinct leaf orders below
+        ``prefix``; per leaf, depth first, ``(start, stop, n)`` with its
+        window ``row[start:stop]`` and ``orders[n]`` its order; and
+        ``nest``, which shapes one value per leaf like the subtree at
+        ``prefix`` (a leaf subtree yields its one value).  Built once per
+        prefix.
+        """
+        plan = self._row_plans.get(prefix)
+        if plan is None:
+            scoped = self._leaves_below(prefix)
+            orders = sorted({leaf.order for leaf in scoped})
+            windows, start = [], 0
+            for leaf in scoped:
+                windows.append((start, start + leaf.fe.count, orders.index(leaf.order)))
+                start += leaf.fe.count
+            nest = _nesting(child_at(self.tree, prefix), iter(range(len(scoped))))
+            plan = self._row_plans[prefix] = (orders, windows, nest)
+        return plan
 
     def leaf_dof_index(self, leaf_path, flat: int) -> MultiIndex:
         """Global multi-index of flat basis function ``flat`` of one leaf.
@@ -282,12 +325,13 @@ class LeafView:
 class LocalView:
     """Element-local window onto a basis (or onto one of its subtrees).
 
-    ``bind`` fixes the element and keeps its row of
+    ``bind`` fixes the element and keeps only its row of
     :meth:`GlobalBasis.element_offsets`.  The first ``index`` (or
     ``multi_indices``) after ``bind`` turns the row into one multi-index
     per local basis function, the basis's own key objects, and later calls
-    answer from that list.  Unbound views only answer structural queries
-    (max_size, leaves).
+    answer from that list; the element's geometry is built on the first
+    read of ``geometry`` after ``bind``.  Unbound views only answer
+    structural queries (max_size, leaves).
     """
 
     def __init__(self, basis: GlobalBasis, prefix: tuple = ()):
@@ -295,10 +339,9 @@ class LocalView:
         self._basis = basis
         self._prefix = tuple(prefix)
         n = len(self._prefix)
-        scoped = [lf for lf in basis._leaves if lf.path[: n] == self._prefix]
         self._leaves = []
         offset = 0
-        for placement in scoped:
+        for placement in basis._leaves_below(self._prefix):
             self._leaves.append(LeafView(placement, placement.path[n:], offset))
             offset += placement.fe.count
         self._max_size = offset
@@ -336,8 +379,10 @@ class LocalView:
 
     @property
     def geometry(self):
-        if self._geometry is None:
+        if self._element is None:
             raise UnboundView("view is not bound to an element")
+        if self._geometry is None:
+            self._geometry = self._basis.grid.element_geometry(self._element)
         return self._geometry
 
     @property
@@ -348,11 +393,13 @@ class LocalView:
 
     def bind(self, element: int) -> None:
         """Bind to an element; its multi-indices are built on the first ``index``."""
-        geometry = self._basis.grid.element_geometry(element)  # raises IndexOutOfRange
-        self._offsets = self._basis.element_offsets(self._prefix)[element]
+        table = self._basis.element_offsets(self._prefix)
+        if not 0 <= element < len(table):
+            raise IndexOutOfRange(f"element {element} outside grid with {len(table)} elements")
+        self._offsets = table[element]
         self._indices = None
+        self._geometry = None
         self._element = element
-        self._geometry = geometry
 
     def unbind(self) -> None:
         self._element = None

@@ -3,7 +3,8 @@
 All operations here accept either a GlobalBasis or a SubspaceBasis.
 Interpolation and boundary walks are nodal: they visit each global node of
 a leaf once, on its node grid (:meth:`~fembasis.basis.GlobalBasis.node_grid`);
-evaluation slices the node grid of the containing element.  The
+evaluation reads the containing element's row of offsets
+(:meth:`~fembasis.basis.GlobalBasis.element_offsets`).  The
 range values of functions mirror the basis subtree in scope: a leaf is
 addressed by its tree path relative to that subtree, so a velocity-pressure
 basis expects values like [[vx, vy], p] while its velocity subspace expects
@@ -13,12 +14,12 @@ basis expects values like [[vx, vy], p] while its velocity subspace expects
 from __future__ import annotations
 
 import numbers
+from operator import mul
 
 import numpy as np
 
 from .errors import ShapeMismatch
 from .localfe import values_1d
-from .treespec import Leaf, Power, child_at
 
 
 _SCALAR_TYPES = (numbers.Real, np.floating, np.integer)
@@ -153,19 +154,13 @@ def for_each_boundary_dof(basis, callback) -> None:
         callback(keys[offset])
 
 
-def _shaped(tree, path, leaf_value):
-    """Range value shaped like ``tree``: ``leaf_value(order, path)`` per leaf."""
-    if isinstance(tree, Leaf):
-        return leaf_value(tree.order, path)
-    children = (tree.child,) * tree.count if isinstance(tree, Power) else tree.children
-    return [_shaped(child, path + (n,), leaf_value) for n, child in enumerate(children)]
-
-
 def evaluate_discrete(basis, coefficients, point):
     """Value of the coefficient field of ``basis`` at a global point.
 
-    Contracts each leaf's coefficients on the containing element's block
-    of its node grid with the 1-D shape function values in x and y.
+    Gathers the coefficients of the containing element in one read through
+    its row of :meth:`~fembasis.basis.GlobalBasis.element_offsets` and
+    contracts each leaf's window of that row with the tensor products of
+    the 1-D shape function values in x and y.
     Coefficients must be laid out like the root basis, else ShapeMismatch.
     Returns a scalar for a single-leaf subtree, nested lists otherwise.
     Points outside the unit square raise OutsideDomain.
@@ -173,15 +168,11 @@ def evaluate_discrete(basis, coefficients, point):
     root = basis.root_basis
     values = _flat_values(root, coefficients)
     element, (xi, eta) = root.grid.locate(point)
-    i, j = root.grid.cell_coords(element)
-    tables = {}  # 1-D shape function values (lx, ly) per order
-
-    def leaf_value(k, path):
-        if k not in tables:
-            tables[k] = values_1d(k, xi), values_1d(k, eta)
-        lx, ly = tables[k]
-        block = values[root.node_grid(path)[j * k : (j + 1) * k + 1, i * k : (i + 1) * k + 1]]
-        # + 0.0: a zero field reads 0.0 whatever sign of zero the sum has
-        return float(ly @ block @ lx) + 0.0
-
-    return _shaped(child_at(root.tree, basis.prefix_path), basis.prefix_path, leaf_value)
+    row = values[root.element_offsets(basis.prefix_path)[element]].tolist()
+    orders, windows, nest = root._row_plan(basis.prefix_path)
+    weights = []  # per order, the shape function values in local node order
+    for k in orders:
+        lx = values_1d(k, xi).tolist()
+        weights.append([b * a for b in values_1d(k, eta).tolist() for a in lx])
+    # sum starts from the int 0, so a zero field reads +0.0 whatever the signs of its zeros
+    return nest([sum(map(mul, weights[n], row[start:stop])) for start, stop, n in windows])

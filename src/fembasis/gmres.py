@@ -41,7 +41,9 @@ def _identity(v):
     return v
 
 
-def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, precondition=None):
+def gmres(
+    matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, precondition=None, record=None
+):
     """Solve A x = b with restarted, optionally right-preconditioned GMRes.
 
     Arguments:
@@ -56,18 +58,30 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, preconditi
         precondition: optional callable applying M^-1 to a vector.  Arnoldi
             then runs on A M^-1 and the update is x += M^-1 V y, so the
             stopping test stays on the true residual.
+        record: optional dict; gmres sets ``record["stop"]`` to why it
+            stopped, ``"converged"`` (relative residual at most tol),
+            ``"budget"`` (maxiter iterations done) or ``"stalled"`` (a
+            restart cycle made no progress and Arnoldi broke down), and
+            ``record["residuals"]`` to the relative residual estimate
+            after every iteration.
 
     Returns:
         (x, relative residual, iterations).  A zero rhs returns x = 0
-        exactly with zero iterations.  Hitting the iteration budget is a
-        reported outcome, not an error.
+        exactly with zero iterations (stop ``"converged"``, no residuals).
+        Hitting the iteration budget is a reported outcome, not an error.
+        After a ``"stalled"`` stop, on a singular system with no solution,
+        the component of x along the null direction is meaningless and
+        can be huge: x holds a least-residual point, not a bounded one.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if precondition is None:
         precondition = _identity
     bnorm = float(np.linalg.norm(b))
+    residuals = []  # the relative residual estimate after every iteration
     if bnorm == 0.0:
+        if record is not None:
+            record.update(stop="converged", residuals=residuals)
         return np.zeros(n), 0.0, 0
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     iters = 0
@@ -76,11 +90,19 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, preconditi
     while True:
         r = b - matvec(x)
         rnorm = float(np.linalg.norm(r))
-        if rnorm / bnorm <= tol or iters >= maxiter:
-            return x, rnorm / bnorm, iters
-        if rnorm >= prev_rnorm and stalled:
+        if rnorm / bnorm <= tol:
+            stop = "converged"
+        elif iters >= maxiter:
+            stop = "budget"
+        elif rnorm >= prev_rnorm and stalled:
             # a whole restart cycle brought no progress and Arnoldi broke
             # down: the Krylov space is exhausted, more cycles cannot help
+            stop = "stalled"
+        else:
+            stop = None
+        if stop is not None:
+            if record is not None:
+                record.update(stop=stop, residuals=residuals)
             return x, rnorm / bnorm, iters
         prev_rnorm = rnorm
         stalled = False
@@ -114,6 +136,7 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, preconditi
             iters += 1
             if denom == 0.0:
                 # fully degenerate column; nothing to rotate, drop it
+                residuals.append(abs(float(g[k])) / bnorm)
                 stalled = True
                 break
             cs[k] = H[k, k] / denom
@@ -123,7 +146,8 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, preconditi
             g[k + 1] = -sn[k] * g[k]
             g[k] = cs[k] * g[k]
             k += 1
-            if abs(g[k]) / bnorm <= tol:
+            residuals.append(abs(float(g[k])) / bnorm)
+            if residuals[-1] <= tol:
                 break
             if hk1 == 0.0:
                 # happy breakdown: exact solution inside the current space
@@ -137,7 +161,7 @@ def gmres(matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, preconditi
 
 
 def solve_system(
-    system: SparseSystem, rhs: NestedVector, config=None, x0=None, preconditioner=None
+    system: SparseSystem, rhs: NestedVector, config=None, x0=None, preconditioner=None, record=None
 ):
     """Solve a frozen sparse system for a nested rhs.
 
@@ -146,7 +170,8 @@ def solve_system(
     ShapeMismatch; ``x0``, if given, shares the rhs layout.
     ``preconditioner``, if given, is the M^-1 application on flat arrays
     over the rhs layout, such as :func:`~fembasis.stokes.stokes_preconditioner`;
-    it goes to :func:`gmres` unchanged.
+    it goes to :func:`gmres` unchanged, and so does ``record``, which
+    receives why the solve stopped and the residual history.
     """
     cfg = config if config is not None else SolverConfig()
     layout = rhs.layout
@@ -158,5 +183,6 @@ def solve_system(
         maxiter=cfg.max_iterations,
         x0=None if x0 is None else x0.values,
         precondition=preconditioner,
+        record=record,
     )
     return NestedVector.from_flat(layout, x), float(relres), iters

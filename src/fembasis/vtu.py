@@ -33,9 +33,9 @@ def write_vtu(grid: StructuredGrid, velocity, pressure, path) -> None:
         raise ValueError(f"velocity has shape {velocity.shape}, expected ({n}, c) with c <= 3")
     if pressure.shape != (n,):
         raise ValueError(f"pressure has shape {pressure.shape}, expected ({n},)")
-    velocity = np.pad(velocity, ((0, 0), (0, 3 - velocity.shape[1])))
+    padding = ["0.0"] * (3 - velocity.shape[1])  # the missing components, formatted
 
-    velocity_lines = [" ".join(map(_fmt, row)) for row in velocity.tolist()]
+    velocity_lines = [" ".join([*map(_fmt, row), *padding]) for row in velocity.tolist()]
     pressure_lines = [_fmt(p) for p in pressure.tolist()]
     xs = [_fmt(i / grid.nx) for i in range(grid.nx + 1)]
     ys = [_fmt(j / grid.ny) for j in range(grid.ny + 1)]

@@ -116,8 +116,33 @@ def test_q1_element_multi_indices():
 
 def test_bind_rejects_bad_elements():
     view = make_basis(StructuredGrid(2, 2), parse_tree("lagrange(1)")).local_view()
-    with pytest.raises(IndexOutOfRange):
-        view.bind(4)
+    for element in (-1, 4):
+        with pytest.raises(IndexOutOfRange):
+            view.bind(element)
+        assert not view.bound
+
+
+def test_bind_builds_the_geometry_on_its_first_read(monkeypatch):
+    grid = StructuredGrid(3, 2)
+    basis = make_basis(grid, parse_tree(TH2))
+    view = basis.local_view()
+    with pytest.raises(UnboundView):
+        view.geometry
+    offsets = basis.element_offsets()
+    with monkeypatch.context() as m:
+        m.setattr(StructuredGrid, "element_geometry", lambda *args: pytest.fail("geometry built"))
+        for e in range(grid.num_elements):
+            view.bind(e)
+            assert [view.index(i) for i in range(view.size)] == [
+                basis.layout.keys[r] for r in offsets[e].tolist()
+            ]
+    for e in (0, 4, grid.num_elements - 1):
+        view.bind(e)
+        assert view.geometry == grid.element_geometry(e)
+        assert view.geometry is view.geometry  # built once per bind
+    view.unbind()
+    with pytest.raises(UnboundView):
+        view.geometry
 
 
 def test_leaves_are_depth_first_and_consecutive():

@@ -7,6 +7,7 @@ import pytest
 from helpers import expected_leaf_index, random_tree, tree_children, tree_leaves
 
 from fembasis import (
+    GlobalBasis,
     LocalView,
     MultiIndex,
     NestedVector,
@@ -432,6 +433,43 @@ def test_evaluate_discrete_reads_no_local_view_and_no_key(monkeypatch):
     monkeypatch.setattr(NestedVector, "__getitem__", forbidden)
     value = evaluate_discrete(subspace_basis(basis, (0,)), v, (0.3, 0.7))
     assert abs(value[0] - 0.3) <= 1e-13 and abs(value[1] - 0.7) <= 1e-13
+
+
+def test_evaluate_discrete_reads_no_node_grid(monkeypatch):
+    basis, v = fresh(TH2, nx=3, ny=2)
+    interpolate(basis, v, lambda p: [[p[0], p[1]], 2.0])
+
+    def forbidden(*args):
+        raise AssertionError("evaluation sliced a node grid")
+
+    monkeypatch.setattr(GlobalBasis, "node_grid", forbidden)
+    p = (0.3, 0.7)
+    assert_close_tree(evaluate_discrete(basis, v, p), [[0.3, 0.7], 2.0])
+    assert_close_tree(evaluate_discrete(subspace_basis(basis, (0,)), v, p), [0.3, 0.7])
+    assert_close_tree(evaluate_discrete(subspace_basis(basis, (1,)), v, p), 2.0)
+    # a leaf below a power node is a scalar too
+    value = evaluate_discrete(subspace_basis(basis, (0, 1)), v, p)
+    assert type(value) is float and abs(value - 0.7) <= 1e-13
+
+
+def test_evaluate_discrete_reproduces_affine_leaf_fields_on_the_table1_bases():
+    nx = ny = 16
+    rng = np.random.default_rng(83)
+    coeffs = rng.uniform(-1.0, 1.0, (4, 3))  # per leaf: c0, cx, cy
+
+    def field(p):
+        v = [float(c0 + cx * p[0] + cy * p[1]) for c0, cx, cy in coeffs]
+        return [v[:3], v[3]]
+
+    points = probe_points(rng, nx, ny)
+    for _, basis in strategy_table_bases(StructuredGrid(nx, ny), 3):
+        v = NestedVector()
+        v.resize_from_basis(basis)
+        interpolate(basis, v, field)
+        for p in points:
+            (vx, vy, vz), pressure = evaluate_discrete(basis, v, p)
+            (wx, wy, wz), wp = field(p)
+            assert max(abs(vx - wx), abs(vy - wy), abs(vz - wz), abs(pressure - wp)) <= 1e-13
 
 
 def test_evaluate_discrete_rejects_a_vector_of_another_layout():

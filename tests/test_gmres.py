@@ -29,10 +29,12 @@ def test_identity_system_one_iteration():
 
 def test_zero_rhs_returns_zero_without_iterating():
     matvec = lambda v: 2.0 * v
-    x, relres, iters = gmres(matvec, np.zeros(5), restart=5, tol=1e-10, maxiter=10)
+    record = {}
+    x, relres, iters = gmres(matvec, np.zeros(5), restart=5, tol=1e-10, maxiter=10, record=record)
     assert np.array_equal(x, np.zeros(5))
     assert relres == 0.0
     assert iters == 0
+    assert record == {"stop": "converged", "residuals": []}
 
 
 def test_diagonal_system():
@@ -77,9 +79,11 @@ def test_maxiter_exhaustion_is_reported():
     m = rng.standard_normal((30, 30))
     a = m @ m.T + 0.01 * np.eye(30)  # ill conditioned on purpose
     b = rng.standard_normal(30)
-    x, relres, iters = gmres(lambda v: a @ v, b, restart=5, tol=1e-14, maxiter=8)
+    record = {}
+    x, relres, iters = gmres(lambda v: a @ v, b, restart=5, tol=1e-14, maxiter=8, record=record)
     assert iters == 8
     assert relres > 1e-14
+    assert record["stop"] == "budget" and len(record["residuals"]) == 8
 
 
 def test_arnoldi_keeps_orthogonality_on_an_ill_conditioned_system():
@@ -98,9 +102,14 @@ def test_stall_on_a_singular_inconsistent_system_stops_early():
     # the third equation reads 0 = 1: the least residual is 1 / sqrt(3)
     d = np.array([1.0, 2.0, 0.0])
     maxiter = 1000
-    _, relres, iters = gmres(lambda v: d * v, np.ones(3), restart=10, maxiter=maxiter)
+    record = {}
+    _, relres, iters = gmres(
+        lambda v: d * v, np.ones(3), restart=10, maxiter=maxiter, record=record
+    )
     assert iters < maxiter
     assert relres == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
+    assert record["stop"] == "stalled"
+    assert len(record["residuals"]) == iters
 
 
 def test_initial_guess_is_used():

@@ -319,11 +319,37 @@ def test_cavity_run_invariants(tmp_path):
     assert "relres=" in line and "div=" in line
 
 
-def test_cavity_iteration_budget_respected(tmp_path):
+def recorded_solves(monkeypatch):
+    """The record of every solve_system call that run_driven_cavity makes."""
+    records = []
+    solve = fembasis.stokes.solve_system
+
+    def recording(*args, **kwargs):
+        records.append({})
+        return solve(*args, record=records[-1], **kwargs)
+
+    monkeypatch.setattr(fembasis.stokes, "solve_system", recording)
+    return records
+
+
+def test_cavity_iteration_budget_respected(tmp_path, monkeypatch):
+    records = recorded_solves(monkeypatch)
     cfg = SolverConfig(max_iterations=3, tolerance=1e-8)
     summary = run_driven_cavity(2, 2, config=cfg, out_path=str(tmp_path / "c.vtu"))
     assert summary.iterations == 3
     assert not summary.converged
+    assert [record["stop"] for record in records] == ["budget"]
+    assert len(records[0]["residuals"]) == 3
+
+
+def test_cavity_solve_records_convergence(tmp_path, monkeypatch):
+    records = recorded_solves(monkeypatch)
+    summary = run_driven_cavity(8, 8, out_path=str(tmp_path / "c.vtu"))
+    assert summary.converged
+    (record,) = records
+    assert record["stop"] == "converged"
+    assert len(record["residuals"]) == summary.iterations
+    assert record["residuals"][-1] <= 1e-8 < record["residuals"][0]
 
 
 # -- block-diagonal preconditioner ------------------------------------------
