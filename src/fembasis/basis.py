@@ -392,10 +392,14 @@ class LocalView:
         return len(self._offsets)
 
     def bind(self, element: int) -> None:
-        """Bind to an element; its multi-indices are built on the first ``index``."""
+        """Bind to an int element (not a bool); multi-indices are built on the first ``index``."""
         table = self._basis.element_offsets(self._prefix)
-        if not 0 <= element < len(table):
-            raise IndexOutOfRange(f"element {element} outside grid with {len(table)} elements")
+        if (
+            type(element) is bool
+            or not isinstance(element, (int, np.integer))
+            or not 0 <= element < len(table)
+        ):
+            raise IndexOutOfRange(f"element {element!r} is not an integer in [0, {len(table)})")
         self._offsets = table[element]
         self._indices = None
         self._geometry = None

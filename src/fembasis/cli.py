@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .basis import make_basis
@@ -91,6 +90,8 @@ def _cmd_stokes(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at module level: importing the package does not pay for it
+
     parser = argparse.ArgumentParser(
         prog="fembasis",
         description="Tree-structured function space bases on the unit square",

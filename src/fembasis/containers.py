@@ -310,9 +310,14 @@ class SparseSystem:
         self._require_laid_out_like(layout)
         slots, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for r, c, matrix in self._parts:
-            on = r[:, :, None] == c[:, None, :]
-            slots.append(np.broadcast_to(r[:, :, None], on.shape)[on])
-            values.append(np.broadcast_to(matrix, on.shape)[on])
+            if r is c and np.diff(np.sort(r, axis=1), axis=1).all():
+                # no element repeats an offset: each meets the diagonal at matrix[i, i] only
+                slots.append(r.ravel())
+                values.append(np.tile(np.diag(matrix), len(r)))
+            else:
+                on = r[:, :, None] == c[:, None, :]
+                slots.append(np.broadcast_to(r[:, :, None], on.shape)[on])
+                values.append(np.broadcast_to(matrix, on.shape)[on])
         diagonal = np.bincount(np.concatenate(slots), np.concatenate(values), len(layout))
         diagonal[self._fixed()] = 1.0
         return diagonal

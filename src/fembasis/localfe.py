@@ -6,8 +6,8 @@ built from the one-dimensional Lagrange polynomials over the equispaced
 nodes.  Orders 1 and 2 are supported, and :func:`values_1d` and
 :func:`derivatives_1d` tabulate their one-dimensional values and slopes
 in closed form (Q1: 1-x, x; Q2: (2x-1)(x-1), 4x(1-x), x(2x-1)).
-:func:`line_matrices` assembles the same polynomials into stiffness and
-mass matrices of a uniformly split unit interval.
+:func:`line_matrices` assembles the same polynomials into stiffness, mass
+and slope-value coupling matrices of a uniformly split unit interval.
 """
 
 from __future__ import annotations
@@ -79,25 +79,26 @@ def lagrange_element(order: int) -> LagrangeQk:
     return _CACHE[order]
 
 
-def line_matrices(order: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and mass matrices of continuous order-k Lagrange elements.
+def line_matrices(order: int, column_order: int, cells: int):
+    """Stiffness, mass and coupling matrices of continuous 1-D Lagrange elements.
 
     The unit interval is split into ``cells`` equal cells; global node g
-    sits at g / (order * cells), so both dense matrices have
-    order * cells + 1 rows.  The Gauss rule with order + 1 points
-    integrates both products exactly.
+    of order k sits at g / (k * cells).  Rows belong to the polynomials
+    l_i of ``order``, columns to the polynomials m_j of ``column_order``.
+    Returns the dense integrals of l_i' m_j', l_i m_j and l_i' m_j; the
+    Gauss rule with max(order, column_order) + 1 points is exact for all.
     """
-    points, weights = gauss_legendre_unit(order + 1)
-    values = values_1d(order, points).T
-    slopes = derivatives_1d(order, points).T
+    points, weights = gauss_legendre_unit(max(order, column_order) + 1)
+    values, slopes = values_1d(order, points), derivatives_1d(order, points)
+    column_values = values_1d(column_order, points) * weights
+    column_slopes = derivatives_1d(column_order, points) * weights
     h = 1.0 / cells
-    local_stiffness = slopes.T @ (weights[:, None] * slopes) / h
-    local_mass = values.T @ (weights[:, None] * values) * h
-    n = order * cells + 1
-    stiffness = np.zeros((n, n))
-    mass = np.zeros((n, n))
+    local = np.stack(
+        [slopes @ column_slopes.T / h, values @ column_values.T * h, slopes @ column_values.T]
+    )
+    matrices = np.zeros((3, order * cells + 1, column_order * cells + 1))
     for c in range(cells):
-        span = slice(order * c, order * (c + 1) + 1)
-        stiffness[span, span] += local_stiffness
-        mass[span, span] += local_mass
-    return stiffness, mass
+        rows = slice(order * c, order * (c + 1) + 1)
+        cols = slice(column_order * c, column_order * (c + 1) + 1)
+        matrices[:, rows, cols] += local
+    return tuple(matrices)

@@ -7,8 +7,9 @@ quadratic components, the pressure in one linear component, so every quad
 element contributes a dense 22-by-22 matrix.  Boundary conditions fix the
 velocity to (0,1) on the left wall and (0,0) elsewhere; rows of fixed
 entries become identity rows.  The resulting symmetric-saddle system is
-solved with restarted GMRes, right-preconditioned with a
-block-diagonal saddle point preconditioner (:func:`stokes_preconditioner`),
+solved with restarted GMRes, right-preconditioned with an upper
+block-triangular saddle point preconditioner whose blocks, the coupling
+included, are applied as 1-D tensor products (:func:`stokes_preconditioner`),
 and written to an ASCII VTU file.  All of it reads flat offsets off the
 basis's node grids; multi-index keys are left to the public API.
 """
@@ -167,25 +168,38 @@ def weak_divergence_norm(system: SparseSystem, solution: NestedVector) -> float:
     return math.sqrt(divergence @ divergence)
 
 
-def _fast_diagonalisation(stiffness, mass):
-    """S and lam with S^T K S = diag(lam) and S^T M S = I (M positive definite)."""
-    inv_factor = np.linalg.inv(np.linalg.cholesky(mass))
-    lam, q = np.linalg.eigh(inv_factor @ stiffness @ inv_factor.T)
-    return inv_factor.T @ q, lam
+def _axis_factors(cells):
+    """1-D factors of :func:`stokes_preconditioner` along an axis of ``cells`` cells.
+
+    S and lam (S^T K S = diag(lam), S^T M S = I for the interior Q2
+    stiffness K and mass M), the inverse Q1 mass, and the interior Q2 rows
+    of the Q2-by-Q1 mass M21 and slope coupling D21.
+    """
+    stiffness, mass, _ = line_matrices(2, 2, cells)
+    inv_factor = np.linalg.inv(np.linalg.cholesky(mass[1:-1, 1:-1]))
+    lam, q = np.linalg.eigh(inv_factor @ stiffness[1:-1, 1:-1] @ inv_factor.T)
+    _, mass21, slope21 = line_matrices(2, 1, cells)
+    pressure_inv = np.linalg.inv(line_matrices(1, 1, cells)[1])
+    return inv_factor.T @ q, lam, pressure_inv, mass21[1:-1], slope21[1:-1]
 
 
 def stokes_preconditioner(basis: GlobalBasis, pin_pressure: bool = False):
-    """Block-diagonal saddle point preconditioner on flat arrays over the basis layout.
+    """Upper block-triangular saddle point preconditioner on flat arrays over the basis layout.
 
-    Pairs the velocity Laplacian with the Q1 pressure mass matrix (Elman,
+    P = [K B^T; 0 -M_p] takes the velocity Laplacian K and the coupling
+    B^T of the assembled system and the Q1 pressure mass M_p (Elman,
     Silvester & Wathen, *Finite Elements and Fast Iterative Solvers*,
-    ch. 4).  On the uniform grid both blocks are tensor products of 1-D
-    matrices: each velocity component is solved exactly on the interior
-    Q2 nodes by fast diagonalisation (Lynch, Rice & Thomas, 1964),
-    ``Sy (Sy^T U Sx / (lam_y + lam_x)) Sx^T``, and the pressure mass is
-    inverted as ``My^-1 P Mx^-1``.  Identity rows (boundary velocities and,
-    with ``pin_pressure``, the first pressure entry) pass through
-    unchanged, so zero slots of the initial iterate stay exact.
+    ch. 4).  P^-1 v sets z_p = -M_p^-1 v_p, then z_u = K^-1 (v_u - B^T z_p)
+    per velocity component.  On the uniform grid each block is a tensor
+    product of 1-D matrices acting on node grids Z: K^-1 solves exactly on
+    the interior Q2 nodes by fast diagonalisation (Lynch, Rice & Thomas,
+    1964), ``Sy (Sy^T Z Sx / (lam_y + lam_x)) Sx^T``; M_p^-1 is
+    ``My^-1 Z Mx^-1``; B^T is ``My21 Z Dx21^T`` for the x component and
+    ``Dy21 Z Mx21^T`` for the y one, with the Q2-by-Q1 mass M21 and slope
+    coupling D21 (the 3x3 Gauss rule of the assembly integrates both
+    exactly).  Identity rows (boundary velocities and, with
+    ``pin_pressure``, the first pressure entry) pass through unchanged, so
+    zero slots of the initial iterate stay exact.
 
     Vectors are laid out like ``basis``, so each leaf's
     :meth:`~fembasis.basis.GlobalBasis.node_grid` indexes them directly
@@ -199,21 +213,21 @@ def stokes_preconditioner(basis: GlobalBasis, pin_pressure: bool = False):
     pressure = basis.node_grid(press.tree_path)
     fixed = pressure[0, 0] if pin_pressure else None
 
-    kx, mx = line_matrices(2, nx)
-    ky, my = line_matrices(2, ny)
-    sx, lam_x = _fast_diagonalisation(kx[1:-1, 1:-1], mx[1:-1, 1:-1])
-    sy, lam_y = _fast_diagonalisation(ky[1:-1, 1:-1], my[1:-1, 1:-1])
+    x_factors = _axis_factors(nx)
+    sx, lam_x, px_inv, mx21, dx21 = x_factors
+    sy, lam_y, py_inv, my21, dy21 = x_factors if ny == nx else _axis_factors(ny)
     eigenvalue_sums = lam_y[:, None] + lam_x[None, :]
-    px_inv = np.linalg.inv(line_matrices(1, nx)[1])
-    py_inv = np.linalg.inv(line_matrices(1, ny)[1])
+    couplings = [(my21, dx21.T), (dy21, mx21.T)]  # B^T of the x and the y component
 
     def apply(v):
         z = v.copy()
-        for s in interior:
-            z[s] = sy @ ((sy.T @ v[s] @ sx) / eigenvalue_sums) @ sx.T
-        z[pressure] = py_inv @ v[pressure] @ px_inv
+        zp = -(py_inv @ v[pressure] @ px_inv)
         if fixed is not None:
-            z[fixed] = v[fixed]
+            zp[0, 0] = v[fixed]
+        z[pressure] = zp
+        for s, (left, right) in zip(interior, couplings):
+            u = v[s] - left @ zp @ right
+            z[s] = sy @ ((sy.T @ u @ sx) / eigenvalue_sums) @ sx.T
         return z
 
     return apply
@@ -229,6 +243,8 @@ class CavitySummary:
     divergence_norm: float
     rhs_norm: float
     converged: bool
+    stop: str  # why GMRes stopped: "converged", "budget" or "stalled"
+    residuals: list  # GMRes's relative residual estimate after every iteration
     vtu_path: str
     grid: StructuredGrid
     basis: GlobalBasis
@@ -268,8 +284,9 @@ def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> C
 
     # starting from the rhs keeps identity rows exact from the first
     # iterate on, so boundary values survive the solve bitwise
+    record = {}
     solution, relres, iterations = solve_system(
-        system, rhs, cfg, x0=rhs, preconditioner=preconditioner
+        system, rhs, cfg, x0=rhs, preconditioner=preconditioner, record=record
     )
 
     divergence = weak_divergence_norm(system, solution)
@@ -290,6 +307,8 @@ def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> C
         divergence_norm=divergence,
         rhs_norm=rhs_norm,
         converged=relres <= cfg.tolerance,
+        stop=record["stop"],
+        residuals=record["residuals"],
         vtu_path=str(out_path),
         grid=grid,
         basis=basis,

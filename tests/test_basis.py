@@ -116,10 +116,14 @@ def test_q1_element_multi_indices():
 
 def test_bind_rejects_bad_elements():
     view = make_basis(StructuredGrid(2, 2), parse_tree("lagrange(1)")).local_view()
-    for element in (-1, 4):
+    for element in (-1, 4, True, False, 1.0, np.float64(1.0), np.bool_(True)):
         with pytest.raises(IndexOutOfRange):
             view.bind(element)
         assert not view.bound
+    view.bind(1)
+    expected = [view.index(i) for i in range(view.size)]
+    view.bind(np.int64(1))
+    assert [view.index(i) for i in range(view.size)] == expected
 
 
 def test_bind_builds_the_geometry_on_its_first_read(monkeypatch):

@@ -343,6 +343,28 @@ def test_mixed_system_matvec_matches_a_dense_oracle(identity_first, by_offsets):
         assert np.array_equal(m.diagonal(x.layout), np.diag(summed))
 
 
+def test_diagonal_is_bytewise_the_summed_diagonal():
+    """Element tables with distinct offsets per row, keyed blocks, and a row
+    that repeats an offset (its off-diagonal entries then meet the diagonal)."""
+    rng = np.random.default_rng(71)
+    x = NestedVector([[0.0] * 6, [0.0] * 5])
+    n, keys = len(x.layout), x.layout.keys
+    m = SparseSystem()
+    distinct = np.array([rng.permutation(n)[:4] for _ in range(7)])
+    m.add_elements(x.layout, distinct, rng.normal(size=(4, 4)))
+    m.add_block([keys[i] for i in (2, 5, 7)], [keys[j] for j in (5, 2)], rng.normal(size=(3, 2)))
+    m.add_to_entry(keys[3], keys[3], 0.25)
+    m.add_elements(x.layout, [[1, 4, 1], [6, 2, 3]], rng.normal(size=(3, 3)))
+    m.add_elements(x.layout, distinct[::-1].copy(), rng.normal(size=(4, 4)))
+    m.set_row_to_identity(keys[0])
+    m.freeze()
+    slot = x.layout.offset
+    summed = np.zeros((n, n))
+    for r, c, v in m.triples():
+        summed[slot[r], slot[c]] += v
+    assert m.diagonal(x.layout).tobytes() == np.diag(summed).tobytes()
+
+
 def test_add_elements_adopts_one_layout():
     x, other = NestedVector([0.0] * 4), NestedVector([0.0] * 4)
     outside = ([[0, len(x.layout)]], [[0, -1]])
