@@ -419,12 +419,15 @@ class LocalView:
         return self._indices
 
     def index(self, local: int) -> MultiIndex:
-        """Global multi-index of a local basis function of the bound element."""
+        """Global multi-index of a local basis function (int, not bool) of the bound element."""
         indices = self._indices
         if indices is None:
             indices = self._bound_indices("index")
-        if not 0 <= local < len(indices):
-            raise IndexOutOfRange(f"local index {local} outside view size {len(indices)}")
+        if (
+            type(local) is not int  # the common case pays this one test
+            and (type(local) is bool or not isinstance(local, (int, np.integer)))
+        ) or not 0 <= local < len(indices):
+            raise IndexOutOfRange(f"local index {local!r} is not an integer in [0, {len(indices)})")
         return indices[local]
 
     def multi_indices(self) -> tuple:

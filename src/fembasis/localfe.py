@@ -79,6 +79,26 @@ def lagrange_element(order: int) -> LagrangeQk:
     return _CACHE[order]
 
 
+_LINE_INTEGRALS: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _line_integrals(order: int, column_order: int) -> np.ndarray:
+    """Read-only integrals of l_i' m_j', l_i m_j and l_i' m_j over [0, 1], stacked."""
+    key = (order, column_order)
+    integrals = _LINE_INTEGRALS.get(key)
+    if integrals is None:
+        points, weights = gauss_legendre_unit(max(order, column_order) + 1)
+        values, slopes = values_1d(order, points), derivatives_1d(order, points)
+        column_values = values_1d(column_order, points) * weights
+        column_slopes = derivatives_1d(column_order, points) * weights
+        integrals = np.stack(
+            [slopes @ column_slopes.T, values @ column_values.T, slopes @ column_values.T]
+        )
+        integrals.flags.writeable = False
+        _LINE_INTEGRALS[key] = integrals
+    return integrals
+
+
 def line_matrices(order: int, column_order: int, cells: int):
     """Stiffness, mass and coupling matrices of continuous 1-D Lagrange elements.
 
@@ -87,18 +107,22 @@ def line_matrices(order: int, column_order: int, cells: int):
     l_i of ``order``, columns to the polynomials m_j of ``column_order``.
     Returns the dense integrals of l_i' m_j', l_i m_j and l_i' m_j; the
     Gauss rule with max(order, column_order) + 1 points is exact for all.
+
+    The reference-cell integrals are computed once per order pair and
+    scaled by the cell width here.  Local entry (i, j) of cell c lands at
+    (order*c + i, column_order*c + j), one strided add over all cells per
+    entry; a node shared by two cells gets its two addends in either
+    order, which floating-point addition does not tell apart.
     """
-    points, weights = gauss_legendre_unit(max(order, column_order) + 1)
-    values, slopes = values_1d(order, points), derivatives_1d(order, points)
-    column_values = values_1d(column_order, points) * weights
-    column_slopes = derivatives_1d(column_order, points) * weights
+    stiffness, mass, coupling = _line_integrals(order, column_order)
     h = 1.0 / cells
-    local = np.stack(
-        [slopes @ column_slopes.T / h, values @ column_values.T * h, slopes @ column_values.T]
-    )
-    matrices = np.zeros((3, order * cells + 1, column_order * cells + 1))
-    for c in range(cells):
-        rows = slice(order * c, order * (c + 1) + 1)
-        cols = slice(column_order * c, column_order * (c + 1) + 1)
-        matrices[:, rows, cols] += local
+    local = np.stack([stiffness / h, mass * h, coupling])
+    columns = column_order * cells + 1
+    matrices = np.zeros((3, order * cells + 1, columns))
+    flat = matrices.reshape(3, -1)
+    step = order * columns + column_order  # from (r, s) to (r + order, s + column_order)
+    for i in range(order + 1):
+        for j in range(column_order + 1):
+            start = i * columns + j
+            flat[:, start : start + cells * step : step] += local[:, i, j, None]
     return tuple(matrices)

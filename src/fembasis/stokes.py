@@ -17,6 +17,7 @@ basis's node grids; multi-index keys are left to the public API.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .errors import AlreadyFrozen
 from .functions import boundary_offsets, interpolate_masked
 from .gmres import SolverConfig, solve_system
 from .grid import StructuredGrid
-from .localfe import line_matrices
+from .localfe import lagrange_element, line_matrices
 from .quadrature import tensor_rule
 from .treespec import Composite, Leaf, Power, Strategy
 from .vtu import write_vtu
@@ -71,33 +72,58 @@ def _split_taylor_hood_leaves(view):
     return vel, press
 
 
+_TABULATIONS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _reference_tabulation(order: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only values (points, count) and gradients (points, count, 2) of the
+    order's reference shape functions at the points of ``tensor_rule(quad_points)``.
+    """
+    key = (order, quad_points)
+    tabulation = _TABULATIONS.get(key)
+    if tabulation is None:
+        fe = lagrange_element(order)
+        points, _ = tensor_rule(quad_points)
+        tabulation = (
+            np.array([fe.values(point) for point in points]),
+            np.array([fe.gradients(point) for point in points]),
+        )
+        for array in tabulation:
+            array.flags.writeable = False
+        _TABULATIONS[key] = tabulation
+    return tabulation
+
+
 def assemble_element_matrix(view, geometry, quad_points: int = 3) -> np.ndarray:
     """Dense element matrix of the Stokes bilinear forms on one element.
 
     ``view`` must be a bound Taylor-Hood local view.  The velocity blocks
     get the component-wise Laplacian, the velocity-pressure couplings get
     the divergence pairing in both symmetric positions, and the
-    pressure-pressure block stays structurally present but zero.
+    pressure-pressure block stays structurally present but zero.  The
+    reference shape functions at the Gauss points are tabulated once per
+    order and rule and shared by every call.
     """
     vel, press = _split_taylor_hood_leaves(view)
     fe_v = vel[0].finite_element
     fe_p = press.finite_element
     n = view.max_size
     A = np.zeros((n, n))
-    points, weights = tensor_rule(quad_points)
+    _, weights = tensor_rule(quad_points)
+    _, gradients = _reference_tabulation(fe_v.order, quad_points)
+    values, _ = _reference_tabulation(fe_p.order, quad_points)
     scale = np.array([1.0 / geometry.hx, 1.0 / geometry.hy])
     detj = geometry.jacobian_determinant
     voffsets = [leaf.offset for leaf in vel]
     poff = press.offset
     nv, npr = fe_v.count, fe_p.count
-    for point, w in zip(points, weights):
-        grads = fe_v.gradients(point) * scale
-        theta = fe_p.values(point)
+    for w, reference_gradients, theta in zip(weights, gradients, values):
+        grads = reference_gradients * scale
         factor = w * detj
         laplace = grads @ grads.T * factor
         for k, off in enumerate(voffsets):
             A[off : off + nv, off : off + nv] += laplace
-            coupling = np.outer(grads[:, k], theta) * factor
+            coupling = grads[:, k, None] * theta * factor  # outer product
             A[off : off + nv, poff : poff + npr] += coupling
             A[poff : poff + npr, off : off + nv] += coupling.T
     return A
@@ -205,11 +231,14 @@ def stokes_preconditioner(basis: GlobalBasis, pin_pressure: bool = False):
     :meth:`~fembasis.basis.GlobalBasis.node_grid` indexes them directly
     and every numbering works.  The velocity interior is the node grid
     without its outer ring, the ring :func:`apply_dirichlet` fixes.
-    Returns the flat M^-1 application.
+    Returns the flat M^-1 application, which treats both velocity
+    components as one stacked (2, 2ny-1, 2nx-1) batch: one gather of both
+    interiors, one batched B^T product with the two components' factors,
+    one fast-diagonalisation chain and one scatter.
     """
     vel, press = _split_taylor_hood_leaves(basis.local_view())
     nx, ny = basis.grid.nx, basis.grid.ny
-    interior = [basis.node_grid(leaf.tree_path)[1:-1, 1:-1] for leaf in vel]
+    interior = np.stack([basis.node_grid(leaf.tree_path)[1:-1, 1:-1] for leaf in vel])
     pressure = basis.node_grid(press.tree_path)
     fixed = pressure[0, 0] if pin_pressure else None
 
@@ -217,7 +246,8 @@ def stokes_preconditioner(basis: GlobalBasis, pin_pressure: bool = False):
     sx, lam_x, px_inv, mx21, dx21 = x_factors
     sy, lam_y, py_inv, my21, dy21 = x_factors if ny == nx else _axis_factors(ny)
     eigenvalue_sums = lam_y[:, None] + lam_x[None, :]
-    couplings = [(my21, dx21.T), (dy21, mx21.T)]  # B^T of the x and the y component
+    # B^T = left @ Z @ right of the x and the y component, stacked like ``interior``
+    left, right = np.stack([my21, dy21]), np.stack([dx21.T, mx21.T])
 
     def apply(v):
         z = v.copy()
@@ -225,9 +255,8 @@ def stokes_preconditioner(basis: GlobalBasis, pin_pressure: bool = False):
         if fixed is not None:
             zp[0, 0] = v[fixed]
         z[pressure] = zp
-        for s, (left, right) in zip(interior, couplings):
-            u = v[s] - left @ zp @ right
-            z[s] = sy @ ((sy.T @ u @ sx) / eigenvalue_sums) @ sx.T
+        u = v[interior] - left @ zp @ right
+        z[interior] = sy @ ((sy.T @ u @ sx) / eigenvalue_sums) @ sx.T
         return z
 
     return apply
@@ -245,6 +274,9 @@ class CavitySummary:
     converged: bool
     stop: str  # why GMRes stopped: "converged", "budget" or "stalled"
     residuals: list  # GMRes's relative residual estimate after every iteration
+    # wall seconds per stage (basis, assemble, dirichlet, freeze, preconditioner,
+    # solve, divergence, vtu) and of the whole run ("total")
+    stage_seconds: dict
     vtu_path: str
     grid: StructuredGrid
     basis: GlobalBasis
@@ -264,23 +296,30 @@ def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> C
     The VTU file holds the nodal values at the grid vertices; a missing
     directory for it raises FileNotFoundError before any work is done.
     Prints the one-line summary (dim/iters/relres/div) and returns the
-    full summary object.
+    full summary object, whose ``stage_seconds`` times each stage.
     """
+    entry = time.perf_counter()
     out_dir = Path(out_path).parent
     if not out_dir.is_dir():
         raise FileNotFoundError(f"no directory {str(out_dir)!r} for the VTU file")
     cfg = config if config is not None else SolverConfig()
+    begin = time.perf_counter()
     grid = StructuredGrid(nx, ny)
     basis = make_basis(grid, taylor_hood_tree())
+    ends = {"basis": time.perf_counter()}  # stage name -> its end time
 
     system = SparseSystem()
     assemble_stokes_matrix(basis, system)
+    ends["assemble"] = time.perf_counter()
     rhs = NestedVector()
     rhs.resize_from_basis(basis)
     apply_dirichlet(system, rhs, basis, driven_cavity_data, cfg.pin_pressure)
+    ends["dirichlet"] = time.perf_counter()
     system.freeze()
+    ends["freeze"] = time.perf_counter()
 
     preconditioner = stokes_preconditioner(basis, cfg.pin_pressure)
+    ends["preconditioner"] = time.perf_counter()
 
     # starting from the rhs keeps identity rows exact from the first
     # iterate on, so boundary values survive the solve bitwise
@@ -288,9 +327,11 @@ def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> C
     solution, relres, iterations = solve_system(
         system, rhs, cfg, x0=rhs, preconditioner=preconditioner, record=record
     )
+    ends["solve"] = time.perf_counter()
 
     divergence = weak_divergence_norm(system, solution)
     rhs_norm = math.sqrt(rhs.values @ rhs.values)
+    ends["divergence"] = time.perf_counter()
 
     values = solution.values
     velocity = np.column_stack(
@@ -299,6 +340,9 @@ def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> C
     pressure = values[basis.node_grid((1,))].ravel()
     # + 0.0: a zero value is written as 0.0 whatever its sign
     write_vtu(grid, velocity + 0.0, pressure + 0.0, out_path)
+    ends["vtu"] = time.perf_counter()
+    starts = [begin, *ends.values()]
+    stage_seconds = {name: end - start for (name, end), start in zip(ends.items(), starts)}
 
     summary = CavitySummary(
         dimension=basis.dimension(),
@@ -309,10 +353,12 @@ def run_driven_cavity(nx: int, ny: int, config=None, out_path="cavity.vtu") -> C
         converged=relres <= cfg.tolerance,
         stop=record["stop"],
         residuals=record["residuals"],
+        stage_seconds=stage_seconds,
         vtu_path=str(out_path),
         grid=grid,
         basis=basis,
         solution=solution,
     )
+    stage_seconds["total"] = time.perf_counter() - entry
     print(summary.summary_line)
     return summary

@@ -122,6 +122,10 @@ def test_bind_rejects_bad_elements():
         assert not view.bound
     view.bind(1)
     expected = [view.index(i) for i in range(view.size)]
+    for local in (-1, 4, True, False, 1.0, np.float64(1.0), np.bool_(True)):
+        with pytest.raises(IndexOutOfRange):
+            view.index(local)
+    assert [view.index(np.int64(i)) for i in range(view.size)] == expected
     view.bind(np.int64(1))
     assert [view.index(i) for i in range(view.size)] == expected
 

@@ -1,9 +1,17 @@
-"""Tensor Lagrange shape functions against closed forms and finite differences."""
+"""Tensor Lagrange shape functions against closed forms and finite differences,
+and the shared Gauss rules and 1-D line matrices built from them."""
 
 import numpy as np
 import pytest
 
-from fembasis import LagrangeQk, UnsupportedOrder, lagrange_element
+from fembasis import (
+    LagrangeQk,
+    UnsupportedOrder,
+    gauss_legendre_unit,
+    lagrange_element,
+    tensor_rule,
+)
+from fembasis.localfe import _line_integrals, derivatives_1d, line_matrices, values_1d
 
 
 def fd_gradient(fe, m, point, h=1e-5):
@@ -81,3 +89,61 @@ def test_gradients_match_finite_differences():
 def test_shared_element_cache():
     assert lagrange_element(2) is lagrange_element(2)
     assert lagrange_element(1).order == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_gauss_rules_are_shared_read_only_and_numpys_mapped_rule(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    points, weights = gauss_legendre_unit(n)
+    assert points.tobytes() == ((x + 1.0) / 2.0).tobytes()
+    assert weights.tobytes() == (w / 2.0).tobytes()
+    square_points, square_weights = tensor_rule(n)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    assert square_points.tobytes() == np.array([(a, b) for b in x for a in x]).tobytes()
+    assert square_weights.tobytes() == np.array([a * b for b in w for a in w]).tobytes()
+    for rule in (gauss_legendre_unit(n), tensor_rule(n)):
+        for array in rule:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+    assert gauss_legendre_unit(n)[0] is points and tensor_rule(n)[1] is square_weights
+
+
+def test_gauss_rules_reject_bad_point_counts():
+    with pytest.raises(ValueError):
+        gauss_legendre_unit(0)
+    for rule in (gauss_legendre_unit, tensor_rule):
+        rule(2)
+        with pytest.raises(TypeError):  # also once the 2-point rule is cached
+            rule(2.0)
+
+
+def cell_loop_line_matrices(order, column_order, cells):
+    """line_matrices as one add of the whole scaled local block per cell, the reference."""
+    x, w = np.polynomial.legendre.leggauss(max(order, column_order) + 1)
+    points, weights = (x + 1.0) / 2.0, w / 2.0
+    values, slopes = values_1d(order, points), derivatives_1d(order, points)
+    column_values = values_1d(column_order, points) * weights
+    column_slopes = derivatives_1d(column_order, points) * weights
+    h = 1.0 / cells
+    local = np.stack(
+        [slopes @ column_slopes.T / h, values @ column_values.T * h, slopes @ column_values.T]
+    )
+    matrices = np.zeros((3, order * cells + 1, column_order * cells + 1))
+    for c in range(cells):
+        rows = slice(order * c, order * (c + 1) + 1)
+        cols = slice(column_order * c, column_order * (c + 1) + 1)
+        matrices[:, rows, cols] += local
+    return matrices
+
+
+@pytest.mark.parametrize("cells", [1, 2, 7, 128])
+@pytest.mark.parametrize("order,column_order", [(2, 2), (2, 1), (1, 1)])
+def test_line_matrices_match_the_cell_loop_bitwise(order, column_order, cells):
+    expected = cell_loop_line_matrices(order, column_order, cells)
+    got = line_matrices(order, column_order, cells)
+    assert len(got) == 3
+    for matrix, reference in zip(got, expected):
+        assert matrix.shape == reference.shape
+        assert matrix.tobytes() == reference.tobytes()
+    assert not _line_integrals(order, column_order).flags.writeable

@@ -12,10 +12,13 @@ import pytest
 import fembasis
 from fembasis import (
     AlreadyFrozen,
+    Composite,
     GlobalBasis,
     LagrangeQk,
+    Leaf,
     MultiIndex,
     NestedVector,
+    Power,
     SolverConfig,
     SparseSystem,
     Strategy,
@@ -102,6 +105,76 @@ def test_quadrature_order_is_sufficient():
     a3 = assemble_element_matrix(view, view.geometry, quad_points=3)
     a5 = assemble_element_matrix(view, view.geometry, quad_points=5)
     assert np.max(np.abs(a3 - a5)) <= 1e-12
+
+
+def per_point_element_matrix(view, geometry, quad_points):
+    """assemble_element_matrix tabulating the shape functions afresh at every Gauss point."""
+    vel, press = view.leaves[:-1], view.leaves[-1]
+    fe_v, fe_p = LagrangeQk(2), LagrangeQk(1)
+    x, w = np.polynomial.legendre.leggauss(quad_points)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    points = [(xa, xb) for xb in x for xa in x]
+    weights = [wa * wb for wb in w for wa in w]
+    A = np.zeros((view.max_size, view.max_size))
+    scale = np.array([1.0 / geometry.hx, 1.0 / geometry.hy])
+    poff = press.offset
+    for point, weight in zip(points, weights):
+        grads = fe_v.gradients(point) * scale
+        theta = fe_p.values(point)
+        factor = weight * geometry.jacobian_determinant
+        laplace = grads @ grads.T * factor
+        for k, leaf in enumerate(vel):
+            off = leaf.offset
+            A[off : off + NV, off : off + NV] += laplace
+            coupling = np.outer(grads[:, k], theta) * factor
+            A[off : off + NV, poff : poff + NP] += coupling
+            A[poff : poff + NP, off : off + NV] += coupling.T
+    return A
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 3), (3, 5)])
+def test_element_matrix_matches_the_per_point_tabulation_bitwise(nx, ny):
+    _, view = bound_view(nx, ny, element=4)
+    for quad_points in (3, 5):
+        expected = per_point_element_matrix(view, view.geometry, quad_points)
+        assert assemble_element_matrix(view, view.geometry, quad_points).tobytes() == (
+            expected.tobytes()
+        )
+
+
+def test_reference_tabulations_are_shared_and_read_only():
+    for order in (1, 2):
+        for quad_points in (3, 5):
+            tabulation = fembasis.stokes._reference_tabulation(order, quad_points)
+            values, gradients = tabulation
+            assert values.shape == (quad_points**2, (order + 1) ** 2)
+            assert gradients.shape == values.shape + (2,)
+            assert not values.flags.writeable and not gradients.flags.writeable
+            assert fembasis.stokes._reference_tabulation(order, quad_points) is tabulation
+
+
+def test_cavity_runs_compute_each_gauss_rule_once(tmp_path, monkeypatch, capsys):
+    caches = (
+        (fembasis.quadrature, "_LINE_RULES"),
+        (fembasis.quadrature, "_SQUARE_RULES"),
+        (fembasis.localfe, "_LINE_INTEGRALS"),
+        (fembasis.stokes, "_TABULATIONS"),
+    )
+    for module, name in caches:
+        monkeypatch.setattr(module, name, {})
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    lines = [run_driven_cavity(4, 4, out_path=str(tmp_path / "c.vtu")).summary_line for _ in "ab"]
+    # 3 points: the 3x3 assembly rule and line_matrices of orders (2, 2) and (2, 1);
+    # 2 points: line_matrices(1, 1)
+    assert sorted(calls) == [2, 3]
+    assert lines[0] == lines[1]
 
 
 def test_element_matrix_rejects_wrong_tree():
@@ -333,6 +406,17 @@ def test_cavity_iteration_budget_respected(tmp_path):
     assert not summary.converged
     assert summary.stop == "budget"
     assert len(summary.residuals) == 3
+
+
+def test_cavity_stage_times_add_up_to_the_total(tmp_path):
+    summary = run_driven_cavity(16, 16, out_path=str(tmp_path / "c.vtu"))
+    stages = dict(summary.stage_seconds)
+    total = stages.pop("total")
+    assert list(stages) == [
+        "basis", "assemble", "dirichlet", "freeze", "preconditioner", "solve", "divergence", "vtu"
+    ]
+    assert min(stages.values()) >= 0.0
+    assert 0.9 * total <= sum(stages.values()) <= total
 
 
 def test_cavity_solve_records_convergence(tmp_path):
@@ -570,9 +654,9 @@ def manufactured_load(basis):
     return rhs
 
 
-def manufactured_errors(n):
+def manufactured_errors(n, tree):
     """L2 errors of velocity and of pressure modulo its mean on an n-by-n grid."""
-    basis = make_basis(StructuredGrid(n, n), taylor_hood_tree())
+    basis = make_basis(StructuredGrid(n, n), tree)
     system = SparseSystem()
     assemble_stokes_matrix(basis, system)
     rhs = manufactured_load(basis)
@@ -600,8 +684,19 @@ def manufactured_errors(n):
     return math.sqrt(area @ velocity), math.sqrt(area @ pressure**2)
 
 
-def test_manufactured_solution_converges_at_the_taylor_hood_rates():
-    errors = np.array([manufactured_errors(n) for n in (4, 8, 16, 32)])
+def check_taylor_hood_rates(tree):
+    errors = np.array([manufactured_errors(n, tree) for n in (4, 8, 16, 32)])
     rates = np.log2(errors[:-1] / errors[1:])
     assert np.all(rates[-2:, 0] >= 2.7), rates  # Q2 velocity: O(h^3)
     assert np.all(rates[-2:, 1] >= 1.7), rates  # Q1 pressure: O(h^2)
+
+
+def test_manufactured_solution_converges_at_the_taylor_hood_rates():
+    check_taylor_hood_rates(taylor_hood_tree())
+
+
+def test_manufactured_solution_converges_under_fl_fi():
+    """The most scrambled Table 1 numbering: flat outer, flat interleaved velocity."""
+    label, outer, inner = TABLE1_COLUMNS[-1]
+    assert label == "FL(FI)"
+    check_taylor_hood_rates(Composite((Power(Leaf(2), 2, inner), Leaf(1)), outer))
