@@ -23,14 +23,16 @@ the ranks per leaf and builds the ordered keys (:attr:`GlobalBasis.layout`)
 on their first read.  A Lagrange leaf's basis functions are its global
 nodes, so its ranks form a node grid (:meth:`GlobalBasis.node_grid`); nodal
 work (interpolation, boundary nodes) visits each node once on that grid.
-The element windows of the same grids form one offset table per subtree
-(:meth:`GlobalBasis.element_offsets`), row ``e`` holding the offsets of
-element ``e``'s local basis functions; assembly hands that table to the
-sparse system as it is, :class:`LocalView` reads its multi-indices from
-a row of the table, and point evaluation
-(:func:`~fembasis.functions.evaluate_discrete`) gathers the coefficients
-of the containing element through its row.  Local indices enumerate the
-leaves depth-first and are consecutive within each leaf.
+A subspace basis or a local view is the tree seen from one prefix.  The
+basis describes each prefix once, in a scope shared by all its later uses:
+the prefix, validated once; the leaves below it, depth first, with
+consecutive local indices; and, built on their first read, the subtree's
+element offset table (:meth:`GlobalBasis.element_offsets`, row ``e`` the
+offsets of element ``e``'s local functions, windows of the node grids) and
+the plan by which evaluation reads a row.  Assembly hands the table to the
+sparse system as it is, :class:`LocalView` reads its multi-indices from a
+row, and :func:`~fembasis.functions.evaluate_discrete` gathers the
+coefficients of the containing element through its row.
 """
 
 from __future__ import annotations
@@ -130,18 +132,68 @@ def _nesting(tree: BasisTree, numbers):
     return lambda values: [part(values) for part in parts]
 
 
-class _LeafPlacement:
-    """One leaf of the basis tree placed on the grid."""
+class LeafView:
+    """One leaf below a prefix: path below it, first local index, element, node grid."""
 
-    __slots__ = ("path", "order", "fe", "table", "ranks")
+    __slots__ = ("tree_path", "rel_path", "offset", "finite_element", "node_grid")
 
-    def __init__(self, path, order, table, ranks):
-        self.path = path
-        self.order = order
-        self.fe = lagrange_element(order)
-        self.table = table  # (nodes, depth) multi-indices, by global node number
-        self.ranks = ranks  # flat offsets on the (rows, columns) node grid
-        ranks.flags.writeable = False
+    def __init__(self, tree_path, rel_path, offset, finite_element, node_grid):
+        self.tree_path = tree_path
+        self.rel_path = rel_path
+        self.offset = offset
+        self.finite_element = finite_element
+        self.node_grid = node_grid
+
+    @property
+    def size(self) -> int:
+        return self.finite_element.count
+
+
+class _Scope:
+    """The subtree ``node`` at ``prefix``: its ``leaves`` and their total ``size``.
+
+    One per (basis, prefix), see :meth:`GlobalBasis._scope`.
+    """
+
+    def __init__(self, basis: "GlobalBasis", prefix: tuple):
+        self.prefix = prefix
+        self.node = child_at(basis.tree, prefix)
+        n, offset, leaves = len(prefix), 0, []
+        for leaf in basis._leaves:
+            if leaf.tree_path[:n] == prefix:
+                path = leaf.tree_path
+                leaves.append(LeafView(path, path[n:], offset, leaf.finite_element, leaf.node_grid))
+                offset += leaf.size
+        self.leaves = tuple(leaves)
+        self.size = offset
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Read-only :meth:`GlobalBasis.element_offsets` of the prefix."""
+        blocks = []
+        for leaf in self.leaves:
+            k = leaf.finite_element.order
+            windows = sliding_window_view(leaf.node_grid, (k + 1, k + 1))
+            blocks.append(windows[::k, ::k].reshape(-1, leaf.size))
+        table = np.hstack(blocks)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def plan(self):
+        """How to read a row of :attr:`offsets` leaf by leaf.
+
+        ``(orders, windows, nest)``: the distinct leaf orders; per leaf,
+        depth first, ``(start, stop, n)`` with its window ``row[start:stop]``
+        and ``orders[n]`` its order; and ``nest``, which shapes one value
+        per leaf like the subtree (a leaf subtree yields its one value).
+        """
+        orders = sorted({leaf.finite_element.order for leaf in self.leaves})
+        windows = [
+            (leaf.offset, leaf.offset + leaf.size, orders.index(leaf.finite_element.order))
+            for leaf in self.leaves
+        ]
+        return orders, windows, _nesting(self.node, iter(range(len(self.leaves))))
 
 
 class GlobalBasis:
@@ -155,23 +207,22 @@ class GlobalBasis:
         self.grid = grid
         self.tree = tree
         leaves = _leaf_tables(tree, grid)
-        tables = [table for _, _, table in leaves]
-        depth = max(table.shape[1] for table in tables)
+        self._tables = [table for _, _, table in leaves]  # (nodes, depth), by global node number
+        depth = max(table.shape[1] for table in self._tables)
         # no row is a prefix of another, so the padding never decides order
         padded = np.vstack(
-            [np.pad(t, ((0, 0), (0, depth - t.shape[1])), constant_values=-1) for t in tables]
+            [np.pad(t, ((0, 0), (0, depth - t.shape[1])), constant_values=-1) for t in self._tables]
         )
         self._order = np.lexsort(padded.T[::-1])
         self._dimension = len(self._order)
         rank = np.argsort(self._order)  # the inverse permutation
-        per_leaf = np.split(rank, np.cumsum([len(t) for t in tables])[:-1])
-        self._leaves = [
-            _LeafPlacement(path, order, table, ranks.reshape(order * grid.ny + 1, -1))
-            for (path, order, table), ranks in zip(leaves, per_leaf)
-        ]
-        self._leaf_by_path = {leaf.path: leaf for leaf in self._leaves}
-        self._element_offsets = {}
-        self._row_plans = {}
+        self._leaves, start, offset = [], 0, 0  # below the root
+        for path, order, table in leaves:
+            ranks = rank[start : start + len(table)].reshape(order * grid.ny + 1, -1)
+            ranks.flags.writeable = False
+            self._leaves.append(LeafView(path, path, offset, lagrange_element(order), ranks))
+            start, offset = start + len(table), offset + self._leaves[-1].size
+        self._scopes = {}  # prefix -> _Scope
 
     @cached_property
     def layout(self) -> Layout:
@@ -180,16 +231,24 @@ class GlobalBasis:
         The layout knows its length at once; its keys are built on their
         first read (flat-offset work never reads them).
         """
-        leaves, order, dimension = self._leaves, self._order, self._dimension
+        tables, order, dimension = self._tables, self._order, self._dimension
 
         def keys():
             # every digit is below the dimension; one shared int object per value
             ints = list(range(dimension))
-            rows = (row for leaf in leaves for row in leaf.table.tolist())
+            rows = (row for table in tables for row in table.tolist())
             by_leaf = [MultiIndex(map(ints.__getitem__, row)) for row in rows]
             return [by_leaf[k] for k in order.tolist()]
 
         return Layout(keys, dimension)
+
+    def _scope(self, prefix=()) -> _Scope:
+        """The subtree at ``prefix``, built on its first request."""
+        prefix = tuple(prefix)
+        scope = self._scopes.get(prefix)
+        if scope is None:
+            scope = self._scopes[prefix] = _Scope(self, prefix)
+        return scope
 
     # -- basis-like surface shared with SubspaceBasis ----------------------
 
@@ -212,7 +271,7 @@ class GlobalBasis:
         """
         prefix = as_multi_index(prefix)
         n, last = len(prefix), -1  # the largest digit n of a row below prefix
-        for table in (leaf.table for leaf in self._leaves if leaf.table.shape[1] >= n):
+        for table in (table for table in self._tables if table.shape[1] >= n):
             below = table[np.all(table[:, :n] == prefix, axis=1)]
             if table.shape[1] > n:
                 last = max(last, int(below[:, n].max(initial=-1)))
@@ -232,15 +291,10 @@ class GlobalBasis:
         array has shape ``(k*ny + 1, k*nx + 1)`` and entry ``[b, a]`` is
         the offset of the function at node ``(a / (k*nx), b / (k*ny))``.
         """
-        placement = self._leaf_by_path.get(tuple(leaf_path))
-        if placement is None:
-            child_at(self.tree, leaf_path)  # raises PathOutOfRange if invalid
-            raise PathOutOfRange(f"path {tuple(leaf_path)} is not a leaf")
-        return placement.ranks
-
-    def _leaves_below(self, prefix: tuple) -> list:
-        """Placements of the leaves below ``prefix``, depth first."""
-        return [leaf for leaf in self._leaves if leaf.path[: len(prefix)] == prefix]
+        scope = self._scope(leaf_path)  # raises PathOutOfRange if invalid
+        if not isinstance(scope.node, Leaf):
+            raise PathOutOfRange(f"path {scope.prefix} is not a leaf")
+        return scope.leaves[0].node_grid
 
     def element_offsets(self, prefix=()) -> np.ndarray:
         """Flat offsets of every element's local basis functions.
@@ -251,41 +305,7 @@ class GlobalBasis:
         the ``(k+1)``-square window of its node grid at ``(k*i, k*j)``,
         row by row, for the element at cell ``(i, j)``.
         """
-        prefix = tuple(prefix)
-        table = self._element_offsets.get(prefix)
-        if table is None:
-            child_at(self.tree, prefix)  # validates the prefix
-            blocks = []
-            for leaf in self._leaves_below(prefix):
-                k = leaf.order
-                windows = sliding_window_view(leaf.ranks, (k + 1, k + 1))
-                blocks.append(windows[::k, ::k].reshape(self.grid.num_elements, -1))
-            table = np.hstack(blocks)
-            table.flags.writeable = False
-            self._element_offsets[prefix] = table
-        return table
-
-    def _row_plan(self, prefix: tuple):
-        """How to read a row of ``element_offsets(prefix)`` leaf by leaf.
-
-        Returns ``(orders, windows, nest)``: the distinct leaf orders below
-        ``prefix``; per leaf, depth first, ``(start, stop, n)`` with its
-        window ``row[start:stop]`` and ``orders[n]`` its order; and
-        ``nest``, which shapes one value per leaf like the subtree at
-        ``prefix`` (a leaf subtree yields its one value).  Built once per
-        prefix.
-        """
-        plan = self._row_plans.get(prefix)
-        if plan is None:
-            scoped = self._leaves_below(prefix)
-            orders = sorted({leaf.order for leaf in scoped})
-            windows, start = [], 0
-            for leaf in scoped:
-                windows.append((start, start + leaf.fe.count, orders.index(leaf.order)))
-                start += leaf.fe.count
-            nest = _nesting(child_at(self.tree, prefix), iter(range(len(scoped))))
-            plan = self._row_plans[prefix] = (orders, windows, nest)
-        return plan
+        return self._scope(prefix).offsets
 
     def leaf_dof_index(self, leaf_path, flat: int) -> MultiIndex:
         """Global multi-index of flat basis function ``flat`` of one leaf.
@@ -299,55 +319,25 @@ class GlobalBasis:
         return self.layout.keys[offsets.flat[flat]]
 
 
-class LeafView:
-    """One leaf of a local view: element and local numbering of its functions."""
-
-    __slots__ = ("_placement", "rel_path", "offset")
-
-    def __init__(self, placement, rel_path, offset):
-        self._placement = placement
-        self.rel_path = rel_path
-        self.offset = offset
-
-    @property
-    def tree_path(self) -> tuple:
-        return self._placement.path
-
-    @property
-    def finite_element(self):
-        return self._placement.fe
-
-    @property
-    def size(self) -> int:
-        return self._placement.fe.count
-
-
 class LocalView:
     """Element-local window onto a basis (or onto one of its subtrees).
 
-    ``bind`` fixes the element and keeps only its row of
-    :meth:`GlobalBasis.element_offsets`.  The first ``index`` (or
-    ``multi_indices``) after ``bind`` turns the row into one multi-index
-    per local basis function, the basis's own key objects, and later calls
-    answer from that list; the element's geometry is built on the first
-    read of ``geometry`` after ``bind``.  Unbound views only answer
-    structural queries (max_size, leaves).
+    ``leaves`` and ``max_size`` are those of the basis's scope of the
+    prefix, shared with every view of it.  ``bind`` fixes the element and
+    keeps only its row of the scope's :meth:`GlobalBasis.element_offsets`.
+    The first ``index`` (or ``multi_indices``) after ``bind`` turns the row
+    into one multi-index per local basis function, the basis's own key
+    objects, and later calls answer from that list; the element's geometry
+    is built on the first read of ``geometry`` after ``bind``.  Unbound
+    views only answer structural queries (max_size, leaves).
     """
 
     def __init__(self, basis: GlobalBasis, prefix: tuple = ()):
-        child_at(basis.tree, prefix)  # validates the prefix
         self._basis = basis
-        self._prefix = tuple(prefix)
-        n = len(self._prefix)
-        self._leaves = []
-        offset = 0
-        for placement in basis._leaves_below(self._prefix):
-            self._leaves.append(LeafView(placement, placement.path[n:], offset))
-            offset += placement.fe.count
-        self._max_size = offset
+        self._scope = basis._scope(prefix)
         self._element = None
         self._geometry = None
-        self._offsets = None  # the bound element's row of element_offsets
+        self._offsets = None  # the bound element's row of the scope's offset table
         self._indices = None  # its keys, once index or multi_indices asks
 
     @property
@@ -356,16 +346,16 @@ class LocalView:
 
     @property
     def prefix_path(self) -> tuple:
-        return self._prefix
+        return self._scope.prefix
 
     @property
     def leaves(self) -> tuple:
-        return tuple(self._leaves)
+        return self._scope.leaves
 
     @property
     def max_size(self) -> int:
         """Upper bound for size over all elements (exact on this grid)."""
-        return self._max_size
+        return self._scope.size
 
     @property
     def bound(self) -> bool:
@@ -393,7 +383,7 @@ class LocalView:
 
     def bind(self, element: int) -> None:
         """Bind to an int element (not a bool); multi-indices are built on the first ``index``."""
-        table = self._basis.element_offsets(self._prefix)
+        table = self._scope.offsets
         if (
             type(element) is bool
             or not isinstance(element, (int, np.integer))
@@ -446,9 +436,8 @@ class SubspaceBasis:
     """
 
     def __init__(self, root: GlobalBasis, prefix: tuple):
-        child_at(root.tree, prefix)
         self._root = root
-        self._prefix = tuple(prefix)
+        self._prefix = root._scope(prefix).prefix  # validates the prefix
 
     @property
     def root_basis(self) -> GlobalBasis:

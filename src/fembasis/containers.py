@@ -135,10 +135,10 @@ def _in_range(layout: Layout, offsets) -> np.ndarray:
 def _entries(parts):
     """Flat (rows, cols, values) of parts, element by element, each row-major."""
     rows, cols, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    for r, c, matrix in parts:
-        rows.append(np.repeat(r, c.shape[1], axis=1).ravel())
-        cols.append(np.tile(c, r.shape[1]).ravel())
-        values.append(np.broadcast_to(matrix.ravel(), (len(r), matrix.size)).ravel())
+    for r, c, matrix in parts:  # array methods only: a keyed block costs microseconds
+        rows.append(r.repeat(c.shape[1]))
+        cols.append(c.repeat(r.shape[1], axis=0).ravel())
+        values.append(matrix.reshape(1, -1).repeat(len(r), axis=0).ravel())
     return tuple(map(np.concatenate, (rows, cols, values)))
 
 
@@ -160,7 +160,9 @@ class SparseSystem:
 
     def __init__(self, layout: Layout | None = None):
         self._layout = _NO_LAYOUT if layout is None else layout
-        self._parts = []  # (row slots (E, m), column slots (E, n), matrix (m, n)) of E elements
+        # (row slots (E, m), column slots (E, n), matrix (m, n)) of E elements;
+        # an element table is its own column slots, a keyed block (E = 1) is not
+        self._parts = []
         self._identity = {}  # insertion-ordered set of row slots
         self._summed = None  # (row slots, column slots, values) once frozen
         self._frozen = False
@@ -283,18 +285,22 @@ class SparseSystem:
         """The product v -> A v of a frozen system on flat arrays over ``layout``.
 
         ``layout`` must list the system's keys in the same order, else
-        ShapeMismatch.  Each part (a keyed block is a batch of one) is a
-        gather, one GEMM with its matrix and one bincount scatter; then
-        identity rows copy their slot of v.
+        ShapeMismatch.  Each element table is a gather, one GEMM with its
+        matrix and one bincount scatter; all keyed blocks together are one
+        list of entries, gathered, scaled and scattered by one bincount;
+        then identity rows copy their slot of v.
         """
         self._require_laid_out_like(layout)
         n, fixed = len(layout), self._fixed()
-        batches = [(r.ravel(), c, m.T) for r, c, m in self._parts]
+        tables = [(r.ravel(), c, m.T) for r, c, m in self._parts if r is c]
+        rows, cols, values = _entries([(r, c, m) for r, c, m in self._parts if r is not c])
 
         def apply(v):
             y = np.zeros(n)
-            for r, c, matrix_t in batches:
+            for r, c, matrix_t in tables:
                 y += np.bincount(r, weights=(v[c] @ matrix_t).ravel(), minlength=n)
+            if len(values):
+                y += np.bincount(rows, weights=v[cols] * values, minlength=n)
             y[fixed] = v[fixed]
             return y
 

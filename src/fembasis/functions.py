@@ -78,7 +78,7 @@ def _interpolate(basis, coefficients, fn, mask) -> None:
     values = _flat_values(root, coefficients)
     allowed = None if mask is None else _flat_values(root, mask)
     nx, ny = root.grid.nx, root.grid.ny
-    leaves = basis.local_view().leaves
+    leaves = root._scope(basis.prefix_path).leaves
     top = max(leaf.finite_element.order for leaf in leaves)
     # node (a, b) of order k is lattice node (a*s, b*s) of the finest order,
     # s = top/k: a/(k*nx) and a*s/(top*nx) round the same rational, so fn
@@ -88,7 +88,7 @@ def _interpolate(basis, coefficients, fn, mask) -> None:
     marked = np.zeros(lattice.size, dtype=bool)
     writes = []  # (relative path, offsets, lattice nodes) per leaf
     for leaf in leaves:
-        offsets = root.node_grid(leaf.tree_path)
+        offsets = leaf.node_grid
         step = top // leaf.finite_element.order
         nodes = lattice[::step, ::step]
         if allowed is not None:
@@ -143,7 +143,7 @@ def boundary_offsets(basis) -> np.ndarray:
     first and last row and column); leaves come depth first and each ring
     row by row.
     """
-    grids = [basis.root_basis.node_grid(leaf.tree_path) for leaf in basis.local_view().leaves]
+    grids = [leaf.node_grid for leaf in basis.root_basis._scope(basis.prefix_path).leaves]
     return np.concatenate([np.hstack((g[0], g[1:-1, [0, -1]].ravel(), g[-1])) for g in grids])
 
 
@@ -168,8 +168,9 @@ def evaluate_discrete(basis, coefficients, point):
     root = basis.root_basis
     values = _flat_values(root, coefficients)
     element, (xi, eta) = root.grid.locate(point)
-    row = values[root.element_offsets(basis.prefix_path)[element]].tolist()
-    orders, windows, nest = root._row_plan(basis.prefix_path)
+    scope = root._scope(basis.prefix_path)
+    row = values[scope.offsets[element]].tolist()
+    orders, windows, nest = scope.plan
     weights = []  # per order, the shape function values in local node order
     for k in orders:
         lx = values_1d(k, xi).tolist()

@@ -70,8 +70,10 @@ def gmres(
         exactly with zero iterations (stop ``"converged"``, no residuals).
         Hitting the iteration budget is a reported outcome, not an error.
         After a ``"stalled"`` stop, on a singular system with no solution,
-        the component of x along the null direction is meaningless and
-        can be huge: x holds a least-residual point, not a bounded one.
+        x is a least-residual point: its component along the null
+        direction is arbitrary, but bounded, since a column whose rotated
+        diagonal drops below round-off of the column's norm ends the
+        cycle instead of entering the triangular solve.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -134,8 +136,10 @@ def gmres(
                 H[i, k] = t
             denom = math.hypot(H[k, k], H[k + 1, k])
             iters += 1
-            if denom == 0.0:
-                # fully degenerate column; nothing to rotate, drop it
+            # the rotations keep the column's norm; a diagonal lost in its
+            # round-off is a breakdown, and solving with it would blow up y
+            if denom <= 1e-14 * float(np.linalg.norm(H[: k + 2, k])):
+                # drop the column: the residual stays where it was
                 residuals.append(abs(float(g[k])) / bnorm)
                 stalled = True
                 break
@@ -147,11 +151,7 @@ def gmres(
             g[k] = cs[k] * g[k]
             k += 1
             residuals.append(abs(float(g[k])) / bnorm)
-            if residuals[-1] <= tol:
-                break
-            if hk1 == 0.0:
-                # happy breakdown: exact solution inside the current space
-                stalled = True
+            if residuals[-1] <= tol:  # also a happy breakdown, hk1 = 0: sn = 0 zeroes g[k]
                 break
 
         if k:

@@ -59,8 +59,7 @@ def driven_cavity_data(point):
     return (0.0, 0.0)
 
 
-def _split_taylor_hood_leaves(view):
-    leaves = view.leaves
+def _split_taylor_hood_leaves(leaves):
     if len(leaves) < 2:
         raise ValueError("Taylor-Hood view needs velocity and pressure leaves")
     vel, press = leaves[:-1], leaves[-1]
@@ -104,7 +103,7 @@ def assemble_element_matrix(view, geometry, quad_points: int = 3) -> np.ndarray:
     reference shape functions at the Gauss points are tabulated once per
     order and rule and shared by every call.
     """
-    vel, press = _split_taylor_hood_leaves(view)
+    vel, press = _split_taylor_hood_leaves(view.leaves)
     fe_v = vel[0].finite_element
     fe_p = press.finite_element
     n = view.max_size
@@ -236,10 +235,10 @@ def stokes_preconditioner(basis: GlobalBasis, pin_pressure: bool = False):
     interiors, one batched B^T product with the two components' factors,
     one fast-diagonalisation chain and one scatter.
     """
-    vel, press = _split_taylor_hood_leaves(basis.local_view())
+    vel, press = _split_taylor_hood_leaves(basis._scope().leaves)
     nx, ny = basis.grid.nx, basis.grid.ny
-    interior = np.stack([basis.node_grid(leaf.tree_path)[1:-1, 1:-1] for leaf in vel])
-    pressure = basis.node_grid(press.tree_path)
+    interior = np.stack([leaf.node_grid[1:-1, 1:-1] for leaf in vel])
+    pressure = press.node_grid
     fixed = pressure[0, 0] if pin_pressure else None
 
     x_factors = _axis_factors(nx)

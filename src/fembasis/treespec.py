@@ -67,13 +67,6 @@ class Strategy(Enum):
     def is_flat(self) -> bool:
         return self in (Strategy.FLAT_LEXICOGRAPHIC, Strategy.FLAT_INTERLEAVED)
 
-    @classmethod
-    def from_name(cls, name: str) -> "Strategy":
-        try:
-            return _STRATEGY_NAMES[name]
-        except KeyError:
-            raise InvalidStrategy(f"unknown strategy name {name!r}") from None
-
 
 _SHORT_OF = {
     Strategy.BLOCKED_LEXICOGRAPHIC: "BL",

@@ -3,20 +3,29 @@
 import numpy as np
 import pytest
 
+import fembasis.basis
 from fembasis import (
     IndexOutOfRange,
+    LocalView,
     MultiIndex,
+    NestedVector,
     PathOutOfRange,
     PrefixNotFound,
     Strategy,
     StructuredGrid,
     UnboundView,
+    child_at,
+    evaluate_discrete,
+    interpolate,
+    interpolate_masked,
     make_basis,
     merge_child_index,
     parse_tree,
+    stokes_preconditioner,
     subspace_basis,
 )
 from fembasis.cli import strategy_table_bases
+from fembasis.functions import boundary_offsets
 from fembasis.multiindex import Layout
 from helpers import (
     enumerate_multi_indices,
@@ -354,12 +363,85 @@ def test_element_offsets_rows_are_the_bound_view_offsets():
             view.bind(e)
             offsets = [basis.layout.offset[mi] for mi in view.multi_indices()]
             assert table[e].tolist() == offsets
+        # the leaves below the prefix, depth first, with consecutive local indices
+        expected = [
+            (path, k) for path, k in _leaf_paths(basis.tree) if path[: len(prefix)] == prefix
+        ]
+        assert [(leaf.tree_path, leaf.finite_element.order) for leaf in view.leaves] == expected
+        offset = 0
+        for leaf in view.leaves:
+            assert leaf.rel_path == leaf.tree_path[len(prefix) :]
+            assert leaf.offset == offset
+            assert leaf.node_grid is basis.node_grid(leaf.tree_path)
+            offset += leaf.size
+        assert view.max_size == offset
 
 
 def test_element_offsets_validates_the_prefix():
     basis = make_basis(StructuredGrid(2, 2), parse_tree(TH2))
     with pytest.raises(PathOutOfRange):
         basis.element_offsets((2,))
+
+
+# -- one scope per prefix -----------------------------------------------------
+
+
+def test_child_at_runs_once_per_prefix(monkeypatch):
+    calls = []
+
+    def counting(tree, path):
+        calls.append(tuple(path))
+        return child_at(tree, path)
+
+    monkeypatch.setattr(fembasis.basis, "child_at", counting)
+    basis = make_basis(StructuredGrid(3, 2), parse_tree(TH2))
+    coefficients = NestedVector()
+    coefficients.resize_from_basis(basis)
+    prefixes = [(), (0,), (0, 1), (1,)]
+    for prefix in prefixes:
+        for _ in range(2):
+            sub = subspace_basis(basis, prefix)
+            view = sub.local_view()
+            view.bind(5)
+            view.index(0)
+            basis.element_offsets(prefix)
+            interpolate(sub, coefficients, lambda p: 1.5)
+            evaluate_discrete(sub, coefficients, (0.3, 0.7))
+    basis.local_view()
+    assert sorted(calls) == sorted(prefixes)
+
+
+def test_views_of_one_prefix_share_their_leaves():
+    basis = make_basis(StructuredGrid(2, 3), parse_tree(TH3))
+    for prefix in [(), (0,), (0, 2), (1,)]:
+        first = subspace_basis(basis, prefix).local_view()
+        for other in (
+            subspace_basis(basis, prefix).local_view(),
+            subspace_basis(subspace_basis(basis, prefix[:1]), prefix[1:]).local_view(),
+            LocalView(basis, prefix),
+        ):
+            assert len(other.leaves) == len(first.leaves)
+            assert all(a is b for a, b in zip(other.leaves, first.leaves))
+    assert all(a is b for a, b in zip(basis.local_view().leaves, LocalView(basis).leaves))
+
+
+def test_views_interpolation_and_boundary_build_no_offset_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an offset table was built")
+
+    monkeypatch.setattr(fembasis.basis, "sliding_window_view", refuse)
+    basis = make_basis(StructuredGrid(3, 3), parse_tree(TH2))
+    coefficients, mask = NestedVector(), NestedVector()
+    coefficients.resize_from_basis(basis)
+    mask.resize_from_basis(basis, fill=True)
+    for prefix in [(), (0,), (0, 1), (1,)]:
+        sub = subspace_basis(basis, prefix)
+        view = sub.local_view()
+        assert view.max_size == sum(leaf.size for leaf in view.leaves)
+        interpolate(sub, coefficients, lambda p: 2.0)
+        interpolate_masked(sub, coefficients, lambda p: 3.0, mask)
+        assert len(boundary_offsets(sub))
+    stokes_preconditioner(basis)
 
 
 # -- keys are built on their first read --------------------------------------

@@ -365,6 +365,39 @@ def test_diagonal_is_bytewise_the_summed_diagonal():
     assert m.diagonal(x.layout).tobytes() == np.diag(summed).tobytes()
 
 
+def test_keyed_entries_are_one_scatter_per_product(monkeypatch):
+    """An element table plus 600 add_to_entry calls: two bincounts per product."""
+    rng = np.random.default_rng(73)
+    x = NestedVector([[0.0] * 12, [0.0] * 8])
+    n, keys = len(x.layout), x.layout.keys
+    m = SparseSystem()
+    table = np.array([rng.permutation(n)[:5] for _ in range(9)])
+    element = rng.normal(size=(5, 5))
+    m.add_elements(x.layout, table, element)
+    dense = np.zeros((n, n))
+    for row in table:
+        dense[np.ix_(row, row)] += element
+    for i, j, v in zip(rng.integers(n, size=600), rng.integers(n, size=600), rng.normal(size=600)):
+        m.add_to_entry(keys[i], keys[j], v)
+        dense[i, j] += v
+    m.freeze()
+    apply = m.operator(x.layout)
+    calls = []
+    counted = np.bincount
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return counted(*args, **kwargs)
+
+    v = rng.normal(size=n)
+    monkeypatch.setattr(np, "bincount", counting)
+    y = apply(v)
+    monkeypatch.undo()
+    assert len(calls) <= 2
+    expected = dense @ v
+    assert np.max(np.abs(y - expected)) <= 1e-13 * (1.0 + np.max(np.abs(expected)))
+
+
 def test_add_elements_adopts_one_layout():
     x, other = NestedVector([0.0] * 4), NestedVector([0.0] * 4)
     outside = ([[0, len(x.layout)]], [[0, -1]])

@@ -103,13 +103,19 @@ def test_stall_on_a_singular_inconsistent_system_stops_early():
     d = np.array([1.0, 2.0, 0.0])
     maxiter = 1000
     record = {}
-    _, relres, iters = gmres(
+    x, relres, iters = gmres(
         lambda v: d * v, np.ones(3), restart=10, maxiter=maxiter, record=record
     )
     assert iters < maxiter
     assert relres == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
     assert record["stop"] == "stalled"
     assert len(record["residuals"]) == iters
+    # a near-breakdown ends the cycle: the null component of x stays bounded
+    # and the estimate never leaves [least residual, initial residual]
+    assert x[:2] == pytest.approx([1.0, 0.5], rel=1e-12)
+    assert abs(x[2]) <= 10.0
+    least = (1.0 - 1e-12) / np.sqrt(3.0)
+    assert all(least <= r <= 1.0 for r in record["residuals"])
 
 
 def test_initial_guess_is_used():
