@@ -18,6 +18,8 @@ up duplicates happens only when the entries themselves are read
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import AlreadyFrozen, IndexOutOfRange, NotFrozen, ShapeMismatch
@@ -281,6 +283,20 @@ class SparseSystem:
         if not self._layout.same_keys(layout):
             raise ShapeMismatch("vectors must be laid out like the system")
 
+    @cached_property
+    def _flat(self):
+        """Element tables as (keyed entries added before it, row slots, matrix)
+        and all keyed entries as one (rows, cols, values) batch in the order
+        added; read only once the system is frozen, so it never goes stale."""
+        tables, keyed, before = [], [], 0
+        for r, c, matrix in self._parts:
+            if r is c:
+                tables.append((before, r, matrix))
+            else:
+                keyed.append((r, c, matrix))
+                before += matrix.size
+        return tables, _entries(keyed)
+
     def operator(self, layout: Layout):
         """The product v -> A v of a frozen system on flat arrays over ``layout``.
 
@@ -288,19 +304,24 @@ class SparseSystem:
         ShapeMismatch.  Each element table is a gather, one GEMM with its
         matrix and one bincount scatter; all keyed blocks together are one
         list of entries, gathered, scaled and scattered by one bincount;
-        then identity rows copy their slot of v.
+        then identity rows copy their slot of v.  The product is compiled
+        once; every call returns the same one.
         """
         self._require_laid_out_like(layout)
-        n, fixed = len(layout), self._fixed()
-        tables = [(r.ravel(), c, m.T) for r, c, m in self._parts if r is c]
-        rows, cols, values = _entries([(r, c, m) for r, c, m in self._parts if r is not c])
+        return self._product
+
+    @cached_property
+    def _product(self):
+        n, fixed = len(self._layout), self._fixed()
+        tables, (rows, cols, values) = self._flat
+        tables = [(r.ravel(), r, matrix.T) for _, r, matrix in tables]
 
         def apply(v):
-            y = np.zeros(n)
-            for r, c, matrix_t in tables:
-                y += np.bincount(r, weights=(v[c] @ matrix_t).ravel(), minlength=n)
+            sums = [np.bincount(r, (v[c] @ matrix_t).ravel(), n) for r, c, matrix_t in tables]
             if len(values):
-                y += np.bincount(rows, weights=v[cols] * values, minlength=n)
+                sums.append(np.bincount(rows, v[cols] * values, n))
+            # bincount sums from +0.0, so the first sum needs no zero vector to start from
+            y = sum(sums[1:], sums[0]) if sums else np.zeros(n)
             y[fixed] = v[fixed]
             return y
 
@@ -314,17 +335,23 @@ class SparseSystem:
         ``layout`` is checked as in :meth:`operator`.
         """
         self._require_laid_out_like(layout)
-        slots, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-        for r, c, matrix in self._parts:
-            if r is c and np.diff(np.sort(r, axis=1), axis=1).all():
+        tables, (rows, cols, values) = self._flat
+        keyed = np.flatnonzero(rows == cols)  # every keyed diagonal entry, in the order added
+        # cut where the tables were added: before the first, between two, after the last
+        pieces = np.split(keyed, np.searchsorted(keyed, [before for before, _, _ in tables]))
+        slots, diagonal_values = [rows[pieces[0]]], [values[pieces[0]]]
+        for (_, r, matrix), piece in zip(tables, pieces[1:]):
+            if np.diff(np.sort(r, axis=1), axis=1).all():
                 # no element repeats an offset: each meets the diagonal at matrix[i, i] only
                 slots.append(r.ravel())
-                values.append(np.tile(np.diag(matrix), len(r)))
+                diagonal_values.append(np.tile(np.diag(matrix), len(r)))
             else:
-                on = r[:, :, None] == c[:, None, :]
+                on = r[:, :, None] == r[:, None, :]
                 slots.append(np.broadcast_to(r[:, :, None], on.shape)[on])
-                values.append(np.broadcast_to(matrix, on.shape)[on])
-        diagonal = np.bincount(np.concatenate(slots), np.concatenate(values), len(layout))
+                diagonal_values.append(np.broadcast_to(matrix, on.shape)[on])
+            slots.append(rows[piece])
+            diagonal_values.append(values[piece])
+        diagonal = np.bincount(np.concatenate(slots), np.concatenate(diagonal_values), len(layout))
         diagonal[self._fixed()] = 1.0
         return diagonal
 

@@ -2,16 +2,15 @@
 
 The core routine works on flat numpy arrays and an abstract matvec,
 optionally right-preconditioned.  :func:`solve_system` bridges it to the
-multi-index world: a rhs :class:`~fembasis.containers.NestedVector` is
-already a flat array over its layout, and the matvec is the flat product
-of a frozen :class:`~fembasis.containers.SparseSystem` over that layout
-(:meth:`~fembasis.containers.SparseSystem.operator`), the same one
-``SparseSystem.matvec`` uses.
+multi-index world: a :class:`~fembasis.containers.NestedVector` rhs is
+already flat, and the matvec is the one ``SparseSystem.matvec`` uses,
+:meth:`~fembasis.containers.SparseSystem.operator` over the rhs layout.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,16 @@ def _identity(v):
     return v
 
 
+def _timed(fn, seconds, name):
+    """``fn`` adding the wall time of every call to ``seconds[name]``."""
+    def timed(v):
+        start = time.perf_counter()
+        result = fn(v)
+        seconds[name] += time.perf_counter() - start
+        return result
+    return timed
+
+
 def gmres(
     matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, precondition=None, record=None
 ):
@@ -61,103 +70,95 @@ def gmres(
         record: optional dict; gmres sets ``record["stop"]`` to why it
             stopped, ``"converged"`` (relative residual at most tol),
             ``"budget"`` (maxiter iterations done) or ``"stalled"`` (a
-            restart cycle made no progress and Arnoldi broke down), and
-            ``record["residuals"]`` to the relative residual estimate
-            after every iteration.
+            restart cycle made no progress and Arnoldi broke down),
+            ``record["residuals"]`` to the relative residual estimate after
+            every iteration and ``record["seconds"]`` to the wall seconds in
+            ``"matvec"``, in ``"precondition"`` and in the rest (``"krylov"``).
 
     Returns:
         (x, relative residual, iterations).  A zero rhs returns x = 0
         exactly with zero iterations (stop ``"converged"``, no residuals).
         Hitting the iteration budget is a reported outcome, not an error.
-        After a ``"stalled"`` stop, on a singular system with no solution,
-        x is a least-residual point: its component along the null
-        direction is arbitrary, but bounded, since a column whose rotated
-        diagonal drops below round-off of the column's norm ends the
-        cycle instead of entering the triangular solve.
+        After a ``"stalled"`` stop on a singular system with no solution, x
+        is a least-residual point with an arbitrary but bounded null
+        component: a column whose rotated diagonal is lost in round-off
+        ends the cycle instead of entering the triangular solve.
     """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if precondition is None:
-        precondition = _identity
-    bnorm = float(np.linalg.norm(b))
+    entry = time.perf_counter()
+    seconds = dict.fromkeys(("matvec", "precondition", "krylov"), 0.0)
+    matvec = _timed(matvec, seconds, "matvec")
+    precondition = _timed(precondition or _identity, seconds, "precondition")
     residuals = []  # the relative residual estimate after every iteration
-    if bnorm == 0.0:
-        if record is not None:
-            record.update(stop="converged", residuals=residuals)
-        return np.zeros(n), 0.0, 0
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     iters = 0
-    prev_rnorm = math.inf
-    stalled = False
+
+    def done(stop, x, relres):
+        seconds["krylov"] = time.perf_counter() - entry - sum(seconds.values())  # krylov is 0.0
+        if record is not None:
+            record.update(stop=stop, residuals=residuals, seconds=seconds)
+        return x, relres, iters
+
+    b = np.asarray(b, dtype=float)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return done("converged", np.zeros_like(b), 0.0)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    # one Krylov buffer for every cycle: each row is written before it is read
+    V = np.empty((min(restart, maxiter) + 1, b.size))
+    prev_rnorm, stalled = math.inf, False
     while True:
         r = b - matvec(x)
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r.dot(r))
         if rnorm / bnorm <= tol:
-            stop = "converged"
-        elif iters >= maxiter:
-            stop = "budget"
-        elif rnorm >= prev_rnorm and stalled:
+            return done("converged", x, rnorm / bnorm)
+        if iters >= maxiter:
+            return done("budget", x, rnorm / bnorm)
+        if rnorm >= prev_rnorm and stalled:
             # a whole restart cycle brought no progress and Arnoldi broke
             # down: the Krylov space is exhausted, more cycles cannot help
-            stop = "stalled"
-        else:
-            stop = None
-        if stop is not None:
-            if record is not None:
-                record.update(stop=stop, residuals=residuals)
-            return x, rnorm / bnorm, iters
+            return done("stalled", x, rnorm / bnorm)
         prev_rnorm = rnorm
-        stalled = False
 
-        m = restart
-        V = np.zeros((m + 1, n))
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = rnorm
-        V[0] = r / rnorm
+        np.divide(r, rnorm, out=V[0])
+        # rotated Hessenberg columns, the rotations and the rotated rhs, as Python floats
+        columns, cs, sn, g = [], [], [], [rnorm]
         k = 0
-        while k < m and iters < maxiter:
-            # copy: matvec may return its argument aliased (identity is legal)
-            w = np.array(matvec(precondition(V[k])), dtype=float)
-            for _ in range(2):  # classical Gram-Schmidt, twice: orthogonal to round-off
-                h = V[: k + 1] @ w
-                H[: k + 1, k] += h
-                w -= h @ V[: k + 1]
-            hk1 = float(np.linalg.norm(w))
-            H[k + 1, k] = hk1
+        while k < restart and iters < maxiter:
+            basis = V[: k + 1]
+            w = matvec(precondition(V[k]))
+            h = basis.dot(w)  # classical Gram-Schmidt, twice: orthogonal to round-off
+            w = w - h.dot(basis)  # a new array: matvec may return its argument aliased
+            h2 = basis.dot(w)
+            w -= h2.dot(basis)
+            hk1 = math.sqrt(w.dot(w))
             if hk1 > 0.0:
-                V[k + 1] = w / hk1
-
-            for i in range(k):
-                t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-                H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
-                H[i, k] = t
-            denom = math.hypot(H[k, k], H[k + 1, k])
+                np.divide(w, hk1, out=V[k + 1])
+            # rotate the column; 0.0 + h + h2 sums as into a zeroed column: never to -0.0
+            entries = (0.0 + h + h2).tolist()
+            column, diagonal = [], entries[0]
+            for c, s, below in zip(cs, sn, entries[1:]):
+                column.append(c * diagonal + s * below)
+                diagonal = -s * diagonal + c * below
+            denom = math.hypot(diagonal, hk1)
             iters += 1
-            # the rotations keep the column's norm; a diagonal lost in its
-            # round-off is a breakdown, and solving with it would blow up y
-            if denom <= 1e-14 * float(np.linalg.norm(H[: k + 2, k])):
-                # drop the column: the residual stays where it was
-                residuals.append(abs(float(g[k])) / bnorm)
-                stalled = True
-                break
-            cs[k] = H[k, k] / denom
-            sn[k] = H[k + 1, k] / denom
-            H[k, k] = denom
-            H[k + 1, k] = 0.0
-            g[k + 1] = -sn[k] * g[k]
-            g[k] = cs[k] * g[k]
-            k += 1
-            residuals.append(abs(float(g[k])) / bnorm)
-            if residuals[-1] <= tol:  # also a happy breakdown, hk1 = 0: sn = 0 zeroes g[k]
+            # the rotations keep the column's norm; a diagonal lost in its round-off is a
+            # breakdown: the column is dropped (it would blow up y), the residual stays
+            rotated = np.array([*column, diagonal, hk1])
+            stalled = denom <= 1e-14 * math.sqrt(rotated.dot(rotated))
+            if not stalled:
+                cs.append(diagonal / denom)
+                sn.append(hk1 / denom)
+                columns.append(column + [denom])
+                g[k:] = cs[k] * g[k], -sn[k] * g[k]
+                k += 1
+            residuals.append(abs(g[k]) / bnorm)
+            if stalled or residuals[-1] <= tol:  # also a happy breakdown: sn = 0 zeroes g[k]
                 break
 
         if k:
-            # the rotations left H[:k, :k] upper triangular with a nonzero diagonal
-            y = np.linalg.solve(H[:k, :k], g[:k])
-            x = x + precondition(V[:k].T @ y)
+            # the rotated columns, zero-padded, are the rows of an upper triangle's transpose
+            triangle = np.array([column + [0.0] * (k - len(column)) for column in columns]).T
+            y = np.linalg.solve(triangle, g[:k])
+            x = x + precondition(V[:k].T.dot(y))
 
 
 def solve_system(
@@ -174,9 +175,8 @@ def solve_system(
     receives why the solve stopped and the residual history.
     """
     cfg = config if config is not None else SolverConfig()
-    layout = rhs.layout
     x, relres, iters = gmres(
-        system.operator(layout),
+        system.operator(rhs.layout),
         rhs.values,
         restart=cfg.restart,
         tol=cfg.tolerance,
@@ -185,4 +185,4 @@ def solve_system(
         precondition=preconditioner,
         record=record,
     )
-    return NestedVector.from_flat(layout, x), float(relres), iters
+    return NestedVector.from_flat(rhs.layout, x), relres, iters

@@ -12,11 +12,6 @@ import numpy as np
 from .grid import StructuredGrid
 
 
-def _fmt(value) -> str:
-    # repr of float round-trips exactly, so nodal values survive parsing
-    return repr(float(value))
-
-
 def write_vtu(grid: StructuredGrid, velocity, pressure, path) -> None:
     """Write vertex fields to ``path`` in ASCII VTU form.
 
@@ -33,20 +28,21 @@ def write_vtu(grid: StructuredGrid, velocity, pressure, path) -> None:
         raise ValueError(f"velocity has shape {velocity.shape}, expected ({n}, c) with c <= 3")
     if pressure.shape != (n,):
         raise ValueError(f"pressure has shape {pressure.shape}, expected ({n},)")
-    padding = ["0.0"] * (3 - velocity.shape[1])  # the missing components, formatted
-
-    velocity_lines = [" ".join([*map(_fmt, row), *padding]) for row in velocity.tolist()]
-    pressure_lines = [_fmt(p) for p in pressure.tolist()]
-    xs = [_fmt(i / grid.nx) for i in range(grid.nx + 1)]
-    ys = [_fmt(j / grid.ny) for j in range(grid.ny + 1)]
+    # repr of a float round-trips exactly, so nodal values survive parsing;
+    # the missing velocity components are written as 0.0
+    columns = [list(map(repr, column)) for column in velocity.T.tolist()]
+    columns += [["0.0"] * n] * (3 - len(columns))
+    velocity_lines = list(map(" ".join, zip(*columns)))
+    pressure_lines = list(map(repr, pressure.tolist()))
+    xs = [repr(i / grid.nx) for i in range(grid.nx + 1)]
+    ys = [repr(j / grid.ny) for j in range(grid.ny + 1)]
     point_lines = [f"{x} {y} 0.0" for y in ys for x in xs]
 
-    # a cell's corners counter-clockwise from its lower-left vertex v; cell
-    # e = j*nx + i has v = j*(nx+1) + i = e + j = e*(nx+1) // nx
+    # a cell's corners counter-clockwise from its lower-left vertex v = j*(nx+1) + i
     row = grid.nx + 1
-    lower_left = (np.arange(grid.num_elements) * row // grid.nx).tolist()
+    lower_left = [j * row + i for j in range(grid.ny) for i in range(grid.nx)]
     connectivity = [f"{v} {v + 1} {v + row + 1} {v + row}" for v in lower_left]
-    offsets = [str(4 * (e + 1)) for e in range(grid.num_elements)]
+    offsets = list(map(str, range(4, 4 * grid.num_elements + 1, 4)))
     types = ["9"] * grid.num_elements
 
     lines = [

@@ -1,5 +1,7 @@
 """Nested vectors and multi-index keyed sparse systems."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,38 @@ def test_keyed_entries_are_one_scatter_per_product(monkeypatch):
     assert len(calls) <= 2
     expected = dense @ v
     assert np.max(np.abs(y - expected)) <= 1e-13 * (1.0 + np.max(np.abs(expected)))
+
+
+def test_a_frozen_system_compiles_its_product_once(monkeypatch):
+    """operator() checks the layout on every call, but the parts are flattened
+    once: later products, operator() calls and diagonal() reuse them."""
+    rng = np.random.default_rng(79)
+    x = NestedVector([[0.0] * 6, [0.0] * 5])
+    n, keys = len(x.layout), x.layout.keys
+    m = SparseSystem()
+    m.add_elements(x.layout, [rng.permutation(n)[:4] for _ in range(5)], rng.normal(size=(4, 4)))
+    for i, j, v in zip(rng.integers(n, size=40), rng.integers(n, size=40), rng.normal(size=40)):
+        m.add_to_entry(keys[i], keys[j], v)
+    with pytest.raises(NotFrozen):
+        m.operator(x.layout)
+    m.freeze()
+    apply = m.operator(x.layout)
+    containers = importlib.import_module("fembasis.containers")
+    flattened, entries = [], containers._entries
+    monkeypatch.setattr(containers, "_entries", lambda parts: flattened.append(1) or entries(parts))
+    x.values[:] = rng.normal(size=n)
+    same_keys = NestedVector(x.data)
+    assert m.operator(same_keys.layout) is apply
+    assert m.matvec(x).values.tobytes() == m.matvec(same_keys).values.tobytes()
+    assert m.matvec(x).values.tobytes() == apply(x.values).tobytes()
+    diagonal = m.diagonal(x.layout)
+    assert flattened == []
+    with pytest.raises(ShapeMismatch):
+        m.operator(NestedVector([0.0] * n).layout)
+    summed = np.zeros((n, n))
+    for r, c, v in m.triples():
+        summed[x.layout.offset[r], x.layout.offset[c]] += v
+    assert diagonal.tobytes() == np.diag(summed).tobytes()
 
 
 def test_add_elements_adopts_one_layout():

@@ -1,5 +1,8 @@
 """Iterative solver checked against a hand-rolled dense direct solve."""
 
+import importlib
+import math
+
 import numpy as np
 import pytest
 from helpers import gauss_solve
@@ -11,10 +14,14 @@ from fembasis import (
     SolverConfig,
     SparseSystem,
     StructuredGrid,
+    apply_dirichlet,
+    assemble_stokes_matrix,
     gmres,
     make_basis,
     parse_tree,
     solve_system,
+    stokes_preconditioner,
+    taylor_hood_tree,
 )
 
 
@@ -34,7 +41,10 @@ def test_zero_rhs_returns_zero_without_iterating():
     assert np.array_equal(x, np.zeros(5))
     assert relres == 0.0
     assert iters == 0
+    seconds = record.pop("seconds")
     assert record == {"stop": "converged", "residuals": []}
+    assert list(seconds) == ["matvec", "precondition", "krylov"]
+    assert seconds["matvec"] == seconds["precondition"] == 0.0 <= seconds["krylov"]
 
 
 def test_diagonal_system():
@@ -233,3 +243,183 @@ def test_right_preconditioning_keeps_true_residual():
     assert iters < plain_iters
     for i in identity_rows:
         assert x[i] == 0.0 and not np.signbit(x[i])
+
+
+# -- the Krylov loop against the previous one ---------------------------------
+
+
+def array_gmres(matvec, b, *, restart, tol, maxiter, x0=None, precondition=None, record=None):
+    """The GMRes loop as it was before it moved to Python floats: numpy H, cs, sn
+    and g, a zeroed Krylov buffer per cycle and the rotations applied in the loop."""
+    b = np.asarray(b, dtype=float)
+    n = b.shape[0]
+    if precondition is None:
+        precondition = lambda v: v
+    bnorm = float(np.linalg.norm(b))
+    residuals = []
+    if bnorm == 0.0:
+        if record is not None:
+            record.update(stop="converged", residuals=residuals)
+        return np.zeros(n), 0.0, 0
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    iters, prev_rnorm, stalled = 0, math.inf, False
+    while True:
+        r = b - matvec(x)
+        rnorm = float(np.linalg.norm(r))
+        if rnorm / bnorm <= tol:
+            stop = "converged"
+        elif iters >= maxiter:
+            stop = "budget"
+        elif rnorm >= prev_rnorm and stalled:
+            stop = "stalled"
+        else:
+            stop = None
+        if stop is not None:
+            if record is not None:
+                record.update(stop=stop, residuals=residuals)
+            return x, rnorm / bnorm, iters
+        prev_rnorm, stalled = rnorm, False
+        m = restart
+        V, H = np.zeros((m + 1, n)), np.zeros((m + 1, m))
+        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+        g[0] = rnorm
+        V[0] = r / rnorm
+        k = 0
+        while k < m and iters < maxiter:
+            w = np.array(matvec(precondition(V[k])), dtype=float)
+            for _ in range(2):
+                h = V[: k + 1] @ w
+                H[: k + 1, k] += h
+                w -= h @ V[: k + 1]
+            hk1 = float(np.linalg.norm(w))
+            H[k + 1, k] = hk1
+            if hk1 > 0.0:
+                V[k + 1] = w / hk1
+            for i in range(k):
+                t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
+                H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
+                H[i, k] = t
+            denom = math.hypot(H[k, k], H[k + 1, k])
+            iters += 1
+            if denom <= 1e-14 * float(np.linalg.norm(H[: k + 2, k])):
+                residuals.append(abs(float(g[k])) / bnorm)
+                stalled = True
+                break
+            cs[k] = H[k, k] / denom
+            sn[k] = H[k + 1, k] / denom
+            H[k, k] = denom
+            H[k + 1, k] = 0.0
+            g[k + 1] = -sn[k] * g[k]
+            g[k] = cs[k] * g[k]
+            k += 1
+            residuals.append(abs(float(g[k])) / bnorm)
+            if residuals[-1] <= tol:
+                break
+        if k:
+            y = np.linalg.solve(H[:k, :k], g[:k])
+            x = x + precondition(V[:k].T @ y)
+
+
+def cavity_problem(n, pin_pressure):
+    """(matvec, rhs, settings) of the driven cavity solve on an n x n grid."""
+    basis = make_basis(StructuredGrid(n, n), taylor_hood_tree())
+    system = SparseSystem()
+    assemble_stokes_matrix(basis, system)
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    apply_dirichlet(system, rhs, basis, pin_pressure=pin_pressure)
+    system.freeze()
+    settings = dict(restart=100, tol=1e-8, maxiter=5000, x0=rhs.values)
+    settings["precondition"] = stokes_preconditioner(basis, pin_pressure)
+    return system.operator(rhs.layout), rhs.values, settings
+
+
+def matrix_problem(a, b, **settings):
+    return (lambda v: a @ v), b, settings
+
+
+def random_problem(seed, n, shift, spd, **settings):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    a = (m @ m.T if spd else m) + shift * np.eye(n)
+    return matrix_problem(a, rng.standard_normal(n), **settings)
+
+
+def synthetic_problems():
+    """The systems the tests above solve, as (name, matvec, rhs, settings)."""
+    yield "spd", *random_problem(67, 12, 12, True, restart=12, tol=1e-10, maxiter=100)
+    yield "random", *random_problem(71, 20, 20, False, restart=20, tol=1e-12, maxiter=200)
+    yield "small restart", *random_problem(73, 15, 15, True, restart=3, tol=1e-9, maxiter=500)
+    yield "budget", *random_problem(79, 30, 0.01, True, restart=5, tol=1e-14, maxiter=8)
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
+    a = q @ np.diag(np.logspace(0, 10, 80)) @ q.T + np.triu(rng.standard_normal((80, 80)), 1)
+    b = rng.standard_normal(80)
+    yield "ill conditioned", *matrix_problem(a, b, restart=80, tol=1e-12, maxiter=85)
+    identity = dict(restart=10, tol=1e-12, maxiter=50)
+    yield "happy breakdown", (lambda v: v), np.array([1.0, -2.0, 3.0]), identity
+    d = np.array([1.0, 2.0, 4.0, 8.0])
+    yield "diagonal", (lambda v: d * v), np.ones(4), dict(restart=4, tol=1e-12, maxiter=20)
+    stall = np.array([1.0, 2.0, 0.0])
+    yield "stalled", (lambda v: stall * v), np.ones(3), dict(restart=10, tol=1e-8, maxiter=1000)
+    yield "zero rhs", (lambda v: 2.0 * v), np.zeros(5), dict(restart=5, tol=1e-10, maxiter=10)
+    exact = dict(restart=2, tol=1e-13, maxiter=10, x0=np.array([0.5, 1.0 / 3.0]))
+    yield "initial guess", (lambda v: np.array([2.0, 3.0]) * v), np.ones(2), exact
+    rng = np.random.default_rng(83)
+    a = rng.standard_normal((30, 30)) + np.diag(30 * 10.0 ** rng.uniform(0.0, 3.0, 30))
+    a[[0, 7, 19]] = 0.0
+    a[[0, 7, 19], [0, 7, 19]] = 1.0
+    b = rng.standard_normal(30)
+    b[[0, 7, 19]] = 0.0
+    diagonal = np.diag(a).copy()
+    yield "preconditioned", *matrix_problem(
+        a, b, restart=30, tol=1e-10, maxiter=200, x0=b.copy(), precondition=lambda v: v / diagonal
+    )
+
+
+def solve_bytes(solver, matvec, b, settings):
+    """Every output of one solve, as bytes where it is a float: x, relres, iterations,
+    stop and residual history."""
+    record = {}
+    x, relres, iters = solver(matvec, b, record=record, **settings)
+    residuals = np.array(record["residuals"], dtype=float).tobytes()
+    return x.tobytes(), np.float64(relres).tobytes(), iters, record["stop"], residuals
+
+
+@pytest.mark.parametrize("pin_pressure", [False, True], ids=["free", "pinned"])
+def test_gmres_agrees_bitwise_with_the_array_loop_on_the_cavity(pin_pressure):
+    matvec, b, settings = cavity_problem(8, pin_pressure)
+    expected = solve_bytes(array_gmres, matvec, b, settings)
+    assert solve_bytes(gmres, matvec, b, settings) == expected
+    assert expected[2] == (21 if pin_pressure else 13)
+
+
+def test_gmres_agrees_bitwise_with_the_array_loop_on_synthetic_systems():
+    for name, matvec, b, settings in synthetic_problems():
+        expected = solve_bytes(array_gmres, matvec, b, settings)
+        assert solve_bytes(gmres, matvec, b, settings) == expected, name
+
+
+class NanEmptyNumpy:
+    """numpy for the gmres module, except that ``empty`` fills with NaN."""
+
+    def __init__(self):
+        self.empty_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        self.empty_calls += 1
+        return np.full(shape, np.nan, dtype=dtype)
+
+
+def test_gmres_never_reads_an_unwritten_krylov_row(monkeypatch):
+    problems = {name: rest for name, *rest in synthetic_problems()}
+    cases = [cavity_problem(8, False)]
+    cases += [problems[name] for name in ("happy breakdown", "stalled", "budget", "small restart")]
+    expected = [solve_bytes(gmres, *case) for case in cases]
+    nan_numpy = NanEmptyNumpy()
+    monkeypatch.setattr(importlib.import_module("fembasis.gmres"), "np", nan_numpy)
+    assert [solve_bytes(gmres, *case) for case in cases] == expected
+    assert nan_numpy.empty_calls == len(cases)

@@ -419,6 +419,15 @@ def test_cavity_stage_times_add_up_to_the_total(tmp_path):
     assert 0.9 * total <= sum(stages.values()) <= total
 
 
+def test_cavity_solve_split_adds_up_to_the_solve_stage(tmp_path):
+    summary = run_driven_cavity(16, 16, out_path=str(tmp_path / "c.vtu"))
+    split = summary.solve_seconds
+    assert list(split) == ["matvec", "precondition", "krylov"]
+    assert min(split.values()) > 0.0
+    solve = summary.stage_seconds["solve"]
+    assert 0.9 * solve <= sum(split.values()) <= solve
+
+
 def test_cavity_solve_records_convergence(tmp_path):
     summary = run_driven_cavity(12, 12, out_path=str(tmp_path / "c.vtu"))
     assert summary.converged

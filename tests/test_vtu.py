@@ -155,3 +155,60 @@ def test_cavity_file_matches_point_evaluation(tmp_path, pin_pressure):
         reference,
     )
     assert path.read_bytes() == reference.read_bytes()
+
+
+def reference_vtu_text(nx, ny, velocity, pressure):
+    """The expected file, built value by value from repr(float(v))."""
+    fmt = lambda value: repr(float(value))
+    row = nx + 1
+    cells = [(j * row + i) for j in range(ny) for i in range(nx)]
+    return "\n".join(
+        [
+            '<?xml version="1.0"?>',
+            '<VTKFile type="UnstructuredGrid" version="0.1" byte_order="LittleEndian">',
+            "<UnstructuredGrid>",
+            f'<Piece NumberOfPoints="{row * (ny + 1)}" NumberOfCells="{nx * ny}">',
+            '<PointData Vectors="velocity" Scalars="pressure">',
+            '<DataArray type="Float64" Name="velocity" NumberOfComponents="3" format="ascii">',
+            *(" ".join([*map(fmt, v), *["0.0"] * (3 - len(v))]) for v in velocity),
+            "</DataArray>",
+            '<DataArray type="Float64" Name="pressure" NumberOfComponents="1" format="ascii">',
+            *map(fmt, pressure),
+            "</DataArray>",
+            "</PointData>",
+            "<Points>",
+            '<DataArray type="Float64" NumberOfComponents="3" format="ascii">',
+            *(f"{fmt(i / nx)} {fmt(j / ny)} 0.0" for j in range(ny + 1) for i in range(nx + 1)),
+            "</DataArray>",
+            "</Points>",
+            "<Cells>",
+            '<DataArray type="Int64" Name="connectivity" format="ascii">',
+            *(f"{v} {v + 1} {v + row + 1} {v + row}" for v in cells),
+            "</DataArray>",
+            '<DataArray type="Int64" Name="offsets" format="ascii">',
+            *(str(4 * (e + 1)) for e in range(nx * ny)),
+            "</DataArray>",
+            '<DataArray type="UInt8" Name="types" format="ascii">',
+            *["9"] * (nx * ny),
+            "</DataArray>",
+            "</Cells>",
+            "</Piece>",
+            "</UnstructuredGrid>",
+            "</VTKFile>",
+            "",
+        ]
+    )
+
+
+@pytest.mark.parametrize("components", [1, 2, 3])
+def test_file_is_the_repr_of_every_value(tmp_path, components):
+    grid = StructuredGrid(3, 2)
+    n = grid.num_vertices
+    rng = np.random.default_rng(components)
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1.0 / 3.0, 0.1, 123456789.0]
+    values = np.concatenate([special, rng.normal(size=4 * n - len(special))])
+    velocity, pressure = values[: components * n].reshape(n, components), values[-n:]
+    path = tmp_path / "repr.vtu"
+    write_vtu(grid, velocity, pressure, path)
+    expected = reference_vtu_text(3, 2, velocity.tolist(), pressure.tolist())
+    assert path.read_bytes() == expected.encode("ascii")
