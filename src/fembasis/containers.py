@@ -8,12 +8,13 @@ nested-list form survives only as the derived ``data`` view.
 
 A :class:`SparseSystem` lives on one layout and stores every (row,
 column) multi-index key as its offset there, so vectors it multiplies
-must be laid out like it.  It keeps dense element matrices with their
-offset tables, keyed dense blocks and a set of identity rows as they were
-added.  Products read them directly: per part a gather, one GEMM and a
-scatter, then the identity rows.  Sorting the entries row-major and adding
-up duplicates happens only when the entries themselves are read
-(:meth:`~SparseSystem.triples`, ``len``).
+must be laid out like it.  It has two stores beside its identity rows:
+element tables (an offset table and one dense element matrix each) and
+keyed entries (flat sequences of row slots, column slots and values).
+Products read the stores directly, and entries that meet sum in one
+order everywhere: identity diagonals, tables, keyed entries, each in the
+order added.  Sorting the entries and adding up duplicates happens only
+when they are read (:meth:`~SparseSystem.triples`, ``len``).
 """
 
 from __future__ import annotations
@@ -134,14 +135,12 @@ def _in_range(layout: Layout, offsets) -> np.ndarray:
     return offsets
 
 
-def _entries(parts):
-    """Flat (rows, cols, values) of parts, element by element, each row-major."""
-    rows, cols, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    for r, c, matrix in parts:  # array methods only: a keyed block costs microseconds
-        rows.append(r.repeat(c.shape[1]))
-        cols.append(c.repeat(r.shape[1], axis=0).ravel())
-        values.append(matrix.reshape(1, -1).repeat(len(r), axis=0).ravel())
-    return tuple(map(np.concatenate, (rows, cols, values)))
+def _entries(tables):
+    """Flat (rows, cols, values) of each element table, element by element, each row-major."""
+    for offsets, matrix in tables:
+        size = offsets.shape[1]
+        cols = offsets.repeat(size, axis=0).ravel()
+        yield offsets.repeat(size), cols, np.tile(matrix.ravel(), len(offsets))
 
 
 _NO_LAYOUT = Layout(())  # a system's layout until it has one: no key is an entry
@@ -158,15 +157,17 @@ class SparseSystem:
     every key as its offset there.  A key that is not an entry of the
     layout, or any key before the system has a layout, raises
     ShapeMismatch and stores nothing.
+
+    add_elements stores element tables; add_to_entry and add_block append
+    keyed entries.  Entries that meet sum in one order: identity
+    diagonals, tables, keyed entries, each in the order added.
     """
 
     def __init__(self, layout: Layout | None = None):
         self._layout = _NO_LAYOUT if layout is None else layout
-        # (row slots (E, m), column slots (E, n), matrix (m, n)) of E elements;
-        # an element table is its own column slots, a keyed block (E = 1) is not
-        self._parts = []
+        self._tables = []  # (offsets (E, m), matrix (m, m)) of E elements, per add_elements
+        self._keyed = ([], [], [])  # row slots, column slots, values, in the order added
         self._identity = {}  # insertion-ordered set of row slots
-        self._summed = None  # (row slots, column slots, values) once frozen
         self._frozen = False
 
     @property
@@ -200,18 +201,25 @@ class SparseSystem:
             raise ShapeMismatch(f"offset table has shape {offsets.shape}, expected 2-D")
         matrix = np.asarray(matrix, dtype=float).reshape(offsets.shape[1], offsets.shape[1])
         self._adopt(layout)
-        self._parts.append((offsets, offsets, matrix))
+        self._tables.append((offsets, matrix))
 
     def add_block(self, rows, cols, values) -> None:
         """Accumulate the dense ``values`` onto the entries rows x cols."""
         self._require_mutable()
-        rows, cols = self._layout.slots(rows)[None], self._layout.slots(cols)[None]
+        rows, cols = self._layout.slots(rows), self._layout.slots(cols)
         values = np.asarray(values, dtype=float).reshape(rows.size, cols.size)
-        self._parts.append((rows, cols, values))
+        outer = rows.repeat(cols.size), np.tile(cols, rows.size), values
+        for store, items in zip(self._keyed, outer):
+            store.extend(items.ravel().tolist())
 
     def add_to_entry(self, row, col, value) -> None:
-        """Accumulate ``value`` onto entry (row, col), creating it at 0."""
-        self.add_block((row,), (col,), value)
+        """Accumulate the scalar ``value`` onto entry (row, col), creating it at 0."""
+        self._require_mutable()
+        r, c, value = self._layout.slot(row), self._layout.slot(col), float(value)
+        rows, cols, values = self._keyed
+        rows.append(r)
+        cols.append(c)
+        values.append(value)
 
     def set_row_to_identity(self, row) -> None:
         """Make ``row`` an identity row: 1 on the diagonal, 0 elsewhere.
@@ -236,13 +244,17 @@ class SparseSystem:
     def _fixed(self) -> np.ndarray:
         return np.fromiter(self._identity, dtype=np.intp, count=len(self._identity))
 
+    def _keyed_arrays(self):
+        rows, cols, values = self._keyed
+        return np.asarray(rows, np.intp), np.asarray(cols, np.intp), np.asarray(values, float)
+
     def _sum(self):
         fixed = self._fixed()
-        # each identity row's diagonal joins as a structural entry
-        structural = (fixed[:, None], fixed[:, None], np.zeros((1, 1)))
-        rows, cols, values = _entries([structural] + self._parts)
+        # each identity row's diagonal joins as a structural entry, summed first
+        tables = _entries([(fixed[:, None], np.zeros((1, 1))), *self._tables])
+        rows, cols, values = map(np.concatenate, zip(*tables, self._keyed_arrays()))
         # row-major by one combined key; stable, and bincount adds in input
-        # order: duplicates are summed in the order they were added
+        # order: duplicates are summed in the order of the stores
         order = np.argsort(rows * len(self._layout) + cols, kind="stable")
         rows, cols, values = rows[order], cols[order], values[order]
         new = np.ones(len(rows), dtype=bool)
@@ -254,28 +266,30 @@ class SparseSystem:
         summed[on_fixed & (rows == cols)] = 1.0
         return rows, cols, summed
 
-    def _arrays(self):
-        if self._summed is None or not self._frozen:
-            self._summed = self._sum()
-        return self._summed
+    @cached_property
+    def _summed(self):  # read only once frozen, so it never goes stale
+        return self._sum()
 
     def freeze(self) -> None:
-        """Switch to the immutable phase; entries are summed only when read."""
+        """Switch to the immutable phase; the keyed sequences become arrays, once."""
         self._require_mutable()
-        self._frozen, self._summed = True, None  # sums read before freeze() may be stale
+        self._keyed = self._keyed_arrays()
+        self._frozen = True
 
     def triples(self):
         """Sorted (row, col, value) triples; requires a frozen system."""
         if not self._frozen:
             raise NotFrozen("freeze() the system first")
-        row_slots, col_slots, values = self._arrays()
+        row_slots, col_slots, values = self._summed
         keys = self._layout.keys
         rows = map(keys.__getitem__, row_slots.tolist())
         cols = map(keys.__getitem__, col_slots.tolist())
         return tuple(zip(rows, cols, values.tolist()))
 
     def __len__(self) -> int:
-        return len(self._arrays()[2]) if self._parts or self._identity else 0
+        if not (self._tables or len(self._keyed[0]) or self._identity):
+            return 0  # an empty system has nothing to sum
+        return len((self._summed if self._frozen else self._sum())[2])
 
     def _require_laid_out_like(self, layout: Layout) -> None:
         if not self._frozen:
@@ -283,29 +297,15 @@ class SparseSystem:
         if not self._layout.same_keys(layout):
             raise ShapeMismatch("vectors must be laid out like the system")
 
-    @cached_property
-    def _flat(self):
-        """Element tables as (keyed entries added before it, row slots, matrix)
-        and all keyed entries as one (rows, cols, values) batch in the order
-        added; read only once the system is frozen, so it never goes stale."""
-        tables, keyed, before = [], [], 0
-        for r, c, matrix in self._parts:
-            if r is c:
-                tables.append((before, r, matrix))
-            else:
-                keyed.append((r, c, matrix))
-                before += matrix.size
-        return tables, _entries(keyed)
-
     def operator(self, layout: Layout):
         """The product v -> A v of a frozen system on flat arrays over ``layout``.
 
         ``layout`` must list the system's keys in the same order, else
         ShapeMismatch.  Each element table is a gather, one GEMM with its
-        matrix and one bincount scatter; all keyed blocks together are one
-        list of entries, gathered, scaled and scattered by one bincount;
-        then identity rows copy their slot of v.  The product is compiled
-        once; every call returns the same one.
+        matrix and one bincount scatter; all keyed entries are gathered,
+        scaled and scattered by one bincount; then identity rows copy
+        their slot of v.  The product is compiled once; every call
+        returns the same one.
         """
         self._require_laid_out_like(layout)
         return self._product
@@ -313,8 +313,8 @@ class SparseSystem:
     @cached_property
     def _product(self):
         n, fixed = len(self._layout), self._fixed()
-        tables, (rows, cols, values) = self._flat
-        tables = [(r.ravel(), r, matrix.T) for _, r, matrix in tables]
+        tables = [(offsets.ravel(), offsets, matrix.T) for offsets, matrix in self._tables]
+        rows, cols, values = self._keyed
 
         def apply(v):
             sums = [np.bincount(r, (v[c] @ matrix_t).ravel(), n) for r, c, matrix_t in tables]
@@ -330,28 +330,26 @@ class SparseSystem:
     def diagonal(self, layout: Layout) -> np.ndarray:
         """Diagonal of a frozen system as a flat array over ``layout``.
 
-        Entries (k, k) add in the order they were added, as in triples();
-        identity rows read 1.0, rows without a diagonal entry 0.0.
-        ``layout`` is checked as in :meth:`operator`.
+        Entries (k, k) sum in the order of triples(); identity rows read
+        1.0, rows without a diagonal entry 0.0.  ``layout`` is checked as
+        in :meth:`operator`.
         """
         self._require_laid_out_like(layout)
-        tables, (rows, cols, values) = self._flat
-        keyed = np.flatnonzero(rows == cols)  # every keyed diagonal entry, in the order added
-        # cut where the tables were added: before the first, between two, after the last
-        pieces = np.split(keyed, np.searchsorted(keyed, [before for before, _, _ in tables]))
-        slots, diagonal_values = [rows[pieces[0]]], [values[pieces[0]]]
-        for (_, r, matrix), piece in zip(tables, pieces[1:]):
-            if np.diff(np.sort(r, axis=1), axis=1).all():
+        slots, values = [], []
+        for offsets, matrix in self._tables:
+            if np.diff(np.sort(offsets, axis=1), axis=1).all():
                 # no element repeats an offset: each meets the diagonal at matrix[i, i] only
-                slots.append(r.ravel())
-                diagonal_values.append(np.tile(np.diag(matrix), len(r)))
+                slots.append(offsets.ravel())
+                values.append(np.tile(np.diag(matrix), len(offsets)))
             else:
-                on = r[:, :, None] == r[:, None, :]
-                slots.append(np.broadcast_to(r[:, :, None], on.shape)[on])
-                diagonal_values.append(np.broadcast_to(matrix, on.shape)[on])
-            slots.append(rows[piece])
-            diagonal_values.append(values[piece])
-        diagonal = np.bincount(np.concatenate(slots), np.concatenate(diagonal_values), len(layout))
+                on = offsets[:, :, None] == offsets[:, None, :]
+                slots.append(np.broadcast_to(offsets[:, :, None], on.shape)[on])
+                values.append(np.broadcast_to(matrix, on.shape)[on])
+        rows, cols, keyed = self._keyed
+        on = rows == cols
+        slots.append(rows[on])
+        values.append(keyed[on])
+        diagonal = np.bincount(np.concatenate(slots), np.concatenate(values), len(layout))
         diagonal[self._fixed()] = 1.0
         return diagonal
 

@@ -58,7 +58,7 @@ def gmres(
     Arguments:
         matvec: callable mapping a vector to A times that vector.
         b: right hand side, 1d array.
-        restart: Krylov space dimension per cycle.
+        restart: Krylov space dimension per cycle, at least 1 (else ValueError).
         tol: relative residual target, measured as ||b - A x|| / ||b||.
         maxiter: total iteration (matvec) budget across restarts.
         x0: optional initial iterate; zero slots of x0 whose matrix row is
@@ -84,6 +84,8 @@ def gmres(
         component: a column whose rotated diagonal is lost in round-off
         ends the cycle instead of entering the triangular solve.
     """
+    if restart < 1:
+        raise ValueError(f"restart must be >= 1, got {restart}")
     entry = time.perf_counter()
     seconds = dict.fromkeys(("matvec", "precondition", "krylov"), 0.0)
     matvec = _timed(matvec, seconds, "matvec")

@@ -367,6 +367,19 @@ def test_diagonal_is_bytewise_the_summed_diagonal():
     assert m.diagonal(x.layout).tobytes() == np.diag(summed).tobytes()
 
 
+def test_entries_sum_tables_first_then_keyed_entries():
+    """One order everywhere: element tables, then keyed entries, each in the
+    order added.  A keyed 1.0 added first survives 1e16 - 1e16 only then."""
+    x = NestedVector([0.0] * 3)
+    m = SparseSystem(x.layout)
+    m.add_to_entry((1,), (1,), 1.0)
+    m.add_elements(x.layout, [[1]], [[1e16]])
+    m.add_elements(x.layout, [[1]], [[-1e16]])
+    m.freeze()
+    assert m.triples() == (((1,), (1,), 1.0),)
+    assert m.diagonal(x.layout).tolist() == [0.0, 1.0, 0.0]
+
+
 def test_keyed_entries_are_one_scatter_per_product(monkeypatch):
     """An element table plus 600 add_to_entry calls: two bincounts per product."""
     rng = np.random.default_rng(73)

@@ -84,6 +84,17 @@ def test_small_restart_still_converges():
     assert np.max(np.abs(a @ x - b)) <= 1e-7
 
 
+def test_a_restart_below_one_is_rejected_before_any_work():
+    calls = []
+    for restart in (0, -1):
+        with pytest.raises(ValueError) as config_error:
+            SolverConfig(restart=restart)
+        with pytest.raises(ValueError) as gmres_error:
+            gmres(lambda v: calls.append(v) or 2.0 * v, np.ones(3), restart=restart, maxiter=10)
+        assert str(gmres_error.value) == str(config_error.value)
+    assert calls == []
+
+
 def test_maxiter_exhaustion_is_reported():
     rng = np.random.default_rng(79)
     m = rng.standard_normal((30, 30))
