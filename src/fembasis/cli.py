@@ -78,14 +78,8 @@ def _cmd_indices(args) -> int:
 
 
 def _cmd_stokes(args) -> int:
-    config = SolverConfig(
-        restart=args.restart,
-        max_iterations=args.max_iter,
-        tolerance=args.tol,
-        pin_pressure=args.pin_pressure,
-    )
-    nx, ny = args.grid
-    summary = run_driven_cavity(nx, ny, config, out_path=args.out)
+    config = SolverConfig(restart=args.restart, max_iterations=args.max_iter, tolerance=args.tol)
+    summary = run_driven_cavity(*args.grid, config, args.out, args.pin_pressure)
     return 0 if summary.converged else 2
 
 
@@ -127,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     stokes.add_argument("--restart", type=int, default=100, help="GMRes restart length")
     stokes.add_argument("--max-iter", type=int, default=5000, help="iteration budget")
     stokes.add_argument(
-        "--pin-pressure", action="store_true", help="fix the first pressure entry to 0"
+        "--pin-pressure", action="store_true", help="shift the pressure to 0 at node (0,0)"
     )
     stokes.add_argument("--out", required=True, help="output VTU path")
     stokes.set_defaults(handler=_cmd_stokes)

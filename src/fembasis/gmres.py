@@ -20,12 +20,11 @@ from .containers import NestedVector, SparseSystem
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Krylov solver parameters; pin_pressure is consumed by the Stokes layer."""
+    """Krylov solver parameters: restart length, iteration budget and relative tolerance."""
 
     restart: int = 100
     max_iterations: int = 5000
     tolerance: float = 1e-8
-    pin_pressure: bool = False
 
     def __post_init__(self):
         if self.restart < 1:
@@ -57,7 +56,7 @@ def gmres(
 
     Arguments:
         matvec: callable mapping a vector to A times that vector.
-        b: right hand side, 1d array.
+        b: right hand side, 1d array; a non-finite entry here or in x0 raises ValueError.
         restart: Krylov space dimension per cycle, at least 1 (else ValueError).
         tol: relative residual target, measured as ||b - A x|| / ||b||.
         maxiter: total iteration (matvec) budget across restarts.
@@ -86,6 +85,10 @@ def gmres(
     """
     if restart < 1:
         raise ValueError(f"restart must be >= 1, got {restart}")
+    b = np.asarray(b, dtype=float)
+    for name, v in (("b", b), ("x0", x0)):
+        if v is not None and not np.isfinite(v).all():
+            raise ValueError(f"{name} has a non-finite entry")
     entry = time.perf_counter()
     seconds = dict.fromkeys(("matvec", "precondition", "krylov"), 0.0)
     matvec = _timed(matvec, seconds, "matvec")
@@ -99,7 +102,6 @@ def gmres(
             record.update(stop=stop, residuals=residuals, seconds=seconds)
         return x, relres, iters
 
-    b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return done("converged", np.zeros_like(b), 0.0)

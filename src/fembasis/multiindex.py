@@ -90,6 +90,10 @@ class Layout:
 
         Raises ShapeMismatch when ``key`` is not an entry.
         """
+        try:  # one lookup for a present key; TypeError: no table yet, or unhashable
+            return self._offset[key]
+        except (KeyError, TypeError):
+            pass
         if not isinstance(key, tuple):
             key = tuple(as_multi_index(key))
         offset = self.offset.get(key)

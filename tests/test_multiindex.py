@@ -63,6 +63,14 @@ def test_layout_slots_and_same_keys():
     for missing in ((0,), [2], (0, 0, 0)):
         with pytest.raises(ShapeMismatch):
             layout.slot(missing)
+    assert layout.slot(np.array([0, 1])) == 1
+    assert layout.slot((np.int64(0), np.int64(1))) == 1
+    with pytest.raises(ShapeMismatch):
+        layout.slot(np.array([2, 0]))  # unhashable and missing
+    lazy = Layout(lambda: [(0,), (1,)], 2)
+    with pytest.raises(ShapeMismatch):
+        lazy.slot((2,))  # before the offset table is built
+    assert lazy.slot((1,)) == 1
     slots = layout.slots([(1,), (0, 0), [0, 1]])
     assert slots.dtype == np.intp
     assert slots.tolist() == [2, 0, 1]

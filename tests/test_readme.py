@@ -27,8 +27,11 @@ def test_readme_iteration_counts_are_what_the_cavity_takes(tmp_path):
     counts = [int(n) for n in claim[1].split(", ")] + [int(claim[2])]
     grids = claim[3].split(", ") + [claim[4]]
     assert len(counts) == len(grids)
-    taken = []
-    for grid in grids:
-        nx, ny = map(int, grid.split("x"))
-        taken.append(run_driven_cavity(nx, ny, out_path=tmp_path / "cavity.vtu").iterations)
-    assert taken == counts
+    assert re.search(r"so it takes exactly the free iteration counts above\.", README)
+    for pin in (False, True):
+        taken = []
+        for grid in grids:
+            nx, ny = map(int, grid.split("x"))
+            summary = run_driven_cavity(nx, ny, out_path=tmp_path / "c.vtu", pin_pressure=pin)
+            taken.append(summary.iterations)
+        assert taken == counts, pin

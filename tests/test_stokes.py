@@ -225,13 +225,13 @@ def test_global_pressure_pressure_block_zero():
             assert value == 0.0
 
 
-def prepared_cavity_system(nx=2, ny=2, pin_pressure=False):
+def prepared_cavity_system(nx=2, ny=2):
     basis = make_basis(StructuredGrid(nx, ny), taylor_hood_tree())
     system = SparseSystem()
     assemble_stokes_matrix(basis, system)
     rhs = NestedVector()
     rhs.resize_from_basis(basis)
-    apply_dirichlet(system, rhs, basis, driven_cavity_data, pin_pressure)
+    apply_dirichlet(system, rhs, basis, driven_cavity_data)
     system.freeze()
     return basis, system, rhs
 
@@ -265,18 +265,8 @@ def test_dirichlet_identity_rows():
     assert col2[interior_mi] != 0.0  # interior row kept its stencil
 
 
-def test_pin_pressure_row():
-    basis, system, rhs = prepared_cavity_system(pin_pressure=True)
-    assert rhs[(1, 0)] == 0.0
-    col = system.matvec(unit_vector(rhs, (1, 0)))
-    assert col[(1, 0)] == 1.0
-    other = system.matvec(unit_vector(rhs, (1, 4)))
-    assert other[(1, 0)] == 0.0
-
-
-@pytest.mark.parametrize("pin_pressure", [False, True], ids=["free", "pinned"])
-def test_cavity_diagonal_is_bytewise_the_summed_diagonal(pin_pressure):
-    basis, system, rhs = prepared_cavity_system(5, 6, pin_pressure)
+def test_cavity_diagonal_is_bytewise_the_summed_diagonal():
+    basis, system, rhs = prepared_cavity_system(5, 6)
     dense = dense_matrix(system, rhs.layout.offset)
     assert system.diagonal(rhs.layout).tobytes() == np.diag(dense).tobytes()
 
@@ -288,8 +278,11 @@ def test_weak_divergence_norm_of_zero_vector():
 
 
 def test_cavity_run_and_divergence_never_sum_the_entries(tmp_path, monkeypatch):
-    configs = [SolverConfig(), SolverConfig(pin_pressure=True)]
-    plain = [run_driven_cavity(5, 6, cfg, tmp_path / "plain.vtu").summary_line for cfg in configs]
+    pins = (False, True)
+    plain = [
+        run_driven_cavity(5, 6, out_path=tmp_path / "p.vtu", pin_pressure=pin).summary_line
+        for pin in pins
+    ]
 
     def refusing(what):
         def refuse(*args, **kwargs):
@@ -307,21 +300,21 @@ def test_cavity_run_and_divergence_never_sum_the_entries(tmp_path, monkeypatch):
         (StructuredGrid, "locate"),  # the entry point of evaluate_discrete
     ]:
         monkeypatch.setattr(owner, name, refusing(f"{owner.__name__}.{name}"))
-    for cfg, line in zip(configs, plain):
-        summary = run_driven_cavity(5, 6, cfg, tmp_path / "c.vtu")
+    for pin, line in zip(pins, plain):
+        summary = run_driven_cavity(5, 6, out_path=tmp_path / "c.vtu", pin_pressure=pin)
         assert summary.converged
         assert summary.summary_line == line
-        basis, system, rhs = prepared_cavity_system(5, 6, cfg.pin_pressure)
-        assert math.isfinite(weak_divergence_norm(system, rhs))
+    basis, system, rhs = prepared_cavity_system(5, 6)
+    assert math.isfinite(weak_divergence_norm(system, rhs))
 
 
 def test_cavity_run_builds_no_layout_keys(tmp_path, monkeypatch):
-    configs = [SolverConfig(), SolverConfig(pin_pressure=True)]
+    pins = (False, True)
     grids = [(5, 6), (9, 7)]
     plain = {
-        (n, cfg.pin_pressure): run_driven_cavity(*n, cfg, tmp_path / "p.vtu").summary_line
+        (n, pin): run_driven_cavity(*n, out_path=tmp_path / "p.vtu", pin_pressure=pin).summary_line
         for n in grids
-        for cfg in configs
+        for pin in pins
     }
     built = []
     new = MultiIndex.__new__
@@ -333,10 +326,10 @@ def test_cavity_run_builds_no_layout_keys(tmp_path, monkeypatch):
     monkeypatch.setattr(MultiIndex, "__new__", counted)
     counts = []
     for n in grids:
-        for cfg in configs:
+        for pin in pins:
             built.clear()
-            summary = run_driven_cavity(*n, cfg, tmp_path / "c.vtu")
-            assert summary.summary_line == plain[n, cfg.pin_pressure]
+            summary = run_driven_cavity(*n, out_path=tmp_path / "c.vtu", pin_pressure=pin)
+            assert summary.summary_line == plain[n, pin]
             assert len(summary.basis.layout) == summary.dimension
             # only the empty keys of the NestedVector() placeholders
             assert built == [()] * len(built)
@@ -469,8 +462,7 @@ def check_block_triangular_solve(basis, seed):
     """z = M^-1 v solves [K B^T; 0 -M_p] z = v on the rows it does not pass through.
 
     K and B^T are read off the dense assembled system, M_p is the
-    independent Q1 quadrature oracle; identity rows, free and pinned,
-    must hold v bitwise.
+    independent Q1 quadrature oracle; identity rows must hold v bitwise.
     """
     nx, ny = basis.grid.nx, basis.grid.ny
     system = SparseSystem()
@@ -492,19 +484,12 @@ def check_block_triangular_solve(basis, seed):
     coupling = dense[np.ix_(interior, pressure)]
     mass = q1_mass_matrix(nx, ny)
     boundary = np.setdiff1d(np.arange(len(slot)), interior + pressure)
-    rng = np.random.default_rng(seed)
-    for pin_pressure in (False, True):
-        v = rng.standard_normal(len(slot))
-        z = stokes_preconditioner(basis, pin_pressure)(v)
-        velocity = k_int @ z[interior] + coupling @ z[pressure]
-        assert np.max(np.abs(velocity - v[interior])) <= 1e-10
-        zp, vp = z[pressure], v[pressure]
-        if pin_pressure:  # pressure dof 0 is the pinned one; the rest is -M_p^-1 v_p
-            assert zp[0] == vp[0]
-            assert np.max(np.abs(zp[1:] - np.linalg.solve(-mass, vp)[1:])) <= 1e-10
-        else:
-            assert np.max(np.abs(-mass @ zp - vp)) <= 1e-10
-        assert np.array_equal(z[boundary], v[boundary])
+    v = np.random.default_rng(seed).standard_normal(len(slot))
+    z = stokes_preconditioner(basis)(v)
+    velocity = k_int @ z[interior] + coupling @ z[pressure]
+    assert np.max(np.abs(velocity - v[interior])) <= 1e-10
+    assert np.max(np.abs(-mass @ z[pressure] - v[pressure])) <= 1e-10
+    assert np.array_equal(z[boundary], v[boundary])
 
 
 @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 2)])
@@ -544,12 +529,36 @@ def test_preconditioned_cavity_keeps_every_wall_bitwise(tmp_path):
     assert checked == 2 * (side * side - (side - 2) ** 2)
 
 
-def test_preconditioned_cavity_with_pinned_pressure(tmp_path):
-    cfg = SolverConfig(pin_pressure=True)
-    summary = run_driven_cavity(16, 16, config=cfg, out_path=str(tmp_path / "c.vtu"))
-    assert summary.converged
-    assert summary.iterations <= 25
-    assert summary.solution[summary.basis.leaf_dof_index((1,), 0)] == 0.0
+@pytest.mark.parametrize("nx,ny", [(4, 4), (8, 8), (16, 16), (64, 64), (5, 7)])
+def test_preconditioned_cavity_with_pinned_pressure(tmp_path, nx, ny):
+    """A pinned run is the free run, its pressure shifted to 0 at node (0, 0)."""
+    free = run_driven_cavity(nx, ny, out_path=tmp_path / "free.vtu")
+    pinned = run_driven_cavity(nx, ny, out_path=tmp_path / "pinned.vtu", pin_pressure=True)
+    assert pinned.iterations == free.iterations
+    assert pinned.divergence_norm == free.divergence_norm
+    x, x_free = pinned.solution.values, free.solution.values
+    pressure = pinned.basis.node_grid((1,))
+    pinned_slot = pressure[0, 0]
+    assert x[pinned_slot] == 0.0
+    velocity = np.setdiff1d(np.arange(x.size), pressure)
+    assert x[velocity].tobytes() == x_free[velocity].tobytes()
+    assert x[pressure].tobytes() == (x_free[pressure] - x_free[pinned_slot]).tobytes()
+
+    # the pinned system: the free one with the pinned slot's row an identity row, rhs 0
+    basis = make_basis(StructuredGrid(nx, ny), taylor_hood_tree())
+    system = SparseSystem()
+    assemble_stokes_matrix(basis, system)
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    apply_dirichlet(system, rhs, basis)
+    system.set_rows_to_identity(basis.layout, [pinned_slot])
+    rhs.values[pinned_slot] = 0.0
+    system.freeze()
+    residual = rhs.values - system.operator(rhs.layout)(x)
+    relres = np.linalg.norm(residual) / np.linalg.norm(rhs.values)
+    assert pinned.converged
+    assert pinned.rel_residual <= SolverConfig().tolerance
+    assert math.isclose(pinned.rel_residual, relres, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_preconditioned_solve_agrees_across_numberings():
@@ -584,14 +593,14 @@ def test_preconditioned_solve_agrees_across_numberings():
         assert np.max(np.abs(field - fields[0])) <= 1e-6
 
 
-def solved_cavity(basis, pin_pressure):
+def solved_cavity(basis):
     system = SparseSystem()
     assemble_stokes_matrix(basis, system)
     rhs = NestedVector()
     rhs.resize_from_basis(basis)
-    apply_dirichlet(system, rhs, basis, pin_pressure=pin_pressure)
+    apply_dirichlet(system, rhs, basis)
     system.freeze()
-    preconditioner = stokes_preconditioner(basis, pin_pressure)
+    preconditioner = stokes_preconditioner(basis)
     solution, relres, _ = solve_system(system, rhs, x0=rhs, preconditioner=preconditioner)
     assert relres <= 1e-8
     return system, solution
@@ -604,19 +613,18 @@ def vertex_fields(basis, solution):
     return np.stack(velocity + [values[basis.node_grid((1,))]])
 
 
-@pytest.mark.parametrize("pin_pressure", [False, True], ids=["free", "pinned"])
 @pytest.mark.parametrize("column", range(len(TABLE1_COLUMNS)), ids=[c[0] for c in TABLE1_COLUMNS])
-def test_weak_divergence_norm_under_every_numbering(column, pin_pressure):
+def test_weak_divergence_norm_under_every_numbering(column):
     grid = StructuredGrid(4, 4)
     _, basis = strategy_table_bases(grid, 2)[column]
-    system, solution = solved_cavity(basis, pin_pressure)
+    system, solution = solved_cavity(basis)
     reference_basis = make_basis(grid, taylor_hood_tree())
-    _, reference = solved_cavity(reference_basis, pin_pressure)
+    _, reference = solved_cavity(reference_basis)
     fields = vertex_fields(basis, solution)
     assert np.max(np.abs(fields - vertex_fields(reference_basis, reference))) <= 1e-6
 
-    # the divergence rows are the pressure rows, minus a pinned pressure
-    pressure = basis.node_grid((1,)).ravel()[1 if pin_pressure else 0 :]
+    # the divergence rows are the pressure rows
+    pressure = basis.node_grid((1,)).ravel()
     zero_diagonal = np.flatnonzero(system.diagonal(solution.layout) == 0.0)
     assert np.array_equal(zero_diagonal, np.sort(pressure))
     norm = weak_divergence_norm(system, solution)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fembasis import (
-    SolverConfig,
     StructuredGrid,
     evaluate_discrete,
     run_driven_cavity,
@@ -140,7 +139,7 @@ def test_cavity_file_matches_point_evaluation(tmp_path, pin_pressure):
     # the cavity writes nodal values; the reference evaluates the discrete
     # field at every vertex
     path = tmp_path / "cavity.vtu"
-    summary = run_driven_cavity(5, 6, SolverConfig(pin_pressure=pin_pressure), path)
+    summary = run_driven_cavity(5, 6, out_path=path, pin_pressure=pin_pressure)
     basis, solution = summary.basis, summary.solution
     velocity = subspace_basis(basis, (0,))
     pressure = subspace_basis(basis, (1,))
