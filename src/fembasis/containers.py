@@ -336,8 +336,10 @@ class SparseSystem:
         """
         self._require_laid_out_like(layout)
         slots, values = [], []
+        # offsets below 2**31 sort faster, and repeat alike, as a 32-bit copy
+        narrow = np.int32 if len(layout) < 2**31 else np.intp
         for offsets, matrix in self._tables:
-            if np.diff(np.sort(offsets, axis=1), axis=1).all():
+            if np.diff(np.sort(offsets.astype(narrow, copy=False), axis=1), axis=1).all():
                 # no element repeats an offset: each meets the diagonal at matrix[i, i] only
                 slots.append(offsets.ravel())
                 values.append(np.tile(np.diag(matrix), len(offsets)))
@@ -347,9 +349,12 @@ class SparseSystem:
                 values.append(np.broadcast_to(matrix, on.shape)[on])
         rows, cols, keyed = self._keyed
         on = rows == cols
-        slots.append(rows[on])
-        values.append(keyed[on])
-        diagonal = np.bincount(np.concatenate(slots), np.concatenate(values), len(layout))
+        if on.any() or not slots:  # an empty keyed part would only cost a copy below
+            slots.append(rows[on])
+            values.append(keyed[on])
+        # a lone part is counted as it is: a concatenated copy of it costs more than the count
+        slots, values = (p[0] if len(p) == 1 else np.concatenate(p) for p in (slots, values))
+        diagonal = np.bincount(slots, values, len(layout))
         diagonal[self._fixed()] = 1.0
         return diagonal
 

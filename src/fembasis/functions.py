@@ -9,17 +9,26 @@ range values of functions mirror the basis subtree in scope: a leaf is
 addressed by its tree path relative to that subtree, so a velocity-pressure
 basis expects values like [[vx, vy], p] while its velocity subspace expects
 [vx, vy].  Plain scalars broadcast to every leaf.
+
+What does not change between calls is kept in the basis's scope of the
+prefix and built on its first use: where interpolation samples (the
+finest lattice's coordinates and, per leaf, its node grid and lattice
+step) and the boundary ring.  A call pays for its samples: ``fn`` once per
+lattice node, each range value read once per tree node (leaves of one
+order below a common prefix share that prefix's components), and one
+scalar check and conversion per leaf.
 """
 
 from __future__ import annotations
 
 import numbers
+from itertools import chain, cycle, repeat
 from operator import mul
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .localfe import values_1d
+from .localfe import lagrange_1d
 
 
 _SCALAR_TYPES = (numbers.Real, np.floating, np.integer)
@@ -48,21 +57,33 @@ def _component(value, rel_path):
     return node
 
 
-def _column(samples, rel_path) -> np.ndarray:
-    """Leaf component at ``rel_path`` of every sample, as floats.
+def _components(columns, key, path):
+    """Components at ``path`` of the samples ``columns[key, ()]``, or None.
 
-    Indexes the whole list one digit at a time; a sample that is a scalar
-    (broadcast) or has no scalar there sends the column through
-    :func:`_component` sample by sample, which broadcasts or raises.
+    Read one digit at a time from the prefix's components, each prefix
+    once per key and kept in ``columns``; None where a sample has no
+    component at ``path``.
     """
-    column = samples
-    try:
-        for digit in rel_path:
-            column = [value[digit] for value in column]
-    except (TypeError, KeyError, IndexError):
-        column = None
+    if (key, path) not in columns:
+        parent, digit = _components(columns, key, path[:-1]), path[-1]
+        try:
+            column = None if parent is None else [value[digit] for value in parent]
+        except (TypeError, KeyError, IndexError):
+            column = None
+        columns[key, path] = column
+    return columns[key, path]
+
+
+def _column(columns, key, rel_path) -> np.ndarray:
+    """Leaf component at ``rel_path`` of the samples ``columns[key, ()]``, as floats.
+
+    A column where some sample is a scalar (broadcast) or has no scalar
+    at ``rel_path`` goes through :func:`_component` sample by sample,
+    which broadcasts or raises.
+    """
+    column = _components(columns, key, rel_path)
     if column is None or not all(issubclass(t, _SCALAR_TYPES) for t in set(map(type, column))):
-        column = [_component(value, rel_path) for value in samples]
+        column = [_component(value, rel_path) for value in columns[key, ()]]
     return np.array(column, dtype=float)
 
 
@@ -77,38 +98,45 @@ def _interpolate(basis, coefficients, fn, mask) -> None:
     root = basis.root_basis
     values = _flat_values(root, coefficients)
     allowed = None if mask is None else _flat_values(root, mask)
-    nx, ny = root.grid.nx, root.grid.ny
-    leaves = root._scope(basis.prefix_path).leaves
-    top = max(leaf.finite_element.order for leaf in leaves)
     # node (a, b) of order k is lattice node (a*s, b*s) of the finest order,
     # s = top/k: a/(k*nx) and a*s/(top*nx) round the same rational, so fn
     # sees the same arguments; it is called once per lattice node written
-    width, height = top * nx + 1, top * ny + 1
-    lattice = np.arange(height * width).reshape(height, width)
-    marked = np.zeros(lattice.size, dtype=bool)
-    writes = []  # (relative path, offsets, lattice nodes) per leaf
-    for leaf in leaves:
-        offsets = leaf.node_grid
-        step = top // leaf.finite_element.order
-        nodes = lattice[::step, ::step]
-        if allowed is not None:
-            chosen = allowed[offsets].astype(bool)
-            offsets, nodes = offsets[chosen], nodes[chosen]
-        nodes = nodes.ravel()
-        marked[nodes] = True
-        writes.append((leaf.rel_path, offsets.ravel(), nodes))
-    xs = [a / (top * nx) for a in range(width)]
-    ys = [b / (top * ny) for b in range(height)]
-    rows, cols = np.divmod(np.flatnonzero(marked), width)
-    points = zip(map(xs.__getitem__, cols.tolist()), map(ys.__getitem__, rows.tolist()))
-    samples = list(map(fn, points))
-    sample_of = np.cumsum(marked) - 1  # lattice node -> its place in samples
-    for rel_path, offsets, nodes in writes:
-        if len(nodes) < len(samples):
-            picked = list(map(samples.__getitem__, sample_of[nodes].tolist()))
-        else:  # the leaf's nodes are all the sampled ones, in the same order
-            picked = samples
-        values[offsets] = _column(picked, rel_path)
+    xs, ys, leaves = root._scope(basis.prefix_path).sampling
+    width = len(xs)
+    columns = {}  # (key, path) -> components at path of the samples keyed key
+    reads = []  # (relative path, offsets, key of its samples) per leaf
+    if allowed is None:
+        # the finest leaf takes every lattice node: fn runs on all, row by row
+        rows = chain.from_iterable(map(repeat, ys, repeat(width)))
+        samples = list(map(fn, zip(cycle(xs), rows)))
+        for rel_path, grid, step in leaves:
+            if step == 1:
+                columns[1, ()] = samples
+            elif (step, ()) not in columns:  # every step-th node of every step-th row
+                starts = range(0, len(samples), step * width)
+                picked = [samples[i : i + width : step] for i in starts]
+                columns[step, ()] = list(chain.from_iterable(picked))
+            reads.append((rel_path, grid.ravel(), step))
+    else:
+        marked = np.zeros((len(ys), width), dtype=bool)
+        chosen = []
+        for _, grid, step in leaves:
+            chosen.append(allowed[grid].astype(bool))
+            marked[::step, ::step] |= chosen[-1]
+        rows, cols = np.divmod(np.flatnonzero(marked), width)
+        points = zip(map(xs.__getitem__, cols.tolist()), map(ys.__getitem__, rows.tolist()))
+        samples = list(map(fn, points))
+        sample_of = (np.cumsum(marked) - 1).reshape(marked.shape)  # lattice node -> sample
+        for n, ((rel_path, grid, step), keep) in enumerate(zip(leaves, chosen)):
+            picked = samples  # a leaf that takes every sample takes them in the same order
+            if np.count_nonzero(keep) < len(samples):
+                picked = list(map(samples.__getitem__, sample_of[::step, ::step][keep].tolist()))
+            columns[n, ()] = picked
+            reads.append((rel_path, grid[keep], n))
+    # every column is read before the first write: a ShapeMismatch writes nothing
+    written = [(offsets, _column(columns, key, rel_path)) for rel_path, offsets, key in reads]
+    for offsets, column in written:
+        values[offsets] = column
 
 
 def interpolate(basis, coefficients, fn) -> None:
@@ -120,7 +148,10 @@ def interpolate(basis, coefficients, fn) -> None:
     each leaf in scope is visited once, on the leaf's node grid: a leaf of
     order k takes its value at ``(a / (k*nx), b / (k*ny))``, and ``fn`` is
     called once per node of the finest order in scope, whose lattice holds
-    the nodes of every coarser order.
+    the nodes of every coarser order, in row-major order.  The sampling
+    plan is built on the first call for the basis's prefix and reused.
+    Every leaf's column is read before the first write, so a range value
+    of the wrong shape raises ShapeMismatch with the coefficients untouched.
     """
     _interpolate(basis, coefficients, fn, None)
 
@@ -131,7 +162,9 @@ def interpolate_masked(basis, coefficients, fn, mask) -> None:
     ``mask`` is laid out like the coefficients; no write happens anywhere
     the mask is false.  Nodes are visited as in :func:`interpolate`, but
     ``fn`` is called only at the nodes that some leaf's mask marks, once
-    each, in row-major order (never, for an all-false mask).
+    each, in row-major order (never, for an all-false mask).  The leaves'
+    node grids and lattice steps come from the same per-scope plan; only
+    the mask is read per call.  A ShapeMismatch writes nothing.
     """
     _interpolate(basis, coefficients, fn, mask)
 
@@ -141,10 +174,10 @@ def boundary_offsets(basis) -> np.ndarray:
 
     The boundary nodes of a leaf are the outer ring of its node grid (its
     first and last row and column); leaves come depth first and each ring
-    row by row.
+    row by row.  The array is read-only and built once per basis and
+    prefix; every call returns the same one.
     """
-    grids = [leaf.node_grid for leaf in basis.root_basis._scope(basis.prefix_path).leaves]
-    return np.concatenate([np.hstack((g[0], g[1:-1, [0, -1]].ravel(), g[-1])) for g in grids])
+    return basis.root_basis._scope(basis.prefix_path).ring
 
 
 def for_each_boundary_dof(basis, callback) -> None:
@@ -168,12 +201,13 @@ def evaluate_discrete(basis, coefficients, point):
     root = basis.root_basis
     values = _flat_values(root, coefficients)
     element, (xi, eta) = root.grid.locate(point)
+    xi, eta = float(xi), float(eta)
     scope = root._scope(basis.prefix_path)
     row = values[scope.offsets[element]].tolist()
     orders, windows, nest = scope.plan
     weights = []  # per order, the shape function values in local node order
     for k in orders:
-        lx = values_1d(k, xi).tolist()
-        weights.append([b * a for b in values_1d(k, eta).tolist() for a in lx])
+        lx = lagrange_1d(k, xi)
+        weights.append([b * a for b in lagrange_1d(k, eta) for a in lx])
     # sum starts from the int 0, so a zero field reads +0.0 whatever the signs of its zeros
     return nest([sum(map(mul, weights[n], row[start:stop])) for start, stop, n in windows])

@@ -57,6 +57,8 @@ def gmres(
     Arguments:
         matvec: callable mapping a vector to A times that vector.
         b: right hand side, 1d array; a non-finite entry here or in x0 raises ValueError.
+            A finite b whose 2-norm overflows is solved as b / s from x0 / s,
+            s its largest magnitude, and the solution scaled back by s.
         restart: Krylov space dimension per cycle, at least 1 (else ValueError).
         tol: relative residual target, measured as ||b - A x|| / ||b||.
         maxiter: total iteration (matvec) budget across restarts.
@@ -89,6 +91,23 @@ def gmres(
     for name, v in (("b", b), ("x0", x0)):
         if v is not None and not np.isfinite(v).all():
             raise ValueError(f"{name} has a non-finite entry")
+    with np.errstate(over="ignore"):
+        bnorm = float(np.linalg.norm(b))
+    if bnorm == math.inf:
+        # ||b|| overflows though b is finite: solve for b / scale, whose norm does not
+        scale = float(np.max(np.abs(b)))
+        x0 = None if x0 is None else np.asarray(x0, dtype=float) / scale
+        x, relres, iters = gmres(
+            matvec,
+            b / scale,
+            restart=restart,
+            tol=tol,
+            maxiter=maxiter,
+            x0=x0,
+            precondition=precondition,
+            record=record,
+        )
+        return x * scale, relres, iters
     entry = time.perf_counter()
     seconds = dict.fromkeys(("matvec", "precondition", "krylov"), 0.0)
     matvec = _timed(matvec, seconds, "matvec")
@@ -102,7 +121,6 @@ def gmres(
             record.update(stop=stop, residuals=residuals, seconds=seconds)
         return x, relres, iters
 
-    bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return done("converged", np.zeros_like(b), 0.0)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)

@@ -5,7 +5,8 @@ local index m = b*(k+1) + a carries the shape function l_a(xi) * l_b(eta)
 built from the one-dimensional Lagrange polynomials over the equispaced
 nodes.  Orders 1 and 2 are supported, and :func:`values_1d` and
 :func:`derivatives_1d` tabulate their one-dimensional values and slopes
-in closed form (Q1: 1-x, x; Q2: (2x-1)(x-1), 4x(1-x), x(2x-1)).
+in closed form (Q1: 1-x, x; Q2: (2x-1)(x-1), 4x(1-x), x(2x-1));
+:func:`lagrange_1d` gives the values as a list, of floats at a float.
 :func:`line_matrices` assembles the same polynomials into stiffness, mass
 and slope-value coupling matrices of a uniformly split unit interval.
 """
@@ -18,14 +19,19 @@ from .errors import UnsupportedOrder
 from .quadrature import gauss_legendre_unit
 
 
+def lagrange_1d(order: int, x) -> list:
+    """:func:`values_1d` as a list, one entry per node: Python floats at a float ``x``."""
+    if order == 1:
+        return [1.0 - x, x]
+    return [(2.0 * x - 1.0) * (x - 1.0), 4.0 * x * (1.0 - x), x * (2.0 * x - 1.0)]
+
+
 def values_1d(order: int, x) -> np.ndarray:
     """1-D Lagrange polynomials of ``order`` at ``x`` (scalar or array) along axis 0.
 
     Bitwise equal to the product formula up to the sign of a zero: scaling by 2 is exact.
     """
-    if order == 1:
-        return np.array([1.0 - x, x])
-    return np.array([(2.0 * x - 1.0) * (x - 1.0), 4.0 * x * (1.0 - x), x * (2.0 * x - 1.0)])
+    return np.array(lagrange_1d(order, x))
 
 
 def derivatives_1d(order: int, x) -> np.ndarray:

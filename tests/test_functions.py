@@ -26,7 +26,9 @@ from fembasis import (
     subspace_basis,
     taylor_hood_tree,
 )
+from fembasis.basis import _Scope
 from fembasis.cli import TABLE1_COLUMNS, strategy_table_bases
+from fembasis.functions import _SCALAR_TYPES, _component, boundary_offsets
 
 TH2 = "composite(power(lagrange(2),2),lagrange(1))"
 
@@ -619,3 +621,170 @@ def test_another_size_is_rejected_before_any_key_is_built(monkeypatch):
         interpolate(basis, w, lambda p: [[1.0, 1.0], 1.0])
     with pytest.raises(ShapeMismatch):
         evaluate_discrete(basis, w, (0.5, 0.5))
+
+
+# -- the sampling plan: bitwise the sampling it replaced ----------------------
+
+
+def reference_column(samples, rel_path):
+    """Leaf column of the samples, read leaf by leaf from the whole sample."""
+    column = samples
+    try:
+        for digit in rel_path:
+            column = [value[digit] for value in column]
+    except (TypeError, KeyError, IndexError):
+        column = None
+    if column is None or not all(issubclass(t, _SCALAR_TYPES) for t in set(map(type, column))):
+        column = [_component(value, rel_path) for value in samples]
+    return np.array(column, dtype=float)
+
+
+def reference_interpolate(basis, coefficients, fn, mask=None):
+    """Interpolation that plans its sampling anew on every call, leaf by leaf."""
+    root = basis.root_basis
+    values = coefficients.values
+    allowed = None if mask is None else mask.values
+    nx, ny = root.grid.nx, root.grid.ny
+    leaves = root._scope(basis.prefix_path).leaves
+    top = max(leaf.finite_element.order for leaf in leaves)
+    width, height = top * nx + 1, top * ny + 1
+    lattice = np.arange(height * width).reshape(height, width)
+    marked = np.zeros(lattice.size, dtype=bool)
+    writes = []
+    for leaf in leaves:
+        offsets = leaf.node_grid
+        nodes = lattice[:: top // leaf.finite_element.order, :: top // leaf.finite_element.order]
+        if allowed is not None:
+            chosen = allowed[offsets].astype(bool)
+            offsets, nodes = offsets[chosen], nodes[chosen]
+        marked[nodes.ravel()] = True
+        writes.append((leaf.rel_path, offsets.ravel(), nodes.ravel()))
+    xs = [a / (top * nx) for a in range(width)]
+    ys = [b / (top * ny) for b in range(height)]
+    rows, cols = np.divmod(np.flatnonzero(marked), width)
+    samples = [fn((xs[a], ys[b])) for a, b in zip(cols.tolist(), rows.tolist())]
+    sample_of = np.cumsum(marked) - 1
+    for rel_path, offsets, nodes in writes:
+        picked = [samples[n] for n in sample_of[nodes].tolist()]
+        values[offsets] = reference_column(picked, rel_path)
+
+
+def sampled_bases():
+    """The Table-1 bases at the root and both child prefixes, and random trees."""
+    for _, root in strategy_table_bases(StructuredGrid(3, 2), 3):
+        yield root
+        yield subspace_basis(root, (0,))
+        yield subspace_basis(root, (1,))
+    for basis, _, _, _ in random_bases(89, 12):
+        yield basis
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_interpolation_is_bitwise_the_per_call_sampling(masked):
+    rng = np.random.default_rng(97)
+    for basis in sampled_bases():
+        root, prefix = basis.root_basis, basis.prefix_path
+        subtree = child_at(root.tree, prefix)
+        for shift in (0.0, 0.25):  # two interpolations in a row on one basis
+            n = root.dimension()
+            mask = NestedVector.from_flat(root.layout, rng.random(n) < 0.4) if masked else None
+            before = rng.standard_normal(n)
+            got = NestedVector.from_flat(root.layout, before.copy())
+            want = NestedVector.from_flat(root.layout, before.copy())
+            seen = {"got": [], "want": []}
+
+            def field(calls):
+                return lambda p: calls.append(p) or range_value(subtree, (p[0] + shift, p[1]), prefix)
+
+            if masked:
+                interpolate_masked(basis, got, field(seen["got"]), mask)
+            else:
+                interpolate(basis, got, field(seen["got"]))
+            reference_interpolate(basis, want, field(seen["want"]), mask)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert seen["got"] == seen["want"]
+
+
+def test_the_sampling_plan_and_the_ring_are_built_once_per_scope(monkeypatch):
+    built = []
+
+    def counted(name, build):
+        return lambda scope: built.append((name, scope.prefix)) or build(scope)
+
+    for name in ("sampling", "ring"):
+        prop = vars(_Scope)[name]
+        monkeypatch.setattr(prop, "func", counted(name, prop.func))
+    basis = make_basis(StructuredGrid(3, 2), taylor_hood_tree())
+    velocity = subspace_basis(basis, (0,))
+    v = NestedVector()
+    v.resize_from_basis(basis)
+    mask = NestedVector()
+    mask.resize_from_basis(basis, fill=True)
+    for _ in range(2):
+        interpolate(basis, v, lambda p: [[p[0], p[1]], 1.0])
+        interpolate(velocity, v, lambda p: [p[1], p[0]])
+        interpolate_masked(velocity, v, lambda p: [1.0, 2.0], mask)
+        apply_dirichlet(SparseSystem(), v, basis)
+        boundary_offsets(velocity)
+    assert sorted(built) == [("ring", (0,)), ("sampling", ()), ("sampling", (0,))]
+
+
+def test_each_range_value_is_read_once_per_tree_node():
+    nx, ny = 3, 2
+    basis, v = fresh(TH2, nx=nx, ny=ny)
+    reads = []
+
+    class Counted(list):
+        def __getitem__(self, digit):
+            reads.append(digit)
+            return list.__getitem__(self, digit)
+
+    interpolate(basis, v, lambda p: Counted([Counted([p[0], p[1]]), p[0] * p[1]]))
+    q2, q1 = (2 * nx + 1) * (2 * ny + 1), (nx + 1) * (ny + 1)
+    # every sample: its velocity once and each of its components once; the pressure at Q1 nodes
+    assert sorted(reads) == [0] * 2 * q2 + [1] * (q2 + q1)
+    want = expected_vector(TH2, nx, ny, th_leaf(lambda p: [[p[0], p[1]], p[0] * p[1]]))
+    assert v.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda p: [[7.0], 1.0],
+        lambda p: [2.0, 1.0] if p == (0.5, 0.5) else [[p[0], p[1]], 1.0],
+        lambda p: [[p[0], p[1]], [1.0]],
+    ],
+    ids=["no-(0,1)-component", "a-scalar-velocity", "a-list-pressure"],
+)
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_a_shape_mismatch_writes_nothing(fn, masked):
+    basis, v = fresh(TH2, nx=3, ny=2)
+    v.values[:] = np.random.default_rng(101).standard_normal(len(v.values))
+    before = v.values.tobytes()
+    with pytest.raises(ShapeMismatch):
+        if masked:
+            mask = NestedVector.from_flat(v.layout, np.ones(len(v.values), dtype=bool))
+            interpolate_masked(basis, v, fn, mask)
+        else:
+            interpolate(basis, v, fn)
+    assert v.values.tobytes() == before
+
+
+def test_boundary_offsets_is_the_scopes_read_only_ring():
+    basis = make_basis(StructuredGrid(3, 2), taylor_hood_tree())
+    ring = boundary_offsets(subspace_basis(basis, (0,)))
+    assert not ring.flags.writeable
+    with pytest.raises(ValueError):
+        ring[0] = 0
+    assert boundary_offsets(subspace_basis(basis, (0,))) is ring
+
+
+def test_evaluate_discrete_at_numpy_scalars_reads_the_same_python_floats():
+    basis, v = fresh(TH2, nx=3, ny=2)
+    interpolate(basis, v, lambda p: [[math.sin(3 * p[0]), p[1] ** 2], p[0] - p[1]])
+    for p in [(0.3, 0.7), (0.125, 1.0), (1.0, 0.0), (0.61, 0.29)]:
+        plain = evaluate_discrete(basis, v, p)
+        scalars = evaluate_discrete(basis, v, (np.float64(p[0]), np.float64(p[1])))
+        assert repr(scalars) == repr(plain)  # np.float64 would repr as np.float64(...)
+        (vx, vy), pressure = scalars
+        assert {type(vx), type(vy), type(pressure)} == {float}

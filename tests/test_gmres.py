@@ -113,6 +113,14 @@ def test_huge_finite_entries_are_not_mistaken_for_non_finite_ones():
         assert gmres(lambda v: v, b, maxiter=0)[2] == 0
 
 
+def test_a_finite_rhs_whose_norm_overflows_is_solved_scaled():
+    b = np.array([1e200, -1e200, 1e200])
+    record = {}
+    x, relres, iters = gmres(lambda v: 2.0 * v, b, record=record)
+    assert x.tobytes() == (b / 2).tobytes()
+    assert record["stop"] == "converged" and relres <= 1e-8 and iters == 1
+
+
 def test_maxiter_exhaustion_is_reported():
     rng = np.random.default_rng(79)
     m = rng.standard_normal((30, 30))

@@ -11,7 +11,13 @@ from fembasis import (
     lagrange_element,
     tensor_rule,
 )
-from fembasis.localfe import _line_integrals, derivatives_1d, line_matrices, values_1d
+from fembasis.localfe import (
+    _line_integrals,
+    derivatives_1d,
+    lagrange_1d,
+    line_matrices,
+    values_1d,
+)
 
 
 def fd_gradient(fe, m, point, h=1e-5):
@@ -147,3 +153,11 @@ def test_line_matrices_match_the_cell_loop_bitwise(order, column_order, cells):
         assert matrix.shape == reference.shape
         assert matrix.tobytes() == reference.tobytes()
     assert not _line_integrals(order, column_order).flags.writeable
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_lagrange_1d_on_floats_is_values_1d_on_numpy_scalars(order):
+    for x in np.linspace(0.0, 1.0, 41).tolist() + [1 / 3, 0.1, 0.7]:
+        values = lagrange_1d(order, x)
+        assert {type(v) for v in values} == {float}
+        assert np.array(values).tobytes() == values_1d(order, np.float64(x)).tobytes()
