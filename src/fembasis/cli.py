@@ -117,9 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     stokes.add_argument(
         "--grid", required=True, type=parse_grid_shape, help="grid size as NXxNY"
     )
-    stokes.add_argument("--tol", type=float, default=1e-8, help="relative residual target")
-    stokes.add_argument("--restart", type=int, default=100, help="GMRes restart length")
-    stokes.add_argument("--max-iter", type=int, default=5000, help="iteration budget")
+    cfg = SolverConfig()  # SolverConfig holds the solver's only defaults
+    stokes.add_argument("--tol", type=float, default=cfg.tolerance, help="relative residual target")
+    stokes.add_argument("--restart", type=int, default=cfg.restart, help="GMRes restart length")
+    stokes.add_argument("--max-iter", type=int, default=cfg.max_iterations, help="iteration budget")
     stokes.add_argument(
         "--pin-pressure", action="store_true", help="shift the pressure to 0 at node (0,0)"
     )

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer input check."""
+
+import operator
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int, numpy integers included; a bool or a non-integer raises TypeError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 class FemBasisError(Exception):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containers import NestedVector, SparseSystem
+from .errors import integer
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,8 @@ class SolverConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        object.__setattr__(self, "restart", integer(self.restart, "restart"))
+        object.__setattr__(self, "max_iterations", integer(self.max_iterations, "max_iterations"))
         if self.restart < 1:
             raise ValueError(f"restart must be >= 1, got {self.restart}")
         if self.max_iterations < 0:
@@ -50,7 +53,8 @@ def _timed(fn, seconds, name):
 
 
 def gmres(
-    matvec, b, *, restart=100, tol=1e-8, maxiter=5000, x0=None, precondition=None, record=None
+    matvec, b, *, restart=SolverConfig.restart, tol=SolverConfig.tolerance,
+    maxiter=SolverConfig.max_iterations, x0=None, precondition=None, record=None,
 ):
     """Solve A x = b with restarted, optionally right-preconditioned GMRes.
 

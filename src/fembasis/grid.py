@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, OutsideDomain, ParseError
+from .errors import IndexOutOfRange, OutsideDomain, ParseError, integer
 
 BOUNDARY_TOL = 1e-10
 
@@ -40,6 +40,8 @@ class StructuredGrid:
     ny: int
 
     def __post_init__(self):
+        object.__setattr__(self, "nx", integer(self.nx, "grid cell count nx"))
+        object.__setattr__(self, "ny", integer(self.ny, "grid cell count ny"))
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"grid needs at least one cell per axis, got {self.nx}x{self.ny}")
 

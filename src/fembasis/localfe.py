@@ -13,10 +13,14 @@ and slope-value coupling matrices of a uniformly split unit interval.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .errors import UnsupportedOrder
-from .quadrature import gauss_legendre_unit
+from .errors import UnsupportedOrder, integer
+from .quadrature import gauss_legendre_unit, read_only
+
+SUPPORTED_ORDERS = (1, 2)  # the one list of element orders; a Leaf checks its order here too
 
 
 def lagrange_1d(order: int, x) -> list:
@@ -49,8 +53,8 @@ class LagrangeQk:
     """Scalar Lagrange element of tensor order ``order`` on the unit square."""
 
     def __init__(self, order: int):
-        if order not in (1, 2):
-            raise UnsupportedOrder(f"order {order} unsupported, expected 1 or 2")
+        if order not in SUPPORTED_ORDERS:
+            raise UnsupportedOrder(f"order {order} unsupported, expected one of {SUPPORTED_ORDERS}")
         self.order = order
         self.count = (order + 1) ** 2
 
@@ -75,34 +79,23 @@ class LagrangeQk:
         return f"LagrangeQk(order={self.order})"
 
 
-_CACHE: dict[int, LagrangeQk] = {}
+_element = functools.cache(LagrangeQk)
 
 
 def lagrange_element(order: int) -> LagrangeQk:
-    """Shared element instance per order (they are stateless)."""
-    if order not in _CACHE:
-        _CACHE[order] = LagrangeQk(order)
-    return _CACHE[order]
+    """The shared, stateless element of ``order``; 2.0 or True raise TypeError before the cache."""
+    return _element(integer(order, "lagrange order"))
 
 
-_LINE_INTEGRALS: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _line_integrals(order: int, column_order: int) -> np.ndarray:
     """Read-only integrals of l_i' m_j', l_i m_j and l_i' m_j over [0, 1], stacked."""
-    key = (order, column_order)
-    integrals = _LINE_INTEGRALS.get(key)
-    if integrals is None:
-        points, weights = gauss_legendre_unit(max(order, column_order) + 1)
-        values, slopes = values_1d(order, points), derivatives_1d(order, points)
-        column_values = values_1d(column_order, points) * weights
-        column_slopes = derivatives_1d(column_order, points) * weights
-        integrals = np.stack(
-            [slopes @ column_slopes.T, values @ column_values.T, slopes @ column_values.T]
-        )
-        integrals.flags.writeable = False
-        _LINE_INTEGRALS[key] = integrals
-    return integrals
+    points, weights = gauss_legendre_unit(max(order, column_order) + 1)
+    values, slopes = values_1d(order, points), derivatives_1d(order, points)
+    column_values = values_1d(column_order, points) * weights
+    column_slopes = derivatives_1d(column_order, points) * weights
+    integrals = [slopes @ column_slopes.T, values @ column_values.T, slopes @ column_values.T]
+    return read_only(np.stack(integrals))[0]
 
 
 def line_matrices(order: int, column_order: int, cells: int):

@@ -1,53 +1,49 @@
 """Gauss-Legendre quadrature on the unit interval and unit square.
 
-Rules are reference-element constants: each is computed on its first
-request and then shared, read-only, by every caller in the process.
+Rules are reference-element constants: like every such constant in the
+package, each is built once by a cached builder and shared, read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
 
-_LINE_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_SQUARE_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 
 def gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule mapped from [-1,1] to [0,1].
-
-    The points and weights are computed once per n and shared: both
-    arrays are read-only.
-    """
-    n = operator.index(n)  # 2.0 is refused, not served the cached 2-point rule
-    rule = _LINE_RULES.get(n)
-    if rule is None:
-        if n < 1:
-            raise ValueError(f"quadrature needs at least one point, got {n}")
-        x, w = np.polynomial.legendre.leggauss(n)
-        rule = _LINE_RULES[n] = _read_only((x + 1.0) / 2.0, w / 2.0)
-    return rule
+    """n-point Gauss-Legendre rule mapped from [-1,1] to [0,1]: read-only points and weights."""
+    return _line_rule(operator.index(n))  # 2.0 is refused, not served the cached 2-point rule
 
 
 def tensor_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor product of the n-point rule on the unit square.
 
-    Returns points of shape (n*n, 2) and matching weights; exact for
-    polynomials of degree 2n-1 per axis.  Like :func:`gauss_legendre_unit`,
-    the rule is computed once per n and both arrays are shared and read-only.
+    Returns read-only points of shape (n*n, 2) and matching weights; exact
+    for polynomials of degree 2n-1 per axis.
     """
-    n = operator.index(n)
-    rule = _SQUARE_RULES.get(n)
-    if rule is None:
-        x, w = gauss_legendre_unit(n)
-        points = np.array([(xa, xb) for xb in x for xa in x])
-        weights = np.array([wa * wb for wb in w for wa in w])
-        rule = _SQUARE_RULES[n] = _read_only(points, weights)
-    return rule
+    return _square_rule(operator.index(n))
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+@functools.cache
+def _line_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    if n < 1:
+        raise ValueError(f"quadrature needs at least one point, got {n}")
+    x, w = np.polynomial.legendre.leggauss(n)
+    return read_only((x + 1.0) / 2.0, w / 2.0)
+
+
+@functools.cache
+def _square_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _line_rule(n)
+    points = np.array([(xa, xb) for xb in x for xa in x])
+    weights = np.array([wa * wb for wb in w for wa in w])
+    return read_only(points, weights)
+
+
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays as a tuple, marked read-only: how every cached constant is returned."""
     for array in arrays:
         array.flags.writeable = False
     return arrays

@@ -17,6 +17,7 @@ node grids; multi-index keys are left to the public API.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -31,20 +32,18 @@ from .functions import boundary_offsets, interpolate_masked
 from .gmres import SolverConfig, solve_system
 from .grid import StructuredGrid
 from .localfe import lagrange_element, line_matrices
-from .quadrature import tensor_rule
+from .quadrature import read_only, tensor_rule
 from .treespec import Composite, Leaf, Power, Strategy
 from .vtu import write_vtu
 
 VELOCITY_COMPONENTS = 2
+GAUSS_POINTS = 3  # per axis: exact for the Q2-Q1 forms, of degree at most 4 per axis
 
 
-def taylor_hood_tree(velocity_components: int = VELOCITY_COMPONENTS) -> Composite:
-    """Quadratic velocity components paired with a linear pressure."""
+def taylor_hood_tree() -> Composite:
+    """The cavity's BL(BI) tree: two quadratic velocity components, then a linear pressure."""
     return Composite(
-        (
-            Power(Leaf(2), velocity_components, Strategy.BLOCKED_INTERLEAVED),
-            Leaf(1),
-        ),
+        (Power(Leaf(2), VELOCITY_COMPONENTS, Strategy.BLOCKED_INTERLEAVED), Leaf(1)),
         Strategy.BLOCKED_LEXICOGRAPHIC,
     )
 
@@ -72,46 +71,37 @@ def _split_taylor_hood_leaves(leaves):
     return vel, press
 
 
-_TABULATIONS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _reference_tabulation(order: int, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _reference_tabulation(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only values (points, count) and gradients (points, count, 2) of the
-    order's reference shape functions at the points of ``tensor_rule(quad_points)``.
+    order's reference shape functions at the points of ``tensor_rule(GAUSS_POINTS)``.
     """
-    key = (order, quad_points)
-    tabulation = _TABULATIONS.get(key)
-    if tabulation is None:
-        fe = lagrange_element(order)
-        points, _ = tensor_rule(quad_points)
-        tabulation = (
-            np.array([fe.values(point) for point in points]),
-            np.array([fe.gradients(point) for point in points]),
-        )
-        for array in tabulation:
-            array.flags.writeable = False
-        _TABULATIONS[key] = tabulation
-    return tabulation
+    fe = lagrange_element(order)
+    points, _ = tensor_rule(GAUSS_POINTS)
+    return read_only(
+        np.array([fe.values(point) for point in points]),
+        np.array([fe.gradients(point) for point in points]),
+    )
 
 
-def assemble_element_matrix(view, geometry, quad_points: int = 3) -> np.ndarray:
+def assemble_element_matrix(view, geometry) -> np.ndarray:
     """Dense element matrix of the Stokes bilinear forms on one element.
 
     ``view`` must be a bound Taylor-Hood local view.  The velocity blocks
     get the component-wise Laplacian, the velocity-pressure couplings get
     the divergence pairing in both symmetric positions, and the
-    pressure-pressure block stays structurally present but zero.  The
-    reference shape functions at the Gauss points are tabulated once per
-    order and rule and shared by every call.
+    pressure-pressure block stays structurally present but zero.  A fixed
+    3x3 Gauss rule integrates these Q2-Q1 forms exactly, from reference
+    shape functions tabulated once per order and shared by every call.
     """
     vel, press = _split_taylor_hood_leaves(view.leaves)
     fe_v = vel[0].finite_element
     fe_p = press.finite_element
     n = view.max_size
     A = np.zeros((n, n))
-    _, weights = tensor_rule(quad_points)
-    _, gradients = _reference_tabulation(fe_v.order, quad_points)
-    values, _ = _reference_tabulation(fe_p.order, quad_points)
+    _, weights = tensor_rule(GAUSS_POINTS)
+    _, gradients = _reference_tabulation(fe_v.order)
+    values, _ = _reference_tabulation(fe_p.order)
     # all Gauss points at once; add.reduce sums the points in order, as a loop would
     grads = gradients * np.array([1.0 / geometry.hx, 1.0 / geometry.hy])
     factor = (weights * geometry.jacobian_determinant)[:, None, None]
@@ -183,19 +173,22 @@ def weak_divergence_norm(system: SparseSystem, solution: NestedVector) -> float:
     return math.sqrt(divergence @ divergence)
 
 
-def _axis_factors(cells):
-    """1-D factors of :func:`stokes_preconditioner` along an axis of ``cells`` cells.
+@functools.cache
+def _axis_factors(cells: int) -> tuple[np.ndarray, ...]:
+    """Read-only 1-D factors of :func:`stokes_preconditioner` along an axis of ``cells`` cells.
 
     S and lam (S^T K S = diag(lam), S^T M S = I for the interior Q2
     stiffness K and mass M), the inverse Q1 mass, and the interior Q2 rows
-    of the Q2-by-Q1 mass M21 and slope coupling D21.
+    of the Q2-by-Q1 mass M21 and slope coupling D21; kept per cell count,
+    10.5 kB at 12 cells and 1.2 MB at 128.
     """
     stiffness, mass, _ = line_matrices(2, 2, cells)
     inv_factor = np.linalg.inv(np.linalg.cholesky(mass[1:-1, 1:-1]))
     lam, q = np.linalg.eigh(inv_factor @ stiffness[1:-1, 1:-1] @ inv_factor.T)
     _, mass21, slope21 = line_matrices(2, 1, cells)
     pressure_inv = np.linalg.inv(line_matrices(1, 1, cells)[1])
-    return inv_factor.T @ q, lam, pressure_inv, mass21[1:-1], slope21[1:-1]
+    # copies, so no factor keeps the whole matrix it was sliced from alive
+    return read_only(inv_factor.T @ q, lam, pressure_inv, mass21[1:-1].copy(), slope21[1:-1].copy())
 
 
 def stokes_preconditioner(basis: GlobalBasis):
@@ -222,16 +215,16 @@ def stokes_preconditioner(basis: GlobalBasis):
     Returns the flat M^-1 application, which treats both velocity
     components as one stacked (2, 2ny-1, 2nx-1) batch: one gather of both
     interiors, one batched B^T product with the two components' factors,
-    one fast-diagonalisation chain and one scatter.
+    one fast-diagonalisation chain and one scatter.  The 1-D factors are
+    built once per cell count and shared by every later preconditioner.
     """
     vel, press = _split_taylor_hood_leaves(basis._scope().leaves)
     nx, ny = basis.grid.nx, basis.grid.ny
     interior = np.stack([leaf.node_grid[1:-1, 1:-1] for leaf in vel])
     pressure = press.node_grid
 
-    x_factors = _axis_factors(nx)
-    sx, lam_x, px_inv, mx21, dx21 = x_factors
-    sy, lam_y, py_inv, my21, dy21 = x_factors if ny == nx else _axis_factors(ny)
+    sx, lam_x, px_inv, mx21, dx21 = _axis_factors(nx)
+    sy, lam_y, py_inv, my21, dy21 = _axis_factors(ny)
     eigenvalue_sums = lam_y[:, None] + lam_x[None, :]
     # B^T = left @ Z @ right of the x and the y component, stacked like ``interior``
     left, right = np.stack([my21, dy21]), np.stack([dx21.T, mx21.T])

@@ -32,11 +32,11 @@ from .errors import (
     InvalidStrategy,
     ParseError,
     PathOutOfRange,
-    UnsupportedOrder,
+    integer,
 )
+from .localfe import lagrange_element
 
 MAX_DEPTH = 4
-SUPPORTED_ORDERS = (1, 2)
 
 
 class Strategy(Enum):
@@ -102,10 +102,8 @@ class Leaf:
     order: int
 
     def __post_init__(self):
-        if self.order not in SUPPORTED_ORDERS:
-            raise UnsupportedOrder(
-                f"lagrange order {self.order} unsupported, expected one of {SUPPORTED_ORDERS}"
-            )
+        # lagrange_element checks the order: an int (else TypeError) in SUPPORTED_ORDERS
+        object.__setattr__(self, "order", lagrange_element(self.order).order)
 
 
 @dataclass(frozen=True)
@@ -119,6 +117,7 @@ class Power:
     def __post_init__(self):
         if not isinstance(self.child, (Leaf, Power, Composite)):
             raise TypeError(f"power child must be a basis tree, got {self.child!r}")
+        object.__setattr__(self, "count", integer(self.count, "power count"))
         if self.count < 1:
             raise ValueError(f"power count must be >= 1, got {self.count}")
         if not isinstance(self.strategy, Strategy):

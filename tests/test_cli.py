@@ -2,9 +2,12 @@
 
 import xml.etree.ElementTree as ET
 
+import inspect
+
 import pytest
 
-from fembasis.cli import main
+from fembasis import SolverConfig, gmres
+from fembasis.cli import build_parser, main
 
 TH2 = "composite(power(lagrange(2),2),lagrange(1))"
 
@@ -149,3 +152,15 @@ def test_bad_input_is_reported(capsys, tmp_path, monkeypatch, argv):
     assert code == 1
     assert err.startswith("error:")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gmres_and_the_cli_take_their_defaults_from_solver_config():
+    config = SolverConfig()
+    defaults = {name: p.default for name, p in inspect.signature(gmres).parameters.items()}
+    assert (defaults["restart"], defaults["maxiter"], defaults["tol"]) == (
+        config.restart, config.max_iterations, config.tolerance
+    )
+    args = build_parser().parse_args(["stokes", "--grid", "2x2", "--out", "c.vtu"])
+    assert (args.restart, args.max_iter, args.tol) == (
+        config.restart, config.max_iterations, config.tolerance
+    )

@@ -253,6 +253,16 @@ def test_solver_config_defaults():
     assert config.tolerance == 1e-8
 
 
+@pytest.mark.parametrize("field", ["restart", "max_iterations"])
+@pytest.mark.parametrize("bad", [1.5, 10.0, True, np.float64(3.0)])
+def test_solver_config_counts_must_be_integers(field, bad):
+    # refused by the config, not later inside gmres
+    with pytest.raises(TypeError, match=field):
+        SolverConfig(**{field: bad})
+    config = SolverConfig(**{field: np.int64(7)})
+    assert getattr(config, field) == 7 and type(getattr(config, field)) is int
+
+
 def test_right_preconditioning_keeps_true_residual():
     rng = np.random.default_rng(83)
     n = 30

@@ -12,6 +12,7 @@ from fembasis import (
     ParseError,
     StructuredGrid,
     parse_grid_shape,
+    run_driven_cavity,
 )
 
 
@@ -97,6 +98,19 @@ def test_elements_tile_the_square():
 def test_grid_validation():
     with pytest.raises(ValueError):
         StructuredGrid(0, 3)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, np.float64(2.0), np.True_])
+def test_grid_cell_counts_must_be_integers(bad, tmp_path):
+    for shape in [(bad, 2), (2, bad)]:
+        with pytest.raises(TypeError, match="grid cell count"):
+            StructuredGrid(*shape)
+        # refused before the cavity does any work
+        with pytest.raises(TypeError, match="grid cell count"):
+            run_driven_cavity(*shape, out_path=tmp_path / "c.vtu")
+    assert list(tmp_path.iterdir()) == []
+    grid = StructuredGrid(np.int64(3), np.uint8(2))
+    assert grid == StructuredGrid(3, 2) and type(grid.nx) is int and type(grid.ny) is int
 
 
 def test_parse_grid_shape():

@@ -4,6 +4,7 @@ and the shared Gauss rules and 1-D line matrices built from them."""
 import numpy as np
 import pytest
 
+import fembasis
 from fembasis import (
     LagrangeQk,
     UnsupportedOrder,
@@ -95,6 +96,19 @@ def test_gradients_match_finite_differences():
 def test_shared_element_cache():
     assert lagrange_element(2) is lagrange_element(2)
     assert lagrange_element(1).order == 1
+    assert lagrange_element(np.int64(2)) is lagrange_element(2)  # numpy integers stay accepted
+
+
+@pytest.mark.parametrize("bad", [2.0, True, np.float64(1.0), np.True_, "2"])
+def test_lagrange_element_rejects_non_integer_orders_cached_or_not(bad):
+    fembasis.localfe._element.cache_clear()
+    with pytest.raises(TypeError):
+        lagrange_element(bad)
+    q1, q2 = lagrange_element(1), lagrange_element(2)
+    with pytest.raises(TypeError):  # also once the integer entry is cached
+        lagrange_element(bad)
+    assert (q1.order, q1.count, q2.order, q2.count) == (1, 4, 2, 9)
+    assert {type(v) for v in (q1.order, q1.count, q2.order, q2.count)} == {int}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -118,10 +132,15 @@ def test_gauss_rules_are_shared_read_only_and_numpys_mapped_rule(n):
 def test_gauss_rules_reject_bad_point_counts():
     with pytest.raises(ValueError):
         gauss_legendre_unit(0)
+    fembasis.quadrature._line_rule.cache_clear()
+    fembasis.quadrature._square_rule.cache_clear()
     for rule in (gauss_legendre_unit, tensor_rule):
+        with pytest.raises(TypeError):
+            rule(2.0)
         rule(2)
         with pytest.raises(TypeError):  # also once the 2-point rule is cached
             rule(2.0)
+        assert rule(np.int64(2)) is rule(2)
 
 
 def cell_loop_line_matrices(order, column_order, cells):
@@ -152,7 +171,8 @@ def test_line_matrices_match_the_cell_loop_bitwise(order, column_order, cells):
     for matrix, reference in zip(got, expected):
         assert matrix.shape == reference.shape
         assert matrix.tobytes() == reference.tobytes()
-    assert not _line_integrals(order, column_order).flags.writeable
+    integrals = _line_integrals(order, column_order)
+    assert not integrals.flags.writeable and _line_integrals(order, column_order) is integrals
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -102,8 +102,8 @@ def test_element_matrix_velocity_block_positive_semidefinite():
 def test_quadrature_order_is_sufficient():
     # the integrands are polynomials of degree <= 4, exact already at 3 points
     basis, view = bound_view(nx=3, ny=3, element=5)
-    a3 = assemble_element_matrix(view, view.geometry, quad_points=3)
-    a5 = assemble_element_matrix(view, view.geometry, quad_points=5)
+    a3 = assemble_element_matrix(view, view.geometry)
+    a5 = per_point_element_matrix(view, view.geometry, 5)
     assert np.max(np.abs(a3 - a5)) <= 1e-12
 
 
@@ -135,46 +135,76 @@ def per_point_element_matrix(view, geometry, quad_points):
 @pytest.mark.parametrize("nx,ny", [(3, 3), (3, 5)])
 def test_element_matrix_matches_the_per_point_tabulation_bitwise(nx, ny):
     _, view = bound_view(nx, ny, element=4)
-    for quad_points in (3, 5):
-        expected = per_point_element_matrix(view, view.geometry, quad_points)
-        assert assemble_element_matrix(view, view.geometry, quad_points).tobytes() == (
-            expected.tobytes()
-        )
+    expected = per_point_element_matrix(view, view.geometry, 3)
+    assert assemble_element_matrix(view, view.geometry).tobytes() == expected.tobytes()
+
+
+def check_cached_read_only(builder, *args):
+    """The builder's arrays are read-only, and a second call returns the same objects."""
+    first = builder(*args)
+    assert len(first) and all(not array.flags.writeable for array in first)
+    second = builder(*args)
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    return first
 
 
 def test_reference_tabulations_are_shared_and_read_only():
     for order in (1, 2):
-        for quad_points in (3, 5):
-            tabulation = fembasis.stokes._reference_tabulation(order, quad_points)
-            values, gradients = tabulation
-            assert values.shape == (quad_points**2, (order + 1) ** 2)
-            assert gradients.shape == values.shape + (2,)
-            assert not values.flags.writeable and not gradients.flags.writeable
-            assert fembasis.stokes._reference_tabulation(order, quad_points) is tabulation
+        values, gradients = check_cached_read_only(fembasis.stokes._reference_tabulation, order)
+        assert values.shape == (3**2, (order + 1) ** 2)
+        assert gradients.shape == values.shape + (2,)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 7])
+def test_axis_factors_are_shared_read_only_and_per_cell_count(cells):
+    factors = check_cached_read_only(fembasis.stokes._axis_factors, cells)
+    n = 2 * cells - 1  # interior Q2 nodes
+    shapes = [(n, n), (n,), (cells + 1, cells + 1), (n, cells + 1), (n, cells + 1)]
+    assert [f.shape for f in factors] == shapes
+    other = fembasis.stokes._axis_factors(cells + 1)
+    assert all(a.shape != b.shape for a, b in zip(factors, other))
+
+
+CACHED_BUILDERS = (
+    fembasis.quadrature._line_rule,
+    fembasis.quadrature._square_rule,
+    fembasis.localfe._element,
+    fembasis.localfe._line_integrals,
+    fembasis.stokes._reference_tabulation,
+    fembasis.stokes._axis_factors,
+)
 
 
 def test_cavity_runs_compute_each_gauss_rule_once(tmp_path, monkeypatch, capsys):
-    caches = (
-        (fembasis.quadrature, "_LINE_RULES"),
-        (fembasis.quadrature, "_SQUARE_RULES"),
-        (fembasis.localfe, "_LINE_INTEGRALS"),
-        (fembasis.stokes, "_TABULATIONS"),
-    )
-    for module, name in caches:
-        monkeypatch.setattr(module, name, {})
-    leggauss = np.polynomial.legendre.leggauss
-    calls = []
+    leggauss, eigh = np.polynomial.legendre.leggauss, np.linalg.eigh
+    calls, eigh_sizes = [], []
 
     def counted(n):
         calls.append(n)
         return leggauss(n)
 
+    def counted_eigh(a):
+        eigh_sizes.append(len(a))
+        return eigh(a)
+
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-    lines = [run_driven_cavity(4, 4, out_path=str(tmp_path / "c.vtu")).summary_line for _ in "ab"]
-    # 3 points: the 3x3 assembly rule and line_matrices of orders (2, 2) and (2, 1);
-    # 2 points: line_matrices(1, 1)
-    assert sorted(calls) == [2, 3]
-    assert lines[0] == lines[1]
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    for nx, ny in [(4, 4), (4, 6)]:
+        for builder in CACHED_BUILDERS:
+            builder.cache_clear()
+        calls.clear()
+        eigh_sizes.clear()
+        first = run_driven_cavity(nx, ny, out_path=str(tmp_path / "c.vtu")).summary_line
+        # 3 points: the 3x3 assembly rule and line_matrices of orders (2, 2) and (2, 1);
+        # 2 points: line_matrices(1, 1)
+        assert sorted(calls) == [2, 3]
+        # one factor set per distinct cell count: 2n - 1 interior Q2 nodes on an axis
+        assert eigh_sizes == sorted({2 * nx - 1, 2 * ny - 1})
+        calls.clear()
+        eigh_sizes.clear()
+        second = run_driven_cavity(nx, ny, out_path=str(tmp_path / "c.vtu")).summary_line
+        assert calls == [] and eigh_sizes == []
+        assert second == first
 
 
 def test_element_matrix_rejects_wrong_tree():

@@ -7,13 +7,16 @@ from fembasis import (
     CapacityExceeded,
     Composite,
     InvalidStrategy,
+    LagrangeQk,
     Leaf,
     ParseError,
     PathOutOfRange,
     Power,
     Strategy,
+    StructuredGrid,
     UnsupportedOrder,
     child_at,
+    make_basis,
     parse_tree,
     render_tree,
     tree_depth,
@@ -74,6 +77,35 @@ def test_unsupported_order():
         parse_tree("lagrange(3)")
     with pytest.raises(UnsupportedOrder):
         Leaf(0)
+    for order in (0, 3):  # the leaf and the element read one list of orders
+        with pytest.raises(UnsupportedOrder):
+            LagrangeQk(order)
+    assert [Leaf(k).order for k in (1, 2)] == [LagrangeQk(k).order for k in (1, 2)]
+
+
+NON_INTEGERS = [2.0, True, np.float64(2.0), np.True_, "2"]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_a_non_integer_leaf_order_is_refused_before_a_basis_is_built(bad):
+    # refused by the leaf itself, not deep inside GlobalBasis, and never
+    # rendered as a text such as lagrange(True) that parse_tree rejects
+    with pytest.raises(TypeError, match="lagrange order"):
+        make_basis(StructuredGrid(2, 2), Leaf(bad))
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_a_non_integer_power_count_is_refused_before_a_basis_is_built(bad):
+    with pytest.raises(TypeError, match="power count"):
+        make_basis(StructuredGrid(2, 2), Power(Leaf(1), bad))
+
+
+def test_numpy_integer_orders_and_counts_become_ints():
+    tree = Power(Leaf(np.int64(2)), np.int32(3))
+    assert tree == Power(Leaf(2), 3)
+    assert type(tree.count) is int and type(tree.child.order) is int
+    assert render_tree(tree) == "power(lagrange(2),3,BlockedInterleaved)"
+    assert parse_tree(render_tree(tree)) == tree
 
 
 def test_power_count_must_be_positive():
