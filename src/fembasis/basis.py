@@ -29,8 +29,7 @@ the prefix, validated once; the leaves below it, depth first, with
 consecutive local indices; and, built on their first read, the subtree's
 element offset table (:meth:`GlobalBasis.element_offsets`, row ``e`` the
 offsets of element ``e``'s local functions, windows of the node grids),
-the plan by which evaluation reads a row, the lattice on which
-interpolation samples the leaves and the ring of boundary nodes.
+the plan by which evaluation reads a row and the ring of boundary nodes.
 Assembly hands the table to the sparse system as it is, :class:`LocalView`
 reads its multi-indices from a row, and
 :func:`~fembasis.functions.evaluate_discrete` gathers the coefficients of
@@ -156,15 +155,13 @@ class _Scope:
 
     One per (basis, prefix), see :meth:`GlobalBasis._scope`.  What the
     layers read of the subtree is built on its first read and kept
-    read-only: the element offset table, the evaluation plan, the sampling
-    plan of nodal interpolation and the boundary ring.  The scope keeps
-    the grid's cell counts, not the basis.
+    read-only: the element offset table, the evaluation plan and the
+    boundary ring.  The scope does not keep the basis.
     """
 
     def __init__(self, basis: "GlobalBasis", prefix: tuple):
         self.prefix = prefix
         self.node = child_at(basis.tree, prefix)
-        self._cells = basis.grid.nx, basis.grid.ny
         n, offset, leaves = len(prefix), 0, []
         for leaf in basis._leaves:
             if leaf.tree_path[:n] == prefix:
@@ -201,28 +198,6 @@ class _Scope:
             for leaf in self.leaves
         ]
         return orders, windows, _nesting(self.node, iter(range(len(self.leaves))))
-
-    @cached_property
-    def sampling(self):
-        """Where nodal interpolation samples the subtree.
-
-        ``(xs, ys, leaves)``.  The lattice of the finest order in scope,
-        top, holds the nodes of every leaf: ``xs`` and ``ys`` are the
-        coordinates ``a / (top*nx)`` and ``b / (top*ny)`` of its columns
-        and rows, as tuples of floats.  Per leaf, depth first,
-        ``(rel_path, node_grid, step)``: node ``[b, a]`` of the leaf's node
-        grid is lattice node ``[b*step, a*step]``, ``step = top / k`` for a
-        leaf of order k.
-        """
-        nx, ny = self._cells
-        top = max(leaf.finite_element.order for leaf in self.leaves)
-        xs = tuple(a / (top * nx) for a in range(top * nx + 1))
-        ys = tuple(b / (top * ny) for b in range(top * ny + 1))
-        leaves = tuple(
-            (leaf.rel_path, leaf.node_grid, top // leaf.finite_element.order)
-            for leaf in self.leaves
-        )
-        return xs, ys, leaves
 
     @cached_property
     def ring(self) -> np.ndarray:

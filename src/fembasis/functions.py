@@ -10,13 +10,13 @@ addressed by its tree path relative to that subtree, so a velocity-pressure
 basis expects values like [[vx, vy], p] while its velocity subspace expects
 [vx, vy].  Plain scalars broadcast to every leaf.
 
-What does not change between calls is kept in the basis's scope of the
-prefix and built on its first use: where interpolation samples (the
-finest lattice's coordinates and, per leaf, its node grid and lattice
-step) and the boundary ring.  A call pays for its samples: ``fn`` once per
-lattice node, each range value read once per tree node (leaves of one
-order below a common prefix share that prefix's components), and one
-scalar check and conversion per leaf.
+Interpolation samples on the lattice of the finest order in scope, which
+holds the nodes of every leaf; the leaves' node grids come from the
+basis's scope of the prefix, which also keeps the boundary ring.  A call
+pays for its samples: ``fn`` once per lattice node, each range value read
+once per tree node (leaves that take the same samples, those of one order
+or, under a mask, those that take every sample, share the components of
+their common prefix), and one scalar check and conversion per leaf.
 """
 
 from __future__ import annotations
@@ -98,10 +98,15 @@ def _interpolate(basis, coefficients, fn, mask) -> None:
     root = basis.root_basis
     values = _flat_values(root, coefficients)
     allowed = None if mask is None else _flat_values(root, mask)
+    leaves = root._scope(basis.prefix_path).leaves
+    nx, ny = root.grid.nx, root.grid.ny
     # node (a, b) of order k is lattice node (a*s, b*s) of the finest order,
     # s = top/k: a/(k*nx) and a*s/(top*nx) round the same rational, so fn
     # sees the same arguments; it is called once per lattice node written
-    xs, ys, leaves = root._scope(basis.prefix_path).sampling
+    top = max(leaf.finite_element.order for leaf in leaves)
+    xs = [a / (top * nx) for a in range(top * nx + 1)]
+    ys = [b / (top * ny) for b in range(top * ny + 1)]
+    steps = [top // leaf.finite_element.order for leaf in leaves]
     width = len(xs)
     columns = {}  # (key, path) -> components at path of the samples keyed key
     reads = []  # (relative path, offsets, key of its samples) per leaf
@@ -109,30 +114,31 @@ def _interpolate(basis, coefficients, fn, mask) -> None:
         # the finest leaf takes every lattice node: fn runs on all, row by row
         rows = chain.from_iterable(map(repeat, ys, repeat(width)))
         samples = list(map(fn, zip(cycle(xs), rows)))
-        for rel_path, grid, step in leaves:
+        for leaf, step in zip(leaves, steps):
             if step == 1:
                 columns[1, ()] = samples
             elif (step, ()) not in columns:  # every step-th node of every step-th row
                 starts = range(0, len(samples), step * width)
                 picked = [samples[i : i + width : step] for i in starts]
                 columns[step, ()] = list(chain.from_iterable(picked))
-            reads.append((rel_path, grid.ravel(), step))
+            reads.append((leaf.rel_path, leaf.node_grid.ravel(), step))
     else:
         marked = np.zeros((len(ys), width), dtype=bool)
         chosen = []
-        for _, grid, step in leaves:
-            chosen.append(allowed[grid].astype(bool))
+        for leaf, step in zip(leaves, steps):
+            chosen.append(allowed[leaf.node_grid].astype(bool))
             marked[::step, ::step] |= chosen[-1]
         rows, cols = np.divmod(np.flatnonzero(marked), width)
         points = zip(map(xs.__getitem__, cols.tolist()), map(ys.__getitem__, rows.tolist()))
         samples = list(map(fn, points))
         sample_of = (np.cumsum(marked) - 1).reshape(marked.shape)  # lattice node -> sample
-        for n, ((rel_path, grid, step), keep) in enumerate(zip(leaves, chosen)):
-            picked = samples  # a leaf that takes every sample takes them in the same order
+        columns["all", ()] = samples  # leaves that take every sample share them, in order
+        for n, (leaf, step, keep) in enumerate(zip(leaves, steps, chosen)):
+            key = "all"
             if np.count_nonzero(keep) < len(samples):
-                picked = list(map(samples.__getitem__, sample_of[::step, ::step][keep].tolist()))
-            columns[n, ()] = picked
-            reads.append((rel_path, grid[keep], n))
+                key, taken = n, sample_of[::step, ::step][keep].tolist()
+                columns[n, ()] = list(map(samples.__getitem__, taken))
+            reads.append((leaf.rel_path, leaf.node_grid[keep], key))
     # every column is read before the first write: a ShapeMismatch writes nothing
     written = [(offsets, _column(columns, key, rel_path)) for rel_path, offsets, key in reads]
     for offsets, column in written:
@@ -148,10 +154,9 @@ def interpolate(basis, coefficients, fn) -> None:
     each leaf in scope is visited once, on the leaf's node grid: a leaf of
     order k takes its value at ``(a / (k*nx), b / (k*ny))``, and ``fn`` is
     called once per node of the finest order in scope, whose lattice holds
-    the nodes of every coarser order, in row-major order.  The sampling
-    plan is built on the first call for the basis's prefix and reused.
-    Every leaf's column is read before the first write, so a range value
-    of the wrong shape raises ShapeMismatch with the coefficients untouched.
+    the nodes of every coarser order, in row-major order.  Every leaf's
+    column is read before the first write, so a range value of the wrong
+    shape raises ShapeMismatch with the coefficients untouched.
     """
     _interpolate(basis, coefficients, fn, None)
 
@@ -162,9 +167,8 @@ def interpolate_masked(basis, coefficients, fn, mask) -> None:
     ``mask`` is laid out like the coefficients; no write happens anywhere
     the mask is false.  Nodes are visited as in :func:`interpolate`, but
     ``fn`` is called only at the nodes that some leaf's mask marks, once
-    each, in row-major order (never, for an all-false mask).  The leaves'
-    node grids and lattice steps come from the same per-scope plan; only
-    the mask is read per call.  A ShapeMismatch writes nothing.
+    each, in row-major order (never, for an all-false mask).  A
+    ShapeMismatch writes nothing.
     """
     _interpolate(basis, coefficients, fn, mask)
 

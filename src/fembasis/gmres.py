@@ -10,6 +10,7 @@ already flat, and the matvec is the one ``SparseSystem.matvec`` uses,
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -30,6 +31,9 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "restart", integer(self.restart, "restart"))
         object.__setattr__(self, "max_iterations", integer(self.max_iterations, "max_iterations"))
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
+            raise TypeError(f"tolerance must be a real number, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         if self.restart < 1:
             raise ValueError(f"restart must be >= 1, got {self.restart}")
         if self.max_iterations < 0:
@@ -62,10 +66,13 @@ def gmres(
         matvec: callable mapping a vector to A times that vector.
         b: right hand side, 1d array; a non-finite entry here or in x0 raises ValueError.
             A finite b whose 2-norm overflows is solved as b / s from x0 / s,
-            s its largest magnitude, and the solution scaled back by s.
-        restart: Krylov space dimension per cycle, at least 1 (else ValueError).
+            s its largest magnitude, in the same single loop, and the
+            solution is scaled back by s on return.
+        restart: Krylov space dimension per cycle, an int of at least 1.
         tol: relative residual target, measured as ||b - A x|| / ||b||.
-        maxiter: total iteration (matvec) budget across restarts.
+        maxiter: total iteration (matvec) budget across restarts, an int of
+            at least 0.  Like :class:`SolverConfig`, a bool or non-integer
+            count raises TypeError and one out of range ValueError.
         x0: optional initial iterate; zero slots of x0 whose matrix row is
             an identity row stay exact through all iterations, provided
             the preconditioner passes those slots through unchanged.
@@ -89,29 +96,24 @@ def gmres(
         component: a column whose rotated diagonal is lost in round-off
         ends the cycle instead of entering the triangular solve.
     """
+    restart, maxiter = integer(restart, "restart"), integer(maxiter, "maxiter")
     if restart < 1:
         raise ValueError(f"restart must be >= 1, got {restart}")
+    if maxiter < 0:
+        raise ValueError(f"maxiter must be >= 0, got {maxiter}")
     b = np.asarray(b, dtype=float)
     for name, v in (("b", b), ("x0", x0)):
         if v is not None and not np.isfinite(v).all():
             raise ValueError(f"{name} has a non-finite entry")
     with np.errstate(over="ignore"):
         bnorm = float(np.linalg.norm(b))
+    scale = 1.0  # x is solved for b / scale from x0 / scale; x * 1.0 is x bitwise
     if bnorm == math.inf:
-        # ||b|| overflows though b is finite: solve for b / scale, whose norm does not
+        # ||b|| overflows though b is finite: b / its largest magnitude does not
         scale = float(np.max(np.abs(b)))
+        b = b / scale
         x0 = None if x0 is None else np.asarray(x0, dtype=float) / scale
-        x, relres, iters = gmres(
-            matvec,
-            b / scale,
-            restart=restart,
-            tol=tol,
-            maxiter=maxiter,
-            x0=x0,
-            precondition=precondition,
-            record=record,
-        )
-        return x * scale, relres, iters
+        bnorm = float(np.linalg.norm(b))
     entry = time.perf_counter()
     seconds = dict.fromkeys(("matvec", "precondition", "krylov"), 0.0)
     matvec = _timed(matvec, seconds, "matvec")
@@ -123,7 +125,7 @@ def gmres(
         seconds["krylov"] = time.perf_counter() - entry - sum(seconds.values())  # krylov is 0.0
         if record is not None:
             record.update(stop=stop, residuals=residuals, seconds=seconds)
-        return x, relres, iters
+        return x * scale, relres, iters
 
     if bnorm == 0.0:
         return done("converged", np.zeros_like(b), 0.0)

@@ -62,7 +62,8 @@ class StructuredGrid:
         return 1.0 / self.ny
 
     def cell_coords(self, element: int) -> tuple[int, int]:
-        """Cartesian cell indices (i, j) of an element number."""
+        """Cartesian cell indices (i, j) of an int element number (not a bool)."""
+        element = integer(element, "element")
         if not 0 <= element < self.num_elements:
             raise IndexOutOfRange(
                 f"element {element} outside grid with {self.num_elements} elements"

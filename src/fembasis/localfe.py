@@ -53,6 +53,7 @@ class LagrangeQk:
     """Scalar Lagrange element of tensor order ``order`` on the unit square."""
 
     def __init__(self, order: int):
+        order = integer(order, "lagrange order")
         if order not in SUPPORTED_ORDERS:
             raise UnsupportedOrder(f"order {order} unsupported, expected one of {SUPPORTED_ORDERS}")
         self.order = order

@@ -7,14 +7,16 @@ package, each is built once by a cached builder and shared, read-only.
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
+
+from .errors import integer
 
 
 def gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre rule mapped from [-1,1] to [0,1]: read-only points and weights."""
-    return _line_rule(operator.index(n))  # 2.0 is refused, not served the cached 2-point rule
+    # 2.0 and True are refused, not served the cached 2- and 1-point rules
+    return _line_rule(integer(n, "quadrature point count"))
 
 
 def tensor_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -23,7 +25,7 @@ def tensor_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns read-only points of shape (n*n, 2) and matching weights; exact
     for polynomials of degree 2n-1 per axis.
     """
-    return _square_rule(operator.index(n))
+    return _square_rule(integer(n, "quadrature point count"))
 
 
 @functools.cache

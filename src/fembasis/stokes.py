@@ -84,17 +84,19 @@ def _reference_tabulation(order: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def assemble_element_matrix(view, geometry) -> np.ndarray:
+def assemble_element_matrix(view) -> np.ndarray:
     """Dense element matrix of the Stokes bilinear forms on one element.
 
-    ``view`` must be a bound Taylor-Hood local view.  The velocity blocks
-    get the component-wise Laplacian, the velocity-pressure couplings get
-    the divergence pairing in both symmetric positions, and the
+    ``view`` must be a bound Taylor-Hood local view; the element's
+    geometry is its ``geometry``.  The velocity blocks get the
+    component-wise Laplacian, the velocity-pressure couplings get the
+    divergence pairing in both symmetric positions, and the
     pressure-pressure block stays structurally present but zero.  A fixed
     3x3 Gauss rule integrates these Q2-Q1 forms exactly, from reference
     shape functions tabulated once per order and shared by every call.
     """
     vel, press = _split_taylor_hood_leaves(view.leaves)
+    geometry = view.geometry
     fe_v = vel[0].finite_element
     fe_p = press.finite_element
     n = view.max_size
@@ -133,7 +135,7 @@ def assemble_stokes_matrix(basis: GlobalBasis, system: SparseSystem) -> None:
         raise ValueError("assembly expects an empty system")
     view = basis.local_view()
     view.bind(0)
-    element_matrix = assemble_element_matrix(view, view.geometry)
+    element_matrix = assemble_element_matrix(view)
     system.add_elements(basis.layout, basis.element_offsets(), element_matrix)
 
 
@@ -277,7 +279,8 @@ def run_driven_cavity(
     """Assemble, solve and write the driven cavity on an nx-by-ny grid.
 
     The VTU file holds the nodal values at the grid vertices; a missing
-    directory for it raises FileNotFoundError before any work is done.
+    directory for it raises FileNotFoundError, and a path that is a
+    directory IsADirectoryError, before any work is done.
     Prints the one-line summary (dim/iters/relres/div) and returns the
     full summary object, whose ``stage_seconds`` times each stage.
 
@@ -288,9 +291,11 @@ def run_driven_cavity(
     div stay the free run's.
     """
     entry = time.perf_counter()
-    out_dir = Path(out_path).parent
-    if not out_dir.is_dir():
-        raise FileNotFoundError(f"no directory {str(out_dir)!r} for the VTU file")
+    out = Path(out_path)
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"no directory {str(out.parent)!r} for the VTU file")
+    if out.is_dir():
+        raise IsADirectoryError(f"{str(out)!r} is a directory, not a VTU file")
     cfg = config if config is not None else SolverConfig()
     begin = time.perf_counter()
     grid = StructuredGrid(nx, ny)

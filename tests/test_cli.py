@@ -154,6 +154,19 @@ def test_bad_input_is_reported(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_out_path_that_is_a_directory_is_refused_before_any_work(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    for work in ("make_basis", "assemble_stokes_matrix", "solve_system"):
+        refuse = lambda *_, work=work: pytest.fail(f"{work} ran")
+        monkeypatch.setattr(f"fembasis.stokes.{work}", refuse)
+    code, out, err = run_cli(capsys, "stokes", "--grid", "2x2", "--out", "out")
+    assert code == 1 and out == ""
+    assert err == "error: 'out' is a directory, not a VTU file\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_gmres_and_the_cli_take_their_defaults_from_solver_config():
     config = SolverConfig()
     defaults = {name: p.default for name, p in inspect.signature(gmres).parameters.items()}

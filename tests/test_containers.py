@@ -588,7 +588,7 @@ def test_summed_taylor_hood_system_is_bitwise_the_interned_sum():
 
     view = basis.local_view()
     view.bind(0)
-    matrix = assemble_element_matrix(view, view.geometry)
+    matrix = assemble_element_matrix(view)
     blocks = []
     for e in range(basis.grid.num_elements):
         view.bind(e)

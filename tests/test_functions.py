@@ -623,7 +623,7 @@ def test_another_size_is_rejected_before_any_key_is_built(monkeypatch):
         evaluate_discrete(basis, w, (0.5, 0.5))
 
 
-# -- the sampling plan: bitwise the sampling it replaced ----------------------
+# -- the sampling: bitwise the leaf-by-leaf reference -----------------------------
 
 
 def reference_column(samples, rel_path):
@@ -705,15 +705,11 @@ def test_interpolation_is_bitwise_the_per_call_sampling(masked):
             assert seen["got"] == seen["want"]
 
 
-def test_the_sampling_plan_and_the_ring_are_built_once_per_scope(monkeypatch):
+def test_the_ring_is_built_once_per_scope(monkeypatch):
     built = []
-
-    def counted(name, build):
-        return lambda scope: built.append((name, scope.prefix)) or build(scope)
-
-    for name in ("sampling", "ring"):
-        prop = vars(_Scope)[name]
-        monkeypatch.setattr(prop, "func", counted(name, prop.func))
+    prop = vars(_Scope)["ring"]
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda scope: built.append(scope.prefix) or build(scope))
     basis = make_basis(StructuredGrid(3, 2), taylor_hood_tree())
     velocity = subspace_basis(basis, (0,))
     v = NestedVector()
@@ -726,7 +722,7 @@ def test_the_sampling_plan_and_the_ring_are_built_once_per_scope(monkeypatch):
         interpolate_masked(velocity, v, lambda p: [1.0, 2.0], mask)
         apply_dirichlet(SparseSystem(), v, basis)
         boundary_offsets(velocity)
-    assert sorted(built) == [("ring", (0,)), ("sampling", ()), ("sampling", (0,))]
+    assert built == [(0,)]
 
 
 def test_each_range_value_is_read_once_per_tree_node():
@@ -739,12 +735,28 @@ def test_each_range_value_is_read_once_per_tree_node():
             reads.append(digit)
             return list.__getitem__(self, digit)
 
-    interpolate(basis, v, lambda p: Counted([Counted([p[0], p[1]]), p[0] * p[1]]))
+    def fn(p):
+        return Counted([Counted([p[0], p[1]]), p[0] * p[1]])
+
+    interpolate(basis, v, fn)
     q2, q1 = (2 * nx + 1) * (2 * ny + 1), (nx + 1) * (ny + 1)
     # every sample: its velocity once and each of its components once; the pressure at Q1 nodes
     assert sorted(reads) == [0] * 2 * q2 + [1] * (q2 + q1)
     want = expected_vector(TH2, nx, ny, th_leaf(lambda p: [[p[0], p[1]], p[0] * p[1]]))
     assert v.values.tobytes() == want.values.tobytes()
+
+    # masked: the velocity leaves take every sample and read each velocity once
+    reads.clear()
+    everywhere = NestedVector.from_flat(v.layout, np.ones(len(v.values), dtype=bool))
+    interpolate_masked(basis, v, fn, everywhere)
+    assert sorted(reads) == [0] * 2 * q2 + [1] * (q2 + q1)
+    assert v.values.tobytes() == want.values.tobytes()
+    reads.clear()
+    ring = boundary_offsets(subspace_basis(basis, (0,)))
+    on_ring = NestedVector.from_flat(v.layout, np.isin(np.arange(len(v.values)), ring))
+    interpolate_masked(basis, v, fn, on_ring)
+    r = 2 * (2 * nx + 2 * ny)  # the Q2 ring's nodes
+    assert sorted(reads) == [0] * 2 * r + [1] * r
 
 
 @pytest.mark.parametrize(

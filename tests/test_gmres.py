@@ -121,6 +121,38 @@ def test_a_finite_rhs_whose_norm_overflows_is_solved_scaled():
     assert record["stop"] == "converged" and relres <= 1e-8 and iters == 1
 
 
+def test_an_overflowing_rhs_scales_the_initial_iterate_too():
+    b = np.array([3e300, 1.0, -2e300])
+    x0 = np.array([1e300, 0.5, -1e300])
+    record = {}
+    x, relres, iters = gmres(lambda v: 2.0 * v, b, x0=x0, record=record)
+    assert x.tobytes() == (b / 2).tobytes()
+    assert record["stop"] == "converged" and relres <= 1e-8 and iters == 1
+    assert len(record["residuals"]) == iters
+    # x0 = b / 2 is the solution: scaled with b, it converges before the first iteration
+    x, relres, iters = gmres(lambda v: 2.0 * v, b, x0=b / 2)
+    assert x.tobytes() == (b / 2).tobytes() and (relres, iters) == (0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "argument, bad, error",
+    [
+        ("maxiter", -1, ValueError),
+        ("maxiter", True, TypeError),
+        ("maxiter", 2.0, TypeError),
+        ("restart", 2.5, TypeError),
+        ("restart", True, TypeError),
+    ],
+)
+def test_gmres_checks_its_counts_before_any_matvec(argument, bad, error):
+    calls = []
+    with pytest.raises(error, match=argument):
+        gmres(lambda v: calls.append(v) or 2.0 * v, np.ones(3), **{argument: bad})
+    assert calls == []
+    x, _, iters = gmres(lambda v: 2.0 * v, np.ones(3), **{argument: np.int64(2)})
+    assert iters == 1 and x.tobytes() == np.full(3, 0.5).tobytes()
+
+
 def test_maxiter_exhaustion_is_reported():
     rng = np.random.default_rng(79)
     m = rng.standard_normal((30, 30))
@@ -261,6 +293,15 @@ def test_solver_config_counts_must_be_integers(field, bad):
         SolverConfig(**{field: bad})
     config = SolverConfig(**{field: np.int64(7)})
     assert getattr(config, field) == 7 and type(getattr(config, field)) is int
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "1e-8", None, 1e-8j])
+def test_solver_config_tolerance_must_be_a_real_number(bad):
+    with pytest.raises(TypeError, match="tolerance"):
+        SolverConfig(tolerance=bad)
+    for good in (1, np.float32(0.5), np.int64(1)):
+        config = SolverConfig(tolerance=good)
+        assert config.tolerance == good and type(config.tolerance) is float
 
 
 def test_right_preconditioning_keeps_true_residual():

@@ -122,3 +122,14 @@ def test_parse_grid_shape():
         parse_grid_shape("0x4")
     with pytest.raises(ParseError):
         parse_grid_shape("4x")
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, np.float64(1.0), np.True_])
+def test_element_numbers_must_be_integers(bad):
+    g = StructuredGrid(3, 2)
+    with pytest.raises(TypeError, match="element"):
+        g.cell_coords(bad)
+    with pytest.raises(TypeError, match="element"):
+        g.element_geometry(bad)
+    assert g.cell_coords(np.int64(4)) == (1, 1)
+    assert g.element_geometry(np.int64(4)) == g.element_geometry(4)

@@ -107,8 +107,11 @@ def test_lagrange_element_rejects_non_integer_orders_cached_or_not(bad):
     q1, q2 = lagrange_element(1), lagrange_element(2)
     with pytest.raises(TypeError):  # also once the integer entry is cached
         lagrange_element(bad)
+    with pytest.raises(TypeError, match="lagrange order"):  # and by the class itself
+        LagrangeQk(bad)
     assert (q1.order, q1.count, q2.order, q2.count) == (1, 4, 2, 9)
     assert {type(v) for v in (q1.order, q1.count, q2.order, q2.count)} == {int}
+    assert type(LagrangeQk(np.int64(2)).count) is int  # numpy integers stay accepted, as ints
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -135,11 +138,12 @@ def test_gauss_rules_reject_bad_point_counts():
     fembasis.quadrature._line_rule.cache_clear()
     fembasis.quadrature._square_rule.cache_clear()
     for rule in (gauss_legendre_unit, tensor_rule):
-        with pytest.raises(TypeError):
-            rule(2.0)
-        rule(2)
-        with pytest.raises(TypeError):  # also once the 2-point rule is cached
-            rule(2.0)
+        for bad, equal in ((2.0, 2), (True, 1)):
+            with pytest.raises(TypeError, match="quadrature point count"):
+                rule(bad)
+            rule(equal)
+            with pytest.raises(TypeError, match="quadrature point count"):  # also once cached
+                rule(bad)
         assert rule(np.int64(2)) is rule(2)
 
 

@@ -49,7 +49,7 @@ def test_the_paper_example_solves_the_batched_cavity(tmp_path):
     view = basis.local_view()
     for element in range(grid.num_elements):
         view.bind(element)
-        matrix = assemble_element_matrix(view, view.geometry)
+        matrix = assemble_element_matrix(view)
         indices = view.multi_indices()
         for i, row in enumerate(indices):
             for j, col in enumerate(indices):

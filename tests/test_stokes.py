@@ -69,7 +69,7 @@ def test_driven_cavity_data_values():
 
 def test_element_matrix_shape_and_pressure_block():
     basis, view = bound_view()
-    A = assemble_element_matrix(view, view.geometry)
+    A = assemble_element_matrix(view)
     assert A.shape == (22, 22)
     poff = 2 * NV
     assert np.array_equal(A[poff:, poff:], np.zeros((NP, NP)))  # structural zero
@@ -77,14 +77,14 @@ def test_element_matrix_shape_and_pressure_block():
 
 def test_element_matrix_symmetry():
     basis, view = bound_view(nx=3, ny=2, element=4)
-    A = assemble_element_matrix(view, view.geometry)
+    A = assemble_element_matrix(view)
     assert np.max(np.abs(A - A.T)) <= 1e-14
 
 
 def test_element_matrix_rigid_body_rows():
     # constant fields: Laplacian rows and divergence pairings kill constants
     basis, view = bound_view()
-    A = assemble_element_matrix(view, view.geometry)
+    A = assemble_element_matrix(view)
     for off in (0, NV):
         block = A[off : off + NV, off : off + NV]
         assert np.max(np.abs(block.sum(axis=1))) <= 1e-13
@@ -94,7 +94,7 @@ def test_element_matrix_rigid_body_rows():
 
 def test_element_matrix_velocity_block_positive_semidefinite():
     basis, view = bound_view(nx=4, ny=3, element=7)
-    A = assemble_element_matrix(view, view.geometry)
+    A = assemble_element_matrix(view)
     eigs = np.linalg.eigvalsh(A[: 2 * NV, : 2 * NV])
     assert eigs.min() >= -1e-10
 
@@ -102,7 +102,7 @@ def test_element_matrix_velocity_block_positive_semidefinite():
 def test_quadrature_order_is_sufficient():
     # the integrands are polynomials of degree <= 4, exact already at 3 points
     basis, view = bound_view(nx=3, ny=3, element=5)
-    a3 = assemble_element_matrix(view, view.geometry)
+    a3 = assemble_element_matrix(view)
     a5 = per_point_element_matrix(view, view.geometry, 5)
     assert np.max(np.abs(a3 - a5)) <= 1e-12
 
@@ -136,7 +136,7 @@ def per_point_element_matrix(view, geometry, quad_points):
 def test_element_matrix_matches_the_per_point_tabulation_bitwise(nx, ny):
     _, view = bound_view(nx, ny, element=4)
     expected = per_point_element_matrix(view, view.geometry, 3)
-    assert assemble_element_matrix(view, view.geometry).tobytes() == expected.tobytes()
+    assert assemble_element_matrix(view).tobytes() == expected.tobytes()
 
 
 def check_cached_read_only(builder, *args):
@@ -212,7 +212,7 @@ def test_element_matrix_rejects_wrong_tree():
     view = basis.local_view()
     view.bind(0)
     with pytest.raises(ValueError):
-        assemble_element_matrix(view, view.geometry)
+        assemble_element_matrix(view)
 
 
 def test_assembly_entry_count_single_element():

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from fembasis import run_driven_cavity
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -55,3 +57,23 @@ def test_tracer_patches_and_restores_the_cavity_run(tmp_path, capsys):
     assert "vtu.write" in names
     assert tracer.values[tracer.pass_id]["vtu.bytes"] > 0
     assert [vars(owner)[attr] for owner, attr in points] == originals
+
+
+def test_gmres_on_an_overflowing_rhs_is_one_traced_solve():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        gmres = importlib.import_module("fembasis.gmres").gmres
+        matvecs = []
+        x, _, iterations = gmres(
+            lambda v: matvecs.append(v) or 2.0 * v, np.array([1e200, -1e200, 1e200])
+        )
+    finally:
+        tracer.uninstall()
+
+    assert x.tobytes() == np.array([5e199, -5e199, 5e199]).tobytes()
+    names = [span[spans.NAME] for span in tracer.spans]
+    assert names.count("gmres.gmres") == 1
+    assert names.count("gmres.matvec") == len(matvecs)
+    assert tracer.values[tracer.pass_id]["gmres.iterations"] == iterations
