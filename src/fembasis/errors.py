@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and its integer input check."""
+"""Exception types shared across the package, and its integer and tolerance input checks."""
 
+import numbers
 import operator
 
 
@@ -8,6 +9,15 @@ def integer(value, what: str) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def positive_real(value, what: str) -> float:
+    """``value`` as a float; a bool or a non-real raises TypeError, a value not > 0 ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    if not value > 0.0:
+        raise ValueError(f"{what} must be positive, got {value!r}")
+    return float(value)
 
 
 class FemBasisError(Exception):

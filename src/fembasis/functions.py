@@ -15,8 +15,8 @@ holds the nodes of every leaf; the leaves' node grids come from the
 basis's scope of the prefix, which also keeps the boundary ring.  A call
 pays for its samples: ``fn`` once per lattice node, each range value read
 once per tree node (leaves that take the same samples, those of one order
-or, under a mask, those that take every sample, share the components of
-their common prefix), and one scalar check and conversion per leaf.
+and, under a mask, the same picks, share the components of their common
+prefix), and one scalar check and conversion per leaf.
 """
 
 from __future__ import annotations
@@ -133,11 +133,13 @@ def _interpolate(basis, coefficients, fn, mask) -> None:
         samples = list(map(fn, points))
         sample_of = (np.cumsum(marked) - 1).reshape(marked.shape)  # lattice node -> sample
         columns["all", ()] = samples  # leaves that take every sample share them, in order
-        for n, (leaf, step, keep) in enumerate(zip(leaves, steps, chosen)):
+        for leaf, step, keep in zip(leaves, steps, chosen):
             key = "all"
             if np.count_nonzero(keep) < len(samples):
-                key, taken = n, sample_of[::step, ::step][keep].tolist()
-                columns[n, ()] = list(map(samples.__getitem__, taken))
+                key = step, keep.tobytes()  # leaves with the same picks share them
+                if (key, ()) not in columns:
+                    taken = sample_of[::step, ::step][keep].tolist()
+                    columns[key, ()] = list(map(samples.__getitem__, taken))
             reads.append((leaf.rel_path, leaf.node_grid[keep], key))
     # every column is read before the first write: a ShapeMismatch writes nothing
     written = [(offsets, _column(columns, key, rel_path)) for rel_path, offsets, key in reads]
@@ -171,6 +173,32 @@ def interpolate_masked(basis, coefficients, fn, mask) -> None:
     ShapeMismatch writes nothing.
     """
     _interpolate(basis, coefficients, fn, mask)
+
+
+def _interpolate_ring(basis, coefficients, fn) -> None:
+    """Write ``fn`` at the :func:`boundary_offsets` of ``basis``, whose leaves share one order.
+
+    ``fn`` is called once per ring node of that order's lattice, at the
+    points :func:`interpolate` uses and in row-major order, which is the
+    order of each leaf's part of the ring; leaf by leaf, its component
+    fills its part.  A ShapeMismatch writes nothing.
+    """
+    root = basis.root_basis
+    values = _flat_values(root, coefficients)
+    scope = root._scope(basis.prefix_path)
+    orders = {leaf.finite_element.order for leaf in scope.leaves}
+    if len(orders) != 1:
+        raise ValueError(f"the ring is sampled on one order's lattice, not on {sorted(orders)}")
+    (k,) = orders
+    nx, ny = root.grid.nx, root.grid.ny
+    xs = [a / (k * nx) for a in range(k * nx + 1)]
+    ys = [b / (k * ny) for b in range(k * ny + 1)]
+    points = [(x, ys[0]) for x in xs]
+    points += [(x, y) for y in ys[1:-1] for x in (xs[0], xs[-1])]
+    points += [(x, ys[-1]) for x in xs]
+    columns = {("ring", ()): list(map(fn, points))}
+    written = [_column(columns, "ring", leaf.rel_path) for leaf in scope.leaves]
+    values[scope.ring] = np.concatenate(written)
 
 
 def boundary_offsets(basis) -> np.ndarray:

@@ -10,14 +10,13 @@ already flat, and the matvec is the one ``SparseSystem.matvec`` uses,
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .containers import NestedVector, SparseSystem
-from .errors import integer
+from .errors import integer, positive_real
 
 
 @dataclass(frozen=True)
@@ -31,15 +30,11 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "restart", integer(self.restart, "restart"))
         object.__setattr__(self, "max_iterations", integer(self.max_iterations, "max_iterations"))
-        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
-            raise TypeError(f"tolerance must be a real number, got {self.tolerance!r}")
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        object.__setattr__(self, "tolerance", positive_real(self.tolerance, "tolerance"))
         if self.restart < 1:
             raise ValueError(f"restart must be >= 1, got {self.restart}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 def _identity(v):
@@ -69,7 +64,9 @@ def gmres(
             s its largest magnitude, in the same single loop, and the
             solution is scaled back by s on return.
         restart: Krylov space dimension per cycle, an int of at least 1.
-        tol: relative residual target, measured as ||b - A x|| / ||b||.
+        tol: relative residual target, measured as ||b - A x|| / ||b||; like
+            :class:`SolverConfig`, a bool or non-real tol raises TypeError
+            and one that is not > 0 ValueError.
         maxiter: total iteration (matvec) budget across restarts, an int of
             at least 0.  Like :class:`SolverConfig`, a bool or non-integer
             count raises TypeError and one out of range ValueError.
@@ -96,7 +93,9 @@ def gmres(
         component: a column whose rotated diagonal is lost in round-off
         ends the cycle instead of entering the triangular solve.
     """
+    entry = time.perf_counter()
     restart, maxiter = integer(restart, "restart"), integer(maxiter, "maxiter")
+    tol = positive_real(tol, "tol")
     if restart < 1:
         raise ValueError(f"restart must be >= 1, got {restart}")
     if maxiter < 0:
@@ -114,7 +113,6 @@ def gmres(
         b = b / scale
         x0 = None if x0 is None else np.asarray(x0, dtype=float) / scale
         bnorm = float(np.linalg.norm(b))
-    entry = time.perf_counter()
     seconds = dict.fromkeys(("matvec", "precondition", "krylov"), 0.0)
     matvec = _timed(matvec, seconds, "matvec")
     precondition = _timed(precondition or _identity, seconds, "precondition")

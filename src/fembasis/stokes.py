@@ -6,13 +6,18 @@ integrals of (grad phi_i)_k * theta_j.  The velocity lives in two
 quadratic components, the pressure in one linear component, so every quad
 element contributes a dense 22-by-22 matrix.  Boundary conditions fix the
 velocity to (0,1) on the left wall and (0,0) elsewhere; rows of fixed
-entries become identity rows.  The resulting symmetric-saddle system is
-solved with restarted GMRes, right-preconditioned with an upper
-block-triangular saddle point preconditioner whose blocks, the coupling
-included, are applied as 1-D tensor products (:func:`stokes_preconditioner`),
-and written to an ASCII VTU file; a pinned run fixes the pressure's free
-constant after the solve.  All of it reads flat offsets off the basis's
-node grids; multi-index keys are left to the public API.
+entries become identity rows.  :func:`run_driven_cavity` solves the
+resulting saddle point system for the pressure alone: the velocity
+Laplacian is inverted exactly by fast diagonalisation, so restarted GMRes
+runs on the pressure Schur complement, right-preconditioned by the
+pressure mass, and the interior velocity follows from the pressure; every
+block is applied as 1-D tensor products in the Laplacian's eigenbasis.
+The solution is written to an ASCII VTU file; a pinned run fixes the
+pressure's free constant after the solve.  :func:`stokes_preconditioner`
+offers the same blocks as the upper block-triangular preconditioner of the
+whole system, for :func:`~fembasis.gmres.solve_system`.  All of it reads
+flat offsets off the basis's node grids; multi-index keys are left to the
+public API.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ import numpy as np
 from .basis import GlobalBasis, make_basis, subspace_basis
 from .containers import NestedVector, SparseSystem
 from .errors import AlreadyFrozen
-from .functions import boundary_offsets, interpolate_masked
-from .gmres import SolverConfig, solve_system
+from .functions import _interpolate_ring, boundary_offsets
+from .gmres import SolverConfig, _timed, gmres
 from .grid import StructuredGrid
 from .localfe import lagrange_element, line_matrices
 from .quadrature import read_only, tensor_rule
@@ -146,17 +151,16 @@ def apply_dirichlet(
 
     Every velocity boundary node (the ring of each velocity leaf's node
     grid, see :func:`~fembasis.functions.boundary_offsets`) becomes an
-    identity row and is marked in a mask through which the interpolated
-    boundary data is written into the rhs, which is laid out like ``basis``.
-    :func:`stokes_preconditioner` reads the same rings.
+    identity row, and the boundary data is written into the rhs, which is
+    laid out like ``basis``, at the same ring: ``boundary_values`` is
+    called once per ring node of the Q2 lattice, row by row, at the points
+    :func:`~fembasis.functions.interpolate` uses.  The pressure-space
+    solve of :func:`run_driven_cavity` and :func:`stokes_preconditioner`
+    read the same rings.
     """
     velocity = subspace_basis(basis, (0,))
-    ring = boundary_offsets(velocity)
-    mask = NestedVector()
-    mask.resize_from_basis(basis, fill=False)
-    mask.values[ring] = True
-    system.set_rows_to_identity(basis.layout, ring)
-    interpolate_masked(velocity, rhs, boundary_values, mask)
+    system.set_rows_to_identity(basis.layout, boundary_offsets(velocity))
+    _interpolate_ring(velocity, rhs, boundary_values)
 
 
 def weak_divergence_norm(system: SparseSystem, solution: NestedVector) -> float:
@@ -180,21 +184,28 @@ def _axis_factors(cells: int) -> tuple[np.ndarray, ...]:
     """Read-only 1-D factors of :func:`stokes_preconditioner` along an axis of ``cells`` cells.
 
     S and lam (S^T K S = diag(lam), S^T M S = I for the interior Q2
-    stiffness K and mass M), the inverse Q1 mass, and the interior Q2 rows
-    of the Q2-by-Q1 mass M21 and slope coupling D21; kept per cell count,
-    10.5 kB at 12 cells and 1.2 MB at 128.
+    stiffness K and mass M), the inverse Q1 mass, the interior Q2 rows of
+    the Q2-by-Q1 mass M21 and slope coupling D21, and those rows in the
+    eigenbasis, S^T M21 and S^T D21; kept per cell count, 15 kB at 12
+    cells and 1.7 MB at 128.
     """
     stiffness, mass, _ = line_matrices(2, 2, cells)
     inv_factor = np.linalg.inv(np.linalg.cholesky(mass[1:-1, 1:-1]))
     lam, q = np.linalg.eigh(inv_factor @ stiffness[1:-1, 1:-1] @ inv_factor.T)
+    s = inv_factor.T @ q
     _, mass21, slope21 = line_matrices(2, 1, cells)
-    pressure_inv = np.linalg.inv(line_matrices(1, 1, cells)[1])
     # copies, so no factor keeps the whole matrix it was sliced from alive
-    return read_only(inv_factor.T @ q, lam, pressure_inv, mass21[1:-1].copy(), slope21[1:-1].copy())
+    mass21, slope21 = mass21[1:-1].copy(), slope21[1:-1].copy()
+    pressure_inv = np.linalg.inv(line_matrices(1, 1, cells)[1])
+    return read_only(s, lam, pressure_inv, mass21, slope21, s.T @ mass21, s.T @ slope21)
 
 
 def stokes_preconditioner(basis: GlobalBasis):
     """Upper block-triangular saddle point preconditioner on flat arrays over the basis layout.
+
+    It serves :func:`~fembasis.gmres.solve_system` callers that solve the
+    whole system, such as the paper's example; :func:`run_driven_cavity`
+    solves in the pressure space instead.
 
     P = [K B^T; 0 -M_p] takes the velocity Laplacian K and the coupling
     B^T of the assembled system and the Q1 pressure mass M_p (Elman,
@@ -225,8 +236,8 @@ def stokes_preconditioner(basis: GlobalBasis):
     interior = np.stack([leaf.node_grid[1:-1, 1:-1] for leaf in vel])
     pressure = press.node_grid
 
-    sx, lam_x, px_inv, mx21, dx21 = _axis_factors(nx)
-    sy, lam_y, py_inv, my21, dy21 = _axis_factors(ny)
+    sx, lam_x, px_inv, mx21, dx21, _, _ = _axis_factors(nx)
+    sy, lam_y, py_inv, my21, dy21, _, _ = _axis_factors(ny)
     eigenvalue_sums = lam_y[:, None] + lam_x[None, :]
     # B^T = left @ Z @ right of the x and the y component, stacked like ``interior``
     left, right = np.stack([my21, dy21]), np.stack([dx21.T, mx21.T])
@@ -242,6 +253,109 @@ def stokes_preconditioner(basis: GlobalBasis):
     return apply
 
 
+def _pressure_space_solver(basis: GlobalBasis):
+    """The cavity solve on the pressure alone, for a frozen system assembled on ``basis``.
+
+    With K^-1 exact, the saddle point system [K B^T; B 0] [u; p] = [f; h]
+    on the interior velocity and the pressure reduces to the pressure
+    Schur complement S p = B K^-1 f - h, S = B K^-1 B^T, after which
+    u = K^-1 (f - B^T p) (Schur complement reduction: Benzi, Golub &
+    Liesen, *Acta Numerica* 14, 2005, section 5).  K^-1 and B^T are the
+    tensor products of :func:`stokes_preconditioner`.  Taken into the
+    eigenbasis of K (``Sy^T V Sx``), B^T_k Z = left_k Z right_k becomes
+    L_k Z R_k with L_k = Sy^T left_k and R_k = right_k Sx, products of
+    cached factors, so S Q = sum_k L_k^T ((L_k Q R_k) / (lam_y + lam_x)) R_k^T
+    needs no product with Sy or Sx.  GMRes runs on S, right-preconditioned
+    by the pressure mass, M_p^-1 Q = My^-1 Q Mx^-1, on vectors over the
+    pressure node grid.
+
+    Returns ``solve(system, rhs, config, pin_pressure, record)``, which
+    solves for the correction to g = rhs (the Dirichlet data on the
+    identity rows): one product gives r = g - A g, and f and h are r on
+    the interior velocity and on the pressure.  GMRes stops at
+    ``config.tolerance * ||g|| / ||c||``, the whole system's relative
+    residual, as the velocity rows are exact to round-off.  The boundary
+    velocities stay bitwise g; a pinned run shifts the pressure as
+    :func:`run_driven_cavity` describes.  ``solve`` returns the solution
+    x, the product A x, the true relative residual from it and the
+    iteration count; ``record`` receives the GMRes record, its residuals
+    scaled to ||g||, with the products outside GMRes counted as
+    ``"matvec"`` and the K^-1 applications as ``"precondition"``.
+    """
+    vel, press = _split_taylor_hood_leaves(basis._scope().leaves)
+    nx, ny = basis.grid.nx, basis.grid.ny
+    interior = np.stack([leaf.node_grid[1:-1, 1:-1] for leaf in vel])
+    pressure = press.node_grid
+    sx, lam_x, px_inv, _, _, sx_m21, sx_d21 = _axis_factors(nx)
+    sy, lam_y, py_inv, _, _, sy_m21, sy_d21 = _axis_factors(ny)
+    eigenvalue_sums = lam_y[:, None] + lam_x[None, :]
+    # L_k stacked as rows, and R_k^T, of the x and the y component
+    lefts, right_ts = np.vstack([sy_m21, sy_d21]), np.stack([sx_d21, sx_m21])
+    rights = right_ts.transpose(0, 2, 1)
+    stacked = (VELOCITY_COMPONENTS, 2 * ny - 1, nx + 1)
+
+    def coupled(w):
+        """sum_k L_k^T W_k R_k^T of the stacked eigenbasis grids W."""
+        return lefts.T @ (w @ right_ts).reshape(-1, nx + 1)
+
+    def schur(q):
+        q = q.reshape(pressure.shape)
+        return coupled((lefts @ q).reshape(stacked) @ rights / eigenvalue_sums).ravel()
+
+    def mass_inverse(q):
+        return (py_inv @ q.reshape(pressure.shape) @ px_inv).ravel()
+
+    def reduced(r):
+        """f = r on the velocity interior in the eigenbasis, and c = B K^-1 f - h, h = r_p."""
+        f_hat = sy.T @ r[interior] @ sx
+        return f_hat, coupled(f_hat / eigenvalue_sums) - r[pressure]
+
+    def solve(system, rhs, config, pin_pressure, record):
+        g = rhs.values
+        seconds = {"matvec": 0.0, "precondition": 0.0}
+
+        def product_and_residual(x):
+            ax = system.operator(rhs.layout)(x)
+            return ax, g - ax
+
+        checked = _timed(product_and_residual, seconds, "matvec")
+        f_hat, c = _timed(reduced, seconds, "precondition")(checked(g)[1])
+        c = c.ravel()
+        g_norm, c_norm = math.sqrt(g @ g), math.sqrt(c @ c)
+        p, _, iterations = gmres(
+            schur,
+            c,
+            restart=config.restart,
+            tol=config.tolerance * g_norm / c_norm if c_norm else config.tolerance,
+            maxiter=config.max_iterations,
+            precondition=mass_inverse,
+            record=record,
+        )
+
+        def corrected(p):
+            """g plus the interior velocity u = K^-1 (f - B^T p) and the pressure p."""
+            p = p.reshape(pressure.shape)
+            x = g.copy()
+            b_hat = (lefts @ p).reshape(stacked) @ rights
+            x[interior] += sy @ ((f_hat - b_hat) / eigenvalue_sums) @ sx.T
+            x[pressure] += p
+            return x
+
+        x = _timed(corrected, seconds, "precondition")(p)
+        if pin_pressure:
+            x[pressure] -= x[pressure[0, 0]]
+        ax, residual = checked(x)
+        if pin_pressure:
+            residual[pressure[0, 0]] = 0.0
+        for name, spent in seconds.items():
+            record["seconds"][name] += spent
+        record["residuals"] = [r * c_norm / g_norm for r in record["residuals"]]
+        relres = math.sqrt(residual @ residual) / g_norm if g_norm else 0.0
+        return x, ax, relres, iterations
+
+    return solve
+
+
 @dataclass
 class CavitySummary:
     """Outcome of one driven cavity run, plus handles for inspection."""
@@ -253,12 +367,16 @@ class CavitySummary:
     rhs_norm: float
     converged: bool
     stop: str  # why GMRes stopped: "converged", "budget" or "stalled"
-    residuals: list  # GMRes's relative residual estimate after every iteration
-    # wall seconds per stage (basis, assemble, dirichlet, freeze, preconditioner,
-    # solve, divergence, vtu) and of the whole run ("total")
+    # GMRes's residual estimate on the pressure after every iteration, relative
+    # to the whole rhs norm: the whole system's relative residual to round-off
+    residuals: list
+    # wall seconds per stage (basis, assemble, dirichlet, freeze, preconditioner:
+    # the pressure-space solver's build, solve, divergence, vtu) and of the
+    # whole run ("total")
     stage_seconds: dict
-    # the solve stage split: wall seconds in the matvec, in the preconditioner
-    # and in the rest of GMRes ("krylov")
+    # the solve stage split: wall seconds in the products with the system and
+    # with the Schur complement ("matvec"), in K^-1 and the pressure mass
+    # inverse ("precondition") and in the rest of GMRes ("krylov")
     solve_seconds: dict
     vtu_path: str
     grid: StructuredGrid
@@ -283,6 +401,10 @@ def run_driven_cavity(
     directory IsADirectoryError, before any work is done.
     Prints the one-line summary (dim/iters/relres/div) and returns the
     full summary object, whose ``stage_seconds`` times each stage.
+    GMRes solves for the pressure alone (:func:`_pressure_space_solver`);
+    relres is the whole system's relative residual from one product with
+    the solution, and div the norm of that product's pressure rows, which
+    is :func:`weak_divergence_norm` of the solution.
 
     ``pin_pressure`` solves the same system, then subtracts the value at
     pressure node (0, 0) from every pressure slot and reports the relres of
@@ -312,25 +434,17 @@ def run_driven_cavity(
     system.freeze()
     ends["freeze"] = time.perf_counter()
 
-    preconditioner = stokes_preconditioner(basis)
+    solve = _pressure_space_solver(basis)
     ends["preconditioner"] = time.perf_counter()
 
-    # starting from the rhs keeps identity rows exact from the first
-    # iterate on, so boundary values survive the solve bitwise
     record = {}
-    solution, relres, iterations = solve_system(
-        system, rhs, cfg, x0=rhs, preconditioner=preconditioner, record=record
-    )
-    if pin_pressure:
-        pressure = basis.node_grid((1,))
-        values = solution.values
-        values[pressure] -= values[pressure[0, 0]]
-        residual = rhs.values - system.operator(rhs.layout)(values)
-        residual[pressure[0, 0]] = 0.0
-        relres = math.sqrt(residual @ residual) / math.sqrt(rhs.values @ rhs.values)
+    x, product, relres, iterations = solve(system, rhs, cfg, pin_pressure, record)
+    solution = NestedVector.from_flat(rhs.layout, x)
     ends["solve"] = time.perf_counter()
 
-    divergence = weak_divergence_norm(system, solution)
+    # the divergence rows are the pressure rows (see weak_divergence_norm), in slot order
+    divergence_rows = product[np.sort(basis.node_grid((1,)), axis=None)]
+    divergence = math.sqrt(divergence_rows @ divergence_rows)
     rhs_norm = math.sqrt(rhs.values @ rhs.values)
     ends["divergence"] = time.perf_counter()
 

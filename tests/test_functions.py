@@ -514,6 +514,42 @@ def test_dirichlet_samples_the_velocity_ring_once_per_node_in_row_major_order():
     assert seen == ring
 
 
+@pytest.mark.parametrize("nx,ny", [(3, 5), (12, 12)])
+def test_dirichlet_writes_the_masked_interpolant_of_the_ring(nx, ny):
+    """The rhs and the callback's points are those of interpolate_masked on the ring."""
+    basis = make_basis(StructuredGrid(nx, ny), taylor_hood_tree())
+    velocity = subspace_basis(basis, (0,))
+    seen = {"dirichlet": [], "masked": []}
+
+    def sampled(which):
+        def boundary_values(p):
+            seen[which].append(p)
+            if p[1] == 0.0:
+                return 0.5  # a scalar broadcasts to both components
+            return (p[0] * p[1] - 1.0 / 3.0, math.sin(7.0 * p[0]) + p[1])
+
+        return boundary_values
+
+    rhs, expected, mask = NestedVector(), NestedVector(), NestedVector()
+    rhs.resize_from_basis(basis)
+    expected.resize_from_basis(basis)
+    mask.resize_from_basis(basis, fill=False)
+    mask.values[boundary_offsets(velocity)] = True
+    apply_dirichlet(SparseSystem(), rhs, basis, sampled("dirichlet"))
+    interpolate_masked(velocity, expected, sampled("masked"), mask)
+    assert rhs.values.tobytes() == expected.values.tobytes()
+    assert seen["dirichlet"] == seen["masked"]
+    assert len(seen["dirichlet"]) == 4 * (nx + ny)  # each Q2 ring node once
+
+
+def test_dirichlet_needs_velocity_leaves_of_one_order():
+    basis, v = fresh("composite(composite(lagrange(2),lagrange(1)),lagrange(1))", nx=2, ny=2)
+    with pytest.raises(ValueError, match="one order"):
+        apply_dirichlet(SparseSystem(), v, basis)
+    with pytest.raises(ShapeMismatch):
+        apply_dirichlet(SparseSystem(), v, make_basis(StructuredGrid(2, 2), taylor_hood_tree()))
+
+
 @pytest.mark.parametrize("column", [label for label, _, _ in TABLE1_COLUMNS])
 def test_masked_interpolation_is_the_full_lattice_sample_kept_where_masked(column):
     nx, ny = 3, 2
@@ -757,6 +793,19 @@ def test_each_range_value_is_read_once_per_tree_node():
     interpolate_masked(basis, v, fn, on_ring)
     r = 2 * (2 * nx + 2 * ny)  # the Q2 ring's nodes
     assert sorted(reads) == [0] * 2 * r + [1] * r
+
+    # masked: the two linear leaves take the same subset of the samples and share its reads
+    basis, v = fresh("composite(power(lagrange(1),2),lagrange(2))", nx=nx, ny=ny)
+    reads.clear()
+    interpolate(basis, v, fn)
+    want = v.values.tobytes()
+    assert len(reads) == 71
+    reads.clear()
+    everywhere = NestedVector.from_flat(v.layout, np.ones(len(v.values), dtype=bool))
+    v.values[:] = 0.0
+    interpolate_masked(basis, v, fn, everywhere)
+    assert len(reads) == 71
+    assert v.values.tobytes() == want
 
 
 @pytest.mark.parametrize(

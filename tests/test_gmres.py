@@ -304,6 +304,33 @@ def test_solver_config_tolerance_must_be_a_real_number(bad):
         assert config.tolerance == good and type(config.tolerance) is float
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (True, TypeError),
+        (np.True_, TypeError),
+        ("1e-8", TypeError),
+        (None, TypeError),
+        (1e-8j, TypeError),
+        (0.0, ValueError),
+        (-1.0, ValueError),
+        (-np.inf, ValueError),
+        (np.nan, ValueError),
+    ],
+)
+def test_a_tolerance_is_checked_alike_by_the_config_and_by_gmres(bad, error):
+    calls = []
+    with pytest.raises(error, match="^tolerance must be") as config_error:
+        SolverConfig(tolerance=bad)
+    with pytest.raises(error, match="^tol must be") as gmres_error:
+        gmres(lambda v: calls.append(v) or 2.0 * v, np.ones(3), tol=bad, maxiter=50)
+    assert str(gmres_error.value) == "tol" + str(config_error.value).removeprefix("tolerance")
+    assert calls == []
+    for good in (1, np.int64(1), np.float32(1e-6), 1e-300):
+        _, relres, _ = gmres(lambda v: 2.0 * v, np.ones(3), tol=good)
+        assert relres <= good
+
+
 def test_right_preconditioning_keeps_true_residual():
     rng = np.random.default_rng(83)
     n = 30

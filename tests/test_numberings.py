@@ -6,7 +6,9 @@ off the node grids: leaf by leaf, ``node_grid(path)`` of a basis and of a
 reference numbering of the same tree hold the slots of the same nodes.
 Everything built on the grids must then commute with P bitwise: the
 element offset table, the frozen system's product and diagonal, the
-Dirichlet rewrite and the Stokes preconditioner.
+Dirichlet rewrite and the Stokes preconditioner; and the cavity solved in
+the pressure space, which reads only node grids, gives bitwise the same
+fields.
 """
 
 import functools
@@ -20,6 +22,7 @@ from fembasis import (
     Leaf,
     NestedVector,
     Power,
+    SolverConfig,
     SparseSystem,
     Strategy,
     StructuredGrid,
@@ -29,6 +32,7 @@ from fembasis import (
     stokes_preconditioner,
 )
 from fembasis.cli import TABLE1_COLUMNS, strategy_table_bases
+from fembasis.stokes import _pressure_space_solver
 
 GRIDS = [(5, 7), (16, 16)]
 
@@ -163,3 +167,20 @@ def test_table1_numberings_give_the_same_cavity(column, nx, ny):
         (preconditioner, ref_preconditioner),
     ]:
         assert apply(x)[perm].tobytes() == ref_apply(x_ref).tobytes(), label
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_table1_numberings_solve_the_cavity_to_the_same_fields(n):
+    """Node grid by node grid, every numbering's solution is bitwise BL(BL)'s."""
+    fields = {}
+    for label, basis in strategy_table_bases(StructuredGrid(n, n), 2):
+        system, rhs, _ = cavity_pieces(basis)
+        rhs = NestedVector.from_flat(basis.layout, rhs)
+        record = {}
+        x, _, relres, _ = _pressure_space_solver(basis)(system, rhs, SolverConfig(), False, record)
+        assert relres <= SolverConfig().tolerance and record["stop"] == "converged", label
+        grids = [basis.node_grid(path) for path in [(0, 0), (0, 1), (1,)]]
+        fields[label] = [x[grid].tobytes() for grid in grids]
+    assert len(fields) == len(TABLE1_COLUMNS)
+    for label, field in fields.items():
+        assert field == fields["BL(BL)"], label
