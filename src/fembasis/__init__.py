@@ -48,7 +48,7 @@ from .stokes import (
     assemble_stokes_matrix,
     driven_cavity_data,
     run_driven_cavity,
-    stokes_preconditioner,
+    solve_stokes,
     taylor_hood_tree,
     weak_divergence_norm,
 )
@@ -117,8 +117,8 @@ __all__ = [
     "parse_tree",
     "render_tree",
     "run_driven_cavity",
+    "solve_stokes",
     "solve_system",
-    "stokes_preconditioner",
     "subspace_basis",
     "taylor_hood_tree",
     "tensor_rule",

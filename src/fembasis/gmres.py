@@ -196,9 +196,10 @@ def solve_system(
     shaped like the rhs.  The rhs must be laid out like the system, else
     ShapeMismatch; ``x0``, if given, shares the rhs layout.
     ``preconditioner``, if given, is the M^-1 application on flat arrays
-    over the rhs layout, such as :func:`~fembasis.stokes.stokes_preconditioner`;
-    it goes to :func:`gmres` unchanged, and so does ``record``, which
-    receives why the solve stopped and the residual history.
+    over the rhs layout; it goes to :func:`gmres` unchanged, and so does
+    ``record``, which receives why the solve stopped and the residual
+    history.  A Taylor-Hood Stokes system is solved in the pressure space
+    by :func:`~fembasis.stokes.solve_stokes` instead.
     """
     cfg = config if config is not None else SolverConfig()
     x, relres, iters = gmres(

@@ -7,16 +7,15 @@ quadratic components, the pressure in one linear component, so every quad
 element contributes a dense 22-by-22 matrix.  Boundary conditions fix the
 velocity to (0,1) on the left wall and (0,0) elsewhere; rows of fixed
 entries become identity rows.  :func:`run_driven_cavity` solves the
-resulting saddle point system for the pressure alone: the velocity
-Laplacian is inverted exactly by fast diagonalisation, so restarted GMRes
-runs on the pressure Schur complement, right-preconditioned by the
-pressure mass, and the interior velocity follows from the pressure; every
-block is applied as 1-D tensor products in the Laplacian's eigenbasis.
-The solution is written to an ASCII VTU file; a pinned run fixes the
-pressure's free constant after the solve.  :func:`stokes_preconditioner`
-offers the same blocks as the upper block-triangular preconditioner of the
-whole system, for :func:`~fembasis.gmres.solve_system`.  All of it reads
-flat offsets off the basis's node grids; multi-index keys are left to the
+resulting saddle point system with :func:`solve_stokes`, the one solve of
+every Taylor-Hood system here, whichever way it was assembled: the
+velocity Laplacian is inverted exactly by fast diagonalisation, so
+restarted GMRes runs on the pressure Schur complement, right-preconditioned
+by the pressure mass, and the interior velocity follows from the pressure;
+every block is applied as 1-D tensor products in the Laplacian's
+eigenbasis.  The solution is written to an ASCII VTU file; a pinned run
+fixes the pressure's free constant after the solve.  All of it reads flat
+offsets off the basis's node grids; multi-index keys are left to the
 public API.
 """
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .basis import GlobalBasis, make_basis, subspace_basis
 from .containers import NestedVector, SparseSystem
-from .errors import AlreadyFrozen
+from .errors import AlreadyFrozen, ShapeMismatch
 from .functions import _interpolate_ring, boundary_offsets
 from .gmres import SolverConfig, _timed, gmres
 from .grid import StructuredGrid
@@ -129,8 +128,8 @@ def assemble_stokes_matrix(basis: GlobalBasis, system: SparseSystem) -> None:
 
     Stores every entry of every element matrix, including the structural
     zeros of the pressure-pressure block.  The grid is uniform (as
-    :func:`stokes_preconditioner` also assumes): every element has the
-    same size and Jacobian, so all element matrices are the same.  The
+    :func:`solve_stokes` also assumes): every element has the same size
+    and Jacobian, so all element matrices are the same.  The
     matrix is computed once, on element 0 (3x3 Gauss points), and added
     at every row of :meth:`~fembasis.basis.GlobalBasis.element_offsets`.
     """
@@ -154,9 +153,8 @@ def apply_dirichlet(
     identity row, and the boundary data is written into the rhs, which is
     laid out like ``basis``, at the same ring: ``boundary_values`` is
     called once per ring node of the Q2 lattice, row by row, at the points
-    :func:`~fembasis.functions.interpolate` uses.  The pressure-space
-    solve of :func:`run_driven_cavity` and :func:`stokes_preconditioner`
-    read the same rings.
+    :func:`~fembasis.functions.interpolate` uses.  :func:`solve_stokes`
+    reads the same rings.
     """
     velocity = subspace_basis(basis, (0,))
     system.set_rows_to_identity(basis.layout, boundary_offsets(velocity))
@@ -181,118 +179,89 @@ def weak_divergence_norm(system: SparseSystem, solution: NestedVector) -> float:
 
 @functools.cache
 def _axis_factors(cells: int) -> tuple[np.ndarray, ...]:
-    """Read-only 1-D factors of :func:`stokes_preconditioner` along an axis of ``cells`` cells.
+    """Read-only 1-D factors of :func:`solve_stokes` along an axis of ``cells`` cells.
 
     S and lam (S^T K S = diag(lam), S^T M S = I for the interior Q2
-    stiffness K and mass M), the inverse Q1 mass, the interior Q2 rows of
-    the Q2-by-Q1 mass M21 and slope coupling D21, and those rows in the
-    eigenbasis, S^T M21 and S^T D21; kept per cell count, 15 kB at 12
-    cells and 1.7 MB at 128.
+    stiffness K and mass M), the inverse Q1 mass, and the interior Q2 rows
+    of the Q2-by-Q1 mass M21 and slope coupling D21 in the eigenbasis,
+    S^T M21 and S^T D21; kept per cell count, 11 kB at 12 cells and
+    1.2 MB at 128.
     """
     stiffness, mass, _ = line_matrices(2, 2, cells)
     inv_factor = np.linalg.inv(np.linalg.cholesky(mass[1:-1, 1:-1]))
     lam, q = np.linalg.eigh(inv_factor @ stiffness[1:-1, 1:-1] @ inv_factor.T)
     s = inv_factor.T @ q
     _, mass21, slope21 = line_matrices(2, 1, cells)
-    # copies, so no factor keeps the whole matrix it was sliced from alive
-    mass21, slope21 = mass21[1:-1].copy(), slope21[1:-1].copy()
     pressure_inv = np.linalg.inv(line_matrices(1, 1, cells)[1])
-    return read_only(s, lam, pressure_inv, mass21, slope21, s.T @ mass21, s.T @ slope21)
+    return read_only(s, lam, pressure_inv, s.T @ mass21[1:-1], s.T @ slope21[1:-1])
 
 
-def stokes_preconditioner(basis: GlobalBasis):
-    """Upper block-triangular saddle point preconditioner on flat arrays over the basis layout.
+def solve_stokes(
+    basis: GlobalBasis, system: SparseSystem, rhs: NestedVector, config=None,
+    pin_pressure: bool = False, record=None,
+):
+    """Solve a frozen Taylor-Hood cavity system for the pressure alone.
 
-    It serves :func:`~fembasis.gmres.solve_system` callers that solve the
-    whole system, such as the paper's example; :func:`run_driven_cavity`
-    solves in the pressure space instead.
+    The contract: ``system`` is the uniform-grid Taylor-Hood Stokes
+    operator of :func:`assemble_stokes_matrix` on ``basis``, batched or
+    entry by entry, with the velocity ring made identity rows as by
+    :func:`apply_dirichlet`, and ``rhs`` is laid out like ``basis``.  The
+    blocks come from the grid's 1-D matrices and the system is read only
+    through its products, so on any other system only the returned relres
+    shows the error.  A non-Taylor-Hood basis raises ValueError, an
+    unfrozen system NotFrozen and an rhs laid out otherwise ShapeMismatch.
 
-    P = [K B^T; 0 -M_p] takes the velocity Laplacian K and the coupling
-    B^T of the assembled system and the Q1 pressure mass M_p (Elman,
-    Silvester & Wathen, *Finite Elements and Fast Iterative Solvers*,
-    ch. 4).  P^-1 v sets z_p = -M_p^-1 v_p, then z_u = K^-1 (v_u - B^T z_p)
-    per velocity component.  On the uniform grid each block is a tensor
-    product of 1-D matrices acting on node grids Z: K^-1 solves exactly on
-    the interior Q2 nodes by fast diagonalisation (Lynch, Rice & Thomas,
-    1964), ``Sy (Sy^T Z Sx / (lam_y + lam_x)) Sx^T``; M_p^-1 is
-    ``My^-1 Z Mx^-1``; B^T is ``My21 Z Dx21^T`` for the x component and
-    ``Dy21 Z Mx21^T`` for the y one, with the Q2-by-Q1 mass M21 and slope
-    coupling D21 (the 3x3 Gauss rule of the assembly integrates both
-    exactly).  Identity rows (the boundary velocities) pass through
-    unchanged, so zero slots of the initial iterate stay exact.
+    With K^-1 exact, [K B^T; B 0] [u; p] = [f; h] on the interior velocity
+    and the pressure reduces to the Schur complement S p = B K^-1 f - h,
+    S = B K^-1 B^T, after which u = K^-1 (f - B^T p) (Benzi, Golub &
+    Liesen, *Acta Numerica* 14, 2005, section 5).  Each block is a tensor
+    product of 1-D matrices on node grids Z: K^-1 is fast diagonalisation
+    (Lynch, Rice & Thomas, 1964), ``Sy (Sy^T Z Sx / (lam_y + lam_x)) Sx^T``
+    per velocity component; B^T is ``My21 Z Dx21^T`` for the x component
+    and ``Dy21 Z Mx21^T`` for the y one, with the Q2-by-Q1 mass M21 and
+    slope coupling D21, which the assembly's 3x3 Gauss rule integrates
+    exactly.  In the eigenbasis of K, B^T_k Z = left_k Z right_k becomes
+    L_k Z R_k with L_k = Sy^T left_k and R_k = right_k Sx, so
+    S Q = sum_k L_k^T ((L_k Q R_k) / (lam_y + lam_x)) R_k^T needs no
+    product with Sy or Sx.  GMRes runs on S over the pressure node grid,
+    right-preconditioned by the Q1 pressure mass, M_p^-1 Q = My^-1 Q Mx^-1.
+    Each leaf's node grid indexes the flat vectors, so every numbering works.
 
-    Vectors are laid out like ``basis``, so each leaf's
-    :meth:`~fembasis.basis.GlobalBasis.node_grid` indexes them directly
-    and every numbering works.  The velocity interior is the node grid
-    without its outer ring, the ring :func:`apply_dirichlet` fixes.
-    Returns the flat M^-1 application, which treats both velocity
-    components as one stacked (2, 2ny-1, 2nx-1) batch: one gather of both
-    interiors, one batched B^T product with the two components' factors,
-    one fast-diagonalisation chain and one scatter.  The 1-D factors are
-    built once per cell count and shared by every later preconditioner.
+    The solve corrects g = rhs, which holds the Dirichlet data: one product
+    gives r = g - A g, and f and h are r on the interior velocity and on
+    the pressure.  GMRes stops at ``config.tolerance * ||g|| / ||c||``,
+    the whole system's relative residual, as the velocity rows are exact
+    to round-off; the boundary velocities stay bitwise g.  ``pin_pressure``
+    then subtracts the value at pressure node (0, 0) from every pressure
+    slot and reports the relres of the system pinned there (its row an
+    identity row, rhs 0): the free residual with that entry 0.0.
+
+    Returns ``(solution, relres, iterations)`` like
+    :func:`~fembasis.gmres.solve_system`, relres from one product with the
+    solution.  ``record``, if given, receives the GMRes record, its
+    residuals scaled to ||g||, with the products outside GMRes counted as
+    ``"matvec"`` and the build and K^-1 as ``"precondition"``, and that
+    last product A x as ``"product"``.
     """
+    start = time.perf_counter()
     vel, press = _split_taylor_hood_leaves(basis._scope().leaves)
+    if not basis.layout.same_keys(rhs.layout):
+        raise ShapeMismatch("the rhs must be laid out like the basis")
+    operator = system.operator(rhs.layout)
+    g = rhs.values
+    cfg = config if config is not None else SolverConfig()
+    record = {} if record is None else record
     nx, ny = basis.grid.nx, basis.grid.ny
     interior = np.stack([leaf.node_grid[1:-1, 1:-1] for leaf in vel])
     pressure = press.node_grid
-
-    sx, lam_x, px_inv, mx21, dx21, _, _ = _axis_factors(nx)
-    sy, lam_y, py_inv, my21, dy21, _, _ = _axis_factors(ny)
-    eigenvalue_sums = lam_y[:, None] + lam_x[None, :]
-    # B^T = left @ Z @ right of the x and the y component, stacked like ``interior``
-    left, right = np.stack([my21, dy21]), np.stack([dx21.T, mx21.T])
-
-    def apply(v):
-        z = v.copy()
-        zp = -(py_inv @ v[pressure] @ px_inv)
-        z[pressure] = zp
-        u = v[interior] - left @ zp @ right
-        z[interior] = sy @ ((sy.T @ u @ sx) / eigenvalue_sums) @ sx.T
-        return z
-
-    return apply
-
-
-def _pressure_space_solver(basis: GlobalBasis):
-    """The cavity solve on the pressure alone, for a frozen system assembled on ``basis``.
-
-    With K^-1 exact, the saddle point system [K B^T; B 0] [u; p] = [f; h]
-    on the interior velocity and the pressure reduces to the pressure
-    Schur complement S p = B K^-1 f - h, S = B K^-1 B^T, after which
-    u = K^-1 (f - B^T p) (Schur complement reduction: Benzi, Golub &
-    Liesen, *Acta Numerica* 14, 2005, section 5).  K^-1 and B^T are the
-    tensor products of :func:`stokes_preconditioner`.  Taken into the
-    eigenbasis of K (``Sy^T V Sx``), B^T_k Z = left_k Z right_k becomes
-    L_k Z R_k with L_k = Sy^T left_k and R_k = right_k Sx, products of
-    cached factors, so S Q = sum_k L_k^T ((L_k Q R_k) / (lam_y + lam_x)) R_k^T
-    needs no product with Sy or Sx.  GMRes runs on S, right-preconditioned
-    by the pressure mass, M_p^-1 Q = My^-1 Q Mx^-1, on vectors over the
-    pressure node grid.
-
-    Returns ``solve(system, rhs, config, pin_pressure, record)``, which
-    solves for the correction to g = rhs (the Dirichlet data on the
-    identity rows): one product gives r = g - A g, and f and h are r on
-    the interior velocity and on the pressure.  GMRes stops at
-    ``config.tolerance * ||g|| / ||c||``, the whole system's relative
-    residual, as the velocity rows are exact to round-off.  The boundary
-    velocities stay bitwise g; a pinned run shifts the pressure as
-    :func:`run_driven_cavity` describes.  ``solve`` returns the solution
-    x, the product A x, the true relative residual from it and the
-    iteration count; ``record`` receives the GMRes record, its residuals
-    scaled to ||g||, with the products outside GMRes counted as
-    ``"matvec"`` and the K^-1 applications as ``"precondition"``.
-    """
-    vel, press = _split_taylor_hood_leaves(basis._scope().leaves)
-    nx, ny = basis.grid.nx, basis.grid.ny
-    interior = np.stack([leaf.node_grid[1:-1, 1:-1] for leaf in vel])
-    pressure = press.node_grid
-    sx, lam_x, px_inv, _, _, sx_m21, sx_d21 = _axis_factors(nx)
-    sy, lam_y, py_inv, _, _, sy_m21, sy_d21 = _axis_factors(ny)
+    sx, lam_x, px_inv, sx_m21, sx_d21 = _axis_factors(nx)
+    sy, lam_y, py_inv, sy_m21, sy_d21 = _axis_factors(ny)
     eigenvalue_sums = lam_y[:, None] + lam_x[None, :]
     # L_k stacked as rows, and R_k^T, of the x and the y component
     lefts, right_ts = np.vstack([sy_m21, sy_d21]), np.stack([sx_d21, sx_m21])
     rights = right_ts.transpose(0, 2, 1)
     stacked = (VELOCITY_COMPONENTS, 2 * ny - 1, nx + 1)
+    seconds = {"matvec": 0.0, "precondition": time.perf_counter() - start}
 
     def coupled(w):
         """sum_k L_k^T W_k R_k^T of the stacked eigenbasis grids W."""
@@ -310,50 +279,45 @@ def _pressure_space_solver(basis: GlobalBasis):
         f_hat = sy.T @ r[interior] @ sx
         return f_hat, coupled(f_hat / eigenvalue_sums) - r[pressure]
 
-    def solve(system, rhs, config, pin_pressure, record):
-        g = rhs.values
-        seconds = {"matvec": 0.0, "precondition": 0.0}
+    def product_and_residual(x):
+        ax = operator(x)
+        return ax, g - ax
 
-        def product_and_residual(x):
-            ax = system.operator(rhs.layout)(x)
-            return ax, g - ax
+    checked = _timed(product_and_residual, seconds, "matvec")
+    f_hat, c = _timed(reduced, seconds, "precondition")(checked(g)[1])
+    c = c.ravel()
+    g_norm, c_norm = math.sqrt(g @ g), math.sqrt(c @ c)
+    p, _, iterations = gmres(
+        schur,
+        c,
+        restart=cfg.restart,
+        tol=cfg.tolerance * g_norm / c_norm if c_norm else cfg.tolerance,
+        maxiter=cfg.max_iterations,
+        precondition=mass_inverse,
+        record=record,
+    )
 
-        checked = _timed(product_and_residual, seconds, "matvec")
-        f_hat, c = _timed(reduced, seconds, "precondition")(checked(g)[1])
-        c = c.ravel()
-        g_norm, c_norm = math.sqrt(g @ g), math.sqrt(c @ c)
-        p, _, iterations = gmres(
-            schur,
-            c,
-            restart=config.restart,
-            tol=config.tolerance * g_norm / c_norm if c_norm else config.tolerance,
-            maxiter=config.max_iterations,
-            precondition=mass_inverse,
-            record=record,
-        )
+    def corrected(p):
+        """g plus the interior velocity u = K^-1 (f - B^T p) and the pressure p."""
+        p = p.reshape(pressure.shape)
+        x = g.copy()
+        b_hat = (lefts @ p).reshape(stacked) @ rights
+        x[interior] += sy @ ((f_hat - b_hat) / eigenvalue_sums) @ sx.T
+        x[pressure] += p
+        return x
 
-        def corrected(p):
-            """g plus the interior velocity u = K^-1 (f - B^T p) and the pressure p."""
-            p = p.reshape(pressure.shape)
-            x = g.copy()
-            b_hat = (lefts @ p).reshape(stacked) @ rights
-            x[interior] += sy @ ((f_hat - b_hat) / eigenvalue_sums) @ sx.T
-            x[pressure] += p
-            return x
-
-        x = _timed(corrected, seconds, "precondition")(p)
-        if pin_pressure:
-            x[pressure] -= x[pressure[0, 0]]
-        ax, residual = checked(x)
-        if pin_pressure:
-            residual[pressure[0, 0]] = 0.0
-        for name, spent in seconds.items():
-            record["seconds"][name] += spent
-        record["residuals"] = [r * c_norm / g_norm for r in record["residuals"]]
-        relres = math.sqrt(residual @ residual) / g_norm if g_norm else 0.0
-        return x, ax, relres, iterations
-
-    return solve
+    x = _timed(corrected, seconds, "precondition")(p)
+    if pin_pressure:
+        x[pressure] -= x[pressure[0, 0]]
+    ax, residual = checked(x)
+    if pin_pressure:
+        residual[pressure[0, 0]] = 0.0
+    for name, spent in seconds.items():
+        record["seconds"][name] += spent
+    record["residuals"] = [r * c_norm / g_norm for r in record["residuals"]]
+    record["product"] = ax
+    relres = math.sqrt(residual @ residual) / g_norm if g_norm else 0.0
+    return NestedVector.from_flat(rhs.layout, x), relres, iterations
 
 
 @dataclass
@@ -370,13 +334,12 @@ class CavitySummary:
     # GMRes's residual estimate on the pressure after every iteration, relative
     # to the whole rhs norm: the whole system's relative residual to round-off
     residuals: list
-    # wall seconds per stage (basis, assemble, dirichlet, freeze, preconditioner:
-    # the pressure-space solver's build, solve, divergence, vtu) and of the
-    # whole run ("total")
+    # wall seconds per stage (basis, assemble, dirichlet, freeze, solve,
+    # divergence, vtu) and of the whole run ("total")
     stage_seconds: dict
     # the solve stage split: wall seconds in the products with the system and
-    # with the Schur complement ("matvec"), in K^-1 and the pressure mass
-    # inverse ("precondition") and in the rest of GMRes ("krylov")
+    # with the Schur complement ("matvec"), in the solve's build, K^-1 and the
+    # pressure mass inverse ("precondition") and in the rest of GMRes ("krylov")
     solve_seconds: dict
     vtu_path: str
     grid: StructuredGrid
@@ -401,15 +364,13 @@ def run_driven_cavity(
     directory IsADirectoryError, before any work is done.
     Prints the one-line summary (dim/iters/relres/div) and returns the
     full summary object, whose ``stage_seconds`` times each stage.
-    GMRes solves for the pressure alone (:func:`_pressure_space_solver`);
-    relres is the whole system's relative residual from one product with
-    the solution, and div the norm of that product's pressure rows, which
-    is :func:`weak_divergence_norm` of the solution.
+    GMRes solves for the pressure alone (:func:`solve_stokes`); relres
+    is the whole system's relative residual from one product with the
+    solution, and div the norm of that product's pressure rows, which is
+    :func:`weak_divergence_norm` of the solution.
 
-    ``pin_pressure`` solves the same system, then subtracts the value at
-    pressure node (0, 0) from every pressure slot and reports the relres of
-    the system pinned there (its row an identity row, rhs 0), which is the
-    free residual with that row's entry 0.0.  Iterations, velocities and
+    ``pin_pressure`` solves the same system and pins the pressure at node
+    (0, 0) as :func:`solve_stokes` describes.  Iterations, velocities and
     div stay the free run's.
     """
     entry = time.perf_counter()
@@ -434,16 +395,12 @@ def run_driven_cavity(
     system.freeze()
     ends["freeze"] = time.perf_counter()
 
-    solve = _pressure_space_solver(basis)
-    ends["preconditioner"] = time.perf_counter()
-
     record = {}
-    x, product, relres, iterations = solve(system, rhs, cfg, pin_pressure, record)
-    solution = NestedVector.from_flat(rhs.layout, x)
+    solution, relres, iterations = solve_stokes(basis, system, rhs, cfg, pin_pressure, record)
     ends["solve"] = time.perf_counter()
 
     # the divergence rows are the pressure rows (see weak_divergence_norm), in slot order
-    divergence_rows = product[np.sort(basis.node_grid((1,)), axis=None)]
+    divergence_rows = record["product"][np.sort(basis.node_grid((1,)), axis=None)]
     divergence = math.sqrt(divergence_rows @ divergence_rows)
     rhs_norm = math.sqrt(rhs.values @ rhs.values)
     ends["divergence"] = time.perf_counter()

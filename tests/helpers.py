@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from fembasis import Composite, Leaf, Power, Strategy
+from fembasis.localfe import line_matrices
+from fembasis.stokes import _axis_factors
 
 ALL_STRATEGIES = (
     Strategy.BLOCKED_LEXICOGRAPHIC,
@@ -158,3 +160,42 @@ def expected_leaf_index(tree, nx, ny, leaf_path, flat):
         else:
             mi = (mi[0] * m + i,) + mi[1:]
     return mi
+
+
+def stokes_preconditioner(basis):
+    """Upper block-triangular saddle point preconditioner of a Taylor-Hood cavity system.
+
+    The full-space reference of the pressure-space solve: GMRes on the
+    whole system, right-preconditioned by this, solves the same system
+    another way.  P = [K B^T; 0 -M_p] takes the velocity Laplacian K and
+    the coupling B^T of the assembled system and the Q1 pressure mass M_p
+    (Elman, Silvester & Wathen, *Finite Elements and Fast Iterative
+    Solvers*, ch. 4).  P^-1 v sets z_p = -M_p^-1 v_p, then
+    z_u = K^-1 (v_u - B^T z_p) per velocity component, as tensor products
+    of 1-D matrices on node grids Z: K^-1 is
+    ``Sy (Sy^T Z Sx / (lam_y + lam_x)) Sx^T``, M_p^-1 is ``My^-1 Z Mx^-1``
+    and B^T is ``My21 Z Dx21^T`` for the x component and ``Dy21 Z Mx21^T``
+    for the y one, with the interior Q2 rows of the Q2-by-Q1 mass M21 and
+    slope coupling D21.  Identity rows (the velocity ring) pass through
+    unchanged.  Returns the flat M^-1 application over the basis layout.
+    """
+    nx, ny = basis.grid.nx, basis.grid.ny
+    interior = np.stack([basis.node_grid((0, k))[1:-1, 1:-1] for k in range(2)])
+    pressure = basis.node_grid((1,))
+    sx, lam_x, px_inv, _, _ = _axis_factors(nx)
+    sy, lam_y, py_inv, _, _ = _axis_factors(ny)
+    (_, mx21, dx21), (_, my21, dy21) = (line_matrices(2, 1, n) for n in (nx, ny))
+    eigenvalue_sums = lam_y[:, None] + lam_x[None, :]
+    # B^T = left @ Z @ right of the x and the y component, stacked like ``interior``
+    left = np.stack([my21[1:-1], dy21[1:-1]])
+    right = np.stack([dx21[1:-1].T, mx21[1:-1].T])
+
+    def apply(v):
+        z = v.copy()
+        zp = -(py_inv @ v[pressure] @ px_inv)
+        z[pressure] = zp
+        u = v[interior] - left @ zp @ right
+        z[interior] = sy @ ((sy.T @ u @ sx) / eigenvalue_sums) @ sx.T
+        return z
+
+    return apply

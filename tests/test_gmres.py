@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import gauss_solve
+from helpers import gauss_solve, stokes_preconditioner
 
 from fembasis import (
     NestedVector,
@@ -20,7 +20,6 @@ from fembasis import (
     make_basis,
     parse_tree,
     solve_system,
-    stokes_preconditioner,
     taylor_hood_tree,
 )
 

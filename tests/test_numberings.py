@@ -6,16 +6,16 @@ off the node grids: leaf by leaf, ``node_grid(path)`` of a basis and of a
 reference numbering of the same tree hold the slots of the same nodes.
 Everything built on the grids must then commute with P bitwise: the
 element offset table, the frozen system's product and diagonal, the
-Dirichlet rewrite and the Stokes preconditioner; and the cavity solved in
-the pressure space, which reads only node grids, gives bitwise the same
-fields.
+Dirichlet rewrite and the tests' full-space Stokes preconditioner; and
+the cavity solved in the pressure space, which reads only node grids,
+gives bitwise the same fields.
 """
 
 import functools
 
 import numpy as np
 import pytest
-from helpers import random_tree
+from helpers import random_tree, stokes_preconditioner
 
 from fembasis import (
     Composite,
@@ -29,10 +29,9 @@ from fembasis import (
     apply_dirichlet,
     assemble_stokes_matrix,
     make_basis,
-    stokes_preconditioner,
+    solve_stokes,
 )
 from fembasis.cli import TABLE1_COLUMNS, strategy_table_bases
-from fembasis.stokes import _pressure_space_solver
 
 GRIDS = [(5, 7), (16, 16)]
 
@@ -177,7 +176,8 @@ def test_table1_numberings_solve_the_cavity_to_the_same_fields(n):
         system, rhs, _ = cavity_pieces(basis)
         rhs = NestedVector.from_flat(basis.layout, rhs)
         record = {}
-        x, _, relres, _ = _pressure_space_solver(basis)(system, rhs, SolverConfig(), False, record)
+        solution, relres, _ = solve_stokes(basis, system, rhs, record=record)
+        x = solution.values
         assert relres <= SolverConfig().tolerance and record["stop"] == "converged", label
         grids = [basis.node_grid(path) for path in [(0, 0), (0, 1), (1,)]]
         fields[label] = [x[grid].tobytes() for grid in grids]

@@ -8,6 +8,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from helpers import stokes_preconditioner
 
 import fembasis
 from fembasis import (
@@ -18,7 +19,9 @@ from fembasis import (
     Leaf,
     MultiIndex,
     NestedVector,
+    NotFrozen,
     Power,
+    ShapeMismatch,
     SolverConfig,
     SparseSystem,
     Strategy,
@@ -32,8 +35,8 @@ from fembasis import (
     make_basis,
     parse_tree,
     run_driven_cavity,
+    solve_stokes,
     solve_system,
-    stokes_preconditioner,
     subspace_basis,
     taylor_hood_tree,
     tensor_rule,
@@ -41,7 +44,6 @@ from fembasis import (
 )
 from fembasis.cli import TABLE1_COLUMNS, strategy_table_bases
 from fembasis.functions import boundary_offsets
-from fembasis.stokes import _pressure_space_solver
 
 NV = 9  # Q2 dofs per element
 NP = 4  # Q1 dofs per element
@@ -163,7 +165,7 @@ def test_reference_tabulations_are_shared_and_read_only():
 def test_axis_factors_are_shared_read_only_and_per_cell_count(cells):
     factors = check_cached_read_only(fembasis.stokes._axis_factors, cells)
     n = 2 * cells - 1  # interior Q2 nodes
-    shapes = [(n, n), (n,), (cells + 1, cells + 1)] + [(n, cells + 1)] * 4
+    shapes = [(n, n), (n,), (cells + 1, cells + 1)] + [(n, cells + 1)] * 2
     assert [f.shape for f in factors] == shapes
     other = fembasis.stokes._axis_factors(cells + 1)
     assert all(a.shape != b.shape for a, b in zip(factors, other))
@@ -441,7 +443,7 @@ def test_cavity_stage_times_add_up_to_the_total(tmp_path):
     stages = dict(summary.stage_seconds)
     total = stages.pop("total")
     assert list(stages) == [
-        "basis", "assemble", "dirichlet", "freeze", "preconditioner", "solve", "divergence", "vtu"
+        "basis", "assemble", "dirichlet", "freeze", "solve", "divergence", "vtu"
     ]
     assert min(stages.values()) >= 0.0
     assert 0.9 * total <= sum(stages.values()) <= total
@@ -464,7 +466,7 @@ def test_cavity_solve_records_convergence(tmp_path):
     assert summary.residuals[-1] <= SolverConfig().tolerance < summary.residuals[0]
 
 
-# -- block-triangular preconditioner ----------------------------------------
+# -- the full-space reference: helpers.stokes_preconditioner --------------
 
 
 def dense_matrix(system, slot):
@@ -706,7 +708,8 @@ def test_pressure_space_solve_reproduces_a_linear_flow_through_the_walls(nx, ny)
     apply_dirichlet(system, rhs, basis, lambda p: (2 * p[0] + p[1], 3 * p[0] - 2 * p[1] + 1))
     system.freeze()
     config = SolverConfig(tolerance=1e-13)
-    x, _, relres, _ = _pressure_space_solver(basis)(system, rhs, config, False, {})
+    solution, relres, _ = solve_stokes(basis, system, rhs, config)
+    x = solution.values
     assert relres <= config.tolerance
     flow = NestedVector()
     flow.resize_from_basis(basis)
@@ -722,6 +725,43 @@ def test_pressure_space_solve_takes_one_iteration_fewer_than_the_full_space(tmp_
         assert summary.iterations == full - 1
 
 
+def test_pressure_space_solve_shows_a_system_off_its_contract_only_in_relres():
+    """The solve takes its blocks from the grid, not from the system: a changed entry
+    leaves GMRes converged on the Schur complement, and only the true relres shows it."""
+    basis = make_basis(StructuredGrid(8, 8), taylor_hood_tree())
+    system = SparseSystem()
+    assemble_stokes_matrix(basis, system)
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    apply_dirichlet(system, rhs, basis)
+    node = basis.leaf_dof_index((0, 0), 3 * (2 * 8 + 1) + 3)  # interior node (3, 3)
+    system.add_to_entry(node, node, 0.5)
+    system.freeze()
+    record = {}
+    _, relres, _ = solve_stokes(basis, system, rhs, record=record)
+    assert record["stop"] == "converged"
+    assert relres > 100 * SolverConfig().tolerance
+
+
+def test_pressure_space_solve_checks_its_inputs():
+    basis = make_basis(StructuredGrid(3, 2), taylor_hood_tree())
+    system = SparseSystem()
+    assemble_stokes_matrix(basis, system)
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    apply_dirichlet(system, rhs, basis)
+    with pytest.raises(NotFrozen):
+        solve_stokes(basis, system, rhs)
+    system.freeze()
+    # the same tree under another numbering: the same slots, other keys
+    _, other = strategy_table_bases(basis.grid, 2)[-1]
+    with pytest.raises(ShapeMismatch):
+        solve_stokes(other, system, rhs)
+    for tree in ["power(lagrange(2),2)", "composite(power(lagrange(1),2),lagrange(1))"]:
+        with pytest.raises(ValueError):
+            solve_stokes(make_basis(basis.grid, parse_tree(tree)), system, rhs)
+
+
 def solved_cavity(basis):
     system = SparseSystem()
     assemble_stokes_matrix(basis, system)
@@ -729,8 +769,7 @@ def solved_cavity(basis):
     rhs.resize_from_basis(basis)
     apply_dirichlet(system, rhs, basis)
     system.freeze()
-    preconditioner = stokes_preconditioner(basis)
-    solution, relres, _ = solve_system(system, rhs, x0=rhs, preconditioner=preconditioner)
+    solution, relres, _ = solve_stokes(basis, system, rhs)
     assert relres <= 1e-8
     return system, solution
 
@@ -809,9 +848,7 @@ def manufactured_errors(n, tree):
     apply_dirichlet(system, rhs, basis, boundary_values=lambda p: exact_velocity(*p))
     system.freeze()
     config = SolverConfig(tolerance=1e-12)
-    solution, relres, _ = solve_system(
-        system, rhs, config, x0=rhs, preconditioner=stokes_preconditioner(basis)
-    )
+    solution, relres, _ = solve_stokes(basis, system, rhs, config)
     assert relres <= 1e-12
 
     points, weights = tensor_rule(4)  # one order above the 3x3 rule, off its Gauss points
