@@ -13,12 +13,15 @@ The artefacts are
   printed summary line, the VTU file's bytes and the solution's bytes;
 - interpolated vectors (``interpolate`` of a scalar function, which
   broadcasts to every leaf, then ``interpolate_masked`` of another under
-  a random mask) on the eight Table-1 bases at 5x7 and on the 12 random
-  trees of ``tests/test_numberings.py`` at 3x4;
+  a random mask) and the node grids of every leaf, on the eight Table-1
+  bases at 5x7 and on the 12 random trees of ``tests/test_numberings.py``
+  at 3x4;
+- the rhs that ``apply_dirichlet`` writes on the eight Table-1 bases at
+  5x7;
 - the Taylor-Hood element matrix of a 4x4 and of a 5x7 grid.
 
-``--small`` keeps only the 4x4 runs, the Table-1 vectors and the element
-matrices.  The package is imported from this checkout's ``src``.
+``--small`` keeps only the 4x4 runs, the Table-1 artefacts and the
+element matrices.  The package is imported from this checkout's ``src``.
 
 The script caps BLAS at one thread before it imports numpy.  The bytes of
 this set agree at one and at two OpenBLAS threads on a 2-core machine
@@ -48,7 +51,9 @@ import numpy as np  # noqa: E402
 
 from fembasis import (  # noqa: E402
     NestedVector,
+    SparseSystem,
     StructuredGrid,
+    apply_dirichlet,
     assemble_element_matrix,
     interpolate,
     interpolate_masked,
@@ -87,6 +92,21 @@ def interpolated(basis, seed):
     return coefficients.values.tobytes()
 
 
+def node_grids(basis):
+    """Bytes of every leaf's node grid, depth first."""
+    return b"".join(basis.node_grid(leaf.tree_path).tobytes() for leaf in basis.local_view().leaves)
+
+
+def dirichlet_rhs(basis):
+    """Bytes of the rhs after :func:`apply_dirichlet` of a smooth velocity."""
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    apply_dirichlet(
+        SparseSystem(), rhs, basis, lambda p: (math.sin(3.0 * p[0]) * p[1], math.cos(p[0] + p[1]))
+    )
+    return rhs.values.tobytes()
+
+
 def artefacts(small):
     with tempfile.TemporaryDirectory() as directory:
         for nx, ny in CAVITY_GRIDS[:1] if small else CAVITY_GRIDS:
@@ -94,12 +114,15 @@ def artefacts(small):
                 yield from cavity_digests(nx, ny, pin, directory)
     for seed, (label, basis) in enumerate(strategy_table_bases(StructuredGrid(5, 7), 2)):
         yield f"interpolate/table1/{label}/5x7", interpolated(basis, seed)
+        yield f"node_grid/table1/{label}/5x7", node_grids(basis)
+        yield f"dirichlet/table1/{label}/5x7", dirichlet_rhs(basis)
     if not small:
         from test_numberings import permuting_random_trees
 
         for index, (seed, tree) in enumerate(permuting_random_trees()):
             basis = make_basis(StructuredGrid(3, 4), tree)
             yield f"interpolate/random_tree/{index}/3x4", interpolated(basis, seed)
+            yield f"node_grid/random_tree/{index}/3x4", node_grids(basis)
     for nx, ny in [(4, 4), (5, 7)]:
         view = make_basis(StructuredGrid(nx, ny), taylor_hood_tree()).local_view()
         view.bind(0)

@@ -44,7 +44,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import IndexOutOfRange, PathOutOfRange, PrefixNotFound, UnboundView
+from .errors import IndexOutOfRange, PathOutOfRange, PrefixNotFound, UnboundView, integer
 from .grid import StructuredGrid
 from .localfe import lagrange_element
 from .multiindex import Layout, MultiIndex, as_multi_index
@@ -226,12 +226,12 @@ class GlobalBasis:
         self._tables = [table for _, _, table in leaves]  # (nodes, depth), by global node number
         depth = max(table.shape[1] for table in self._tables)
         # no row is a prefix of another, so the padding never decides order
-        padded = np.vstack(
-            [np.pad(t, ((0, 0), (0, depth - t.shape[1])), constant_values=-1) for t in self._tables]
-        )
+        pads = (np.full((len(t), depth - t.shape[1]), -1) for t in self._tables)
+        padded = np.vstack(list(map(np.hstack, zip(self._tables, pads))))
         self._order = np.lexsort(padded.T[::-1])
         self._dimension = len(self._order)
-        rank = np.argsort(self._order)  # the inverse permutation
+        rank = np.empty_like(self._order)  # the inverse permutation
+        rank[self._order] = np.arange(self._dimension)
         self._leaves, start, offset = [], 0, 0  # below the root
         for path, order, table in leaves:
             ranks = rank[start : start + len(table)].reshape(order * grid.ny + 1, -1)
@@ -330,6 +330,7 @@ class GlobalBasis:
         leaf's own global node number.
         """
         offsets = self.node_grid(leaf_path)
+        flat = integer(flat, "flat index")
         if not 0 <= flat < offsets.size:
             raise IndexOutOfRange(f"flat index {flat} outside leaf size {offsets.size}")
         return self.layout.keys[offsets.flat[flat]]

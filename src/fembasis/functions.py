@@ -16,7 +16,9 @@ basis's scope of the prefix, which also keeps the boundary ring.  A call
 pays for its samples: ``fn`` once per lattice node, each range value read
 once per tree node (leaves that take the same samples, those of one order
 and, under a mask, the same picks, share the components of their common
-prefix), and one scalar check and conversion per leaf.
+prefix), and one scalar check and conversion per leaf.  Every partial
+write goes through the one masked path: the Stokes example's Dirichlet
+data is :func:`interpolate_masked` on the mask of :func:`boundary_offsets`.
 """
 
 from __future__ import annotations
@@ -126,18 +128,20 @@ def _interpolate(basis, coefficients, fn, mask) -> None:
         marked = np.zeros((len(ys), width), dtype=bool)
         chosen = []
         for leaf, step in zip(leaves, steps):
-            chosen.append(allowed[leaf.node_grid].astype(bool))
+            chosen.append(allowed[leaf.node_grid].astype(bool, copy=False))
             marked[::step, ::step] |= chosen[-1]
         rows, cols = np.divmod(np.flatnonzero(marked), width)
         points = zip(map(xs.__getitem__, cols.tolist()), map(ys.__getitem__, rows.tolist()))
         samples = list(map(fn, points))
-        sample_of = (np.cumsum(marked) - 1).reshape(marked.shape)  # lattice node -> sample
+        sample_of = None  # lattice node -> sample, for leaves that take a subset
         columns["all", ()] = samples  # leaves that take every sample share them, in order
         for leaf, step, keep in zip(leaves, steps, chosen):
             key = "all"
             if np.count_nonzero(keep) < len(samples):
                 key = step, keep.tobytes()  # leaves with the same picks share them
                 if (key, ()) not in columns:
+                    if sample_of is None:
+                        sample_of = (np.cumsum(marked) - 1).reshape(marked.shape)
                     taken = sample_of[::step, ::step][keep].tolist()
                     columns[key, ()] = list(map(samples.__getitem__, taken))
             reads.append((leaf.rel_path, leaf.node_grid[keep], key))
@@ -173,32 +177,6 @@ def interpolate_masked(basis, coefficients, fn, mask) -> None:
     ShapeMismatch writes nothing.
     """
     _interpolate(basis, coefficients, fn, mask)
-
-
-def _interpolate_ring(basis, coefficients, fn) -> None:
-    """Write ``fn`` at the :func:`boundary_offsets` of ``basis``, whose leaves share one order.
-
-    ``fn`` is called once per ring node of that order's lattice, at the
-    points :func:`interpolate` uses and in row-major order, which is the
-    order of each leaf's part of the ring; leaf by leaf, its component
-    fills its part.  A ShapeMismatch writes nothing.
-    """
-    root = basis.root_basis
-    values = _flat_values(root, coefficients)
-    scope = root._scope(basis.prefix_path)
-    orders = {leaf.finite_element.order for leaf in scope.leaves}
-    if len(orders) != 1:
-        raise ValueError(f"the ring is sampled on one order's lattice, not on {sorted(orders)}")
-    (k,) = orders
-    nx, ny = root.grid.nx, root.grid.ny
-    xs = [a / (k * nx) for a in range(k * nx + 1)]
-    ys = [b / (k * ny) for b in range(k * ny + 1)]
-    points = [(x, ys[0]) for x in xs]
-    points += [(x, y) for y in ys[1:-1] for x in (xs[0], xs[-1])]
-    points += [(x, ys[-1]) for x in xs]
-    columns = {("ring", ()): list(map(fn, points))}
-    written = [_column(columns, "ring", leaf.rel_path) for leaf in scope.leaves]
-    values[scope.ring] = np.concatenate(written)
 
 
 def boundary_offsets(basis) -> np.ndarray:

@@ -59,7 +59,8 @@ def gmres(
 
     Arguments:
         matvec: callable mapping a vector to A times that vector.
-        b: right hand side, 1d array; a non-finite entry here or in x0 raises ValueError.
+        b: right hand side, 1d array; a non-finite entry here or in x0, or a
+            non-finite residual or Arnoldi norm later, raises ValueError.
             A finite b whose 2-norm overflows is solved as b / s from x0 / s,
             s its largest magnitude, in the same single loop, and the
             solution is scaled back by s on return.
@@ -134,6 +135,8 @@ def gmres(
     while True:
         r = b - matvec(x)
         rnorm = math.sqrt(r.dot(r))
+        if not math.isfinite(rnorm):
+            raise ValueError(f"the residual after {iters} iterations is not finite")
         if rnorm / bnorm <= tol:
             return done("converged", x, rnorm / bnorm)
         if iters >= maxiter:
@@ -156,6 +159,8 @@ def gmres(
             h2 = basis.dot(w)
             w -= h2.dot(basis)
             hk1 = math.sqrt(w.dot(w))
+            if not math.isfinite(hk1):
+                raise ValueError(f"the Arnoldi vector of iteration {iters + 1} is not finite")
             if hk1 > 0.0:
                 np.divide(w, hk1, out=V[k + 1])
             # rotate the column; 0.0 + h + h2 sums as into a zeroed column: never to -0.0

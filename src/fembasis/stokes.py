@@ -32,7 +32,7 @@ import numpy as np
 from .basis import GlobalBasis, make_basis, subspace_basis
 from .containers import NestedVector, SparseSystem
 from .errors import AlreadyFrozen, ShapeMismatch
-from .functions import _interpolate_ring, boundary_offsets
+from .functions import boundary_offsets, interpolate_masked
 from .gmres import SolverConfig, _timed, gmres
 from .grid import StructuredGrid
 from .localfe import lagrange_element, line_matrices
@@ -148,17 +148,21 @@ def apply_dirichlet(
 ) -> None:
     """Strongly enforce boundary velocities on the assembled system.
 
-    Every velocity boundary node (the ring of each velocity leaf's node
-    grid, see :func:`~fembasis.functions.boundary_offsets`) becomes an
-    identity row, and the boundary data is written into the rhs, which is
-    laid out like ``basis``, at the same ring: ``boundary_values`` is
-    called once per ring node of the Q2 lattice, row by row, at the points
-    :func:`~fembasis.functions.interpolate` uses.  :func:`solve_stokes`
-    reads the same rings.
+    The batched form of the paper's loop: every velocity boundary node
+    (the ring of each velocity leaf's node grid, see
+    :func:`~fembasis.functions.boundary_offsets`) becomes an identity row,
+    and the boundary data goes into the rhs, which is laid out like
+    ``basis``, by :func:`~fembasis.functions.interpolate_masked` on the
+    mask that is true at that ring: ``boundary_values`` is called once per
+    ring node of the finest velocity lattice, in row-major order.
+    :func:`solve_stokes` reads the same rings.
     """
     velocity = subspace_basis(basis, (0,))
-    system.set_rows_to_identity(basis.layout, boundary_offsets(velocity))
-    _interpolate_ring(velocity, rhs, boundary_values)
+    ring = boundary_offsets(velocity)
+    system.set_rows_to_identity(basis.layout, ring)
+    mask = np.zeros(basis.dimension(), dtype=bool)
+    mask[ring] = True
+    interpolate_masked(velocity, rhs, boundary_values, NestedVector.from_flat(basis.layout, mask))
 
 
 def weak_divergence_norm(system: SparseSystem, solution: NestedVector) -> float:
@@ -209,7 +213,9 @@ def solve_stokes(
     blocks come from the grid's 1-D matrices and the system is read only
     through its products, so on any other system only the returned relres
     shows the error.  A non-Taylor-Hood basis raises ValueError, an
-    unfrozen system NotFrozen and an rhs laid out otherwise ShapeMismatch.
+    unfrozen system NotFrozen and an rhs laid out otherwise ShapeMismatch;
+    a NaN or inf in the rhs or in a row of the system that is not an
+    identity row raises ValueError before GMRes starts.
 
     With K^-1 exact, [K B^T; B 0] [u; p] = [f; h] on the interior velocity
     and the pressure reduces to the Schur complement S p = B K^-1 f - h,
@@ -284,7 +290,10 @@ def solve_stokes(
         return ax, g - ax
 
     checked = _timed(product_and_residual, seconds, "matvec")
-    f_hat, c = _timed(reduced, seconds, "precondition")(checked(g)[1])
+    r = checked(g)[1]
+    if not np.isfinite(r).all():
+        raise ValueError("rhs - system @ rhs is not finite: the rhs or the system has a NaN or inf")
+    f_hat, c = _timed(reduced, seconds, "precondition")(r)
     c = c.ravel()
     g_norm, c_norm = math.sqrt(g @ g), math.sqrt(c @ c)
     p, _, iterations = gmres(

@@ -198,6 +198,10 @@ def test_leaf_dof_index_validation():
         basis.leaf_dof_index((2,), 0)
     with pytest.raises(IndexOutOfRange):
         basis.leaf_dof_index((1,), 25)
+    for flat in [True, False, 3.0, np.float64(1.0)]:
+        with pytest.raises(TypeError, match="flat index"):
+            basis.leaf_dof_index((1,), flat)
+    assert basis.leaf_dof_index((1,), np.int64(3)) == basis.leaf_dof_index((1,), 3)
 
 
 def test_subspace_reports_root_indices():

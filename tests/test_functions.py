@@ -542,12 +542,43 @@ def test_dirichlet_writes_the_masked_interpolant_of_the_ring(nx, ny):
     assert len(seen["dirichlet"]) == 4 * (nx + ny)  # each Q2 ring node once
 
 
-def test_dirichlet_needs_velocity_leaves_of_one_order():
-    basis, v = fresh("composite(composite(lagrange(2),lagrange(1)),lagrange(1))", nx=2, ny=2)
-    with pytest.raises(ValueError, match="one order"):
-        apply_dirichlet(SparseSystem(), v, basis)
+def test_dirichlet_writes_the_rings_of_velocity_leaves_of_mixed_order():
+    """A Q2 and a Q1 velocity leaf: both rings fixed, the rhs that of interpolate_masked."""
+    nx, ny = 3, 2
+    basis = make_basis(
+        StructuredGrid(nx, ny), parse_tree("composite(composite(lagrange(2),lagrange(1)),lagrange(1))")
+    )
+    velocity = subspace_basis(basis, (0,))
+    seen = {"dirichlet": [], "masked": []}
+
+    def sampled(which):
+        def boundary_values(p):
+            seen[which].append(p)
+            return (math.cos(p[0] + 2.0 * p[1]), p[0] - p[1] * p[1])
+
+        return boundary_values
+
+    system, rhs, expected = SparseSystem(), NestedVector(), NestedVector()
+    rhs.resize_from_basis(basis)
+    expected.resize_from_basis(basis)
+    apply_dirichlet(system, rhs, basis, sampled("dirichlet"))
+    system.freeze()
+    keys = basis.layout.keys
+    rings = [basis.node_grid((0, 0)), basis.node_grid((0, 1))]
+    ring = [g[[0, -1]].ravel().tolist() + g[1:-1, [0, -1]].ravel().tolist() for g in rings]
+    fixed = {keys[offset] for offset in ring[0] + ring[1]}
+    assert len(fixed) == 4 * (nx + ny) + 2 * (nx + ny)  # the Q2 ring and the Q1 ring
+    assert set(system.triples()) == {(key, key, 1.0) for key in fixed}
+
+    mask = NestedVector.from_flat(basis.layout, np.zeros(basis.dimension(), dtype=bool))
+    mask.values[boundary_offsets(velocity)] = True
+    interpolate_masked(velocity, expected, sampled("masked"), mask)
+    assert rhs.values.tobytes() == expected.values.tobytes()
+    q2_ring = [(a / 6, b / 4) for b in range(5) for a in range(7) if 0 in (a % 6, b % 4)]
+    assert seen["dirichlet"] == q2_ring  # once per Q2 ring node, row by row
+    assert seen["masked"] == q2_ring
     with pytest.raises(ShapeMismatch):
-        apply_dirichlet(SparseSystem(), v, make_basis(StructuredGrid(2, 2), taylor_hood_tree()))
+        apply_dirichlet(SparseSystem(), rhs, make_basis(StructuredGrid(2, 2), taylor_hood_tree()))
 
 
 @pytest.mark.parametrize("column", [label for label, _, _ in TABLE1_COLUMNS])

@@ -105,6 +105,22 @@ def test_a_non_finite_rhs_or_initial_iterate_is_rejected_before_any_matvec(argum
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["residual", "arnoldi"])
+def test_a_non_finite_matvec_stops_within_the_first_arnoldi_step(where, bad):
+    calls = []
+
+    def matvec(v):
+        calls.append(v)
+        if where == "residual":
+            return np.full_like(v, bad)
+        return np.where(v != 0.0, bad, 0.0)  # finite at x0 = 0 only
+
+    with pytest.raises(ValueError, match="is not finite"), np.errstate(invalid="ignore"):
+        gmres(matvec, np.ones(3))
+    assert len(calls) == (1 if where == "residual" else 2)
+
+
 def test_huge_finite_entries_are_not_mistaken_for_non_finite_ones():
     b = np.array([1e200, -1e200, 1e200])
     with np.errstate(over="ignore"):

@@ -762,6 +762,30 @@ def test_pressure_space_solve_checks_its_inputs():
             solve_stokes(make_basis(basis.grid, parse_tree(tree)), system, rhs)
 
 
+@pytest.mark.parametrize("where", ["identity row", "rhs", "system"])
+def test_pressure_space_solve_names_a_non_finite_rhs_or_system(where):
+    basis = make_basis(StructuredGrid(3, 2), taylor_hood_tree())
+    system = SparseSystem()
+    assemble_stokes_matrix(basis, system)
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    apply_dirichlet(system, rhs, basis)
+    keys = basis.layout.keys
+    inner, ring = basis.node_grid((0, 0))[1, 1], basis.node_grid((0, 0))[0, 0]
+    system.add_to_entry(keys[ring], keys[inner], math.nan)  # in an identity row: zeroed
+    if where == "system":
+        system.add_to_entry(keys[inner], keys[ring], math.nan)
+    system.freeze()
+    if where == "rhs":
+        rhs.values[basis.node_grid((1,))[1, 2]] = math.nan
+    if where == "identity row":
+        assert solve_stokes(basis, system, rhs)[1] <= 1e-8
+    else:
+        with pytest.raises(ValueError, match="not finite: the rhs or the system") as error:
+            solve_stokes(basis, system, rhs)
+        assert "tol" not in str(error.value)
+
+
 def solved_cavity(basis):
     system = SparseSystem()
     assemble_stokes_matrix(basis, system)
