@@ -93,6 +93,7 @@ def merge_child_index(
     if strategy is Strategy.FLAT_INTERLEAVED and child_count is None:
         raise ValueError("FlatInterleaved needs child_count")
     limit = len(child_root_degrees) if strategy is Strategy.FLAT_LEXICOGRAPHIC else child_count
+    child_index = integer(child_index, "child index")
     if child_index < 0 or (strategy.is_flat and child_index >= limit):
         raise IndexOutOfRange(f"child index {child_index} outside {limit} children")
     table = np.array([mi], dtype=np.int64).reshape(1, len(mi))
@@ -259,8 +260,10 @@ class GlobalBasis:
         return Layout(keys, dimension)
 
     def _scope(self, prefix=()) -> _Scope:
-        """The subtree at ``prefix``, built on its first request."""
+        """The subtree at ``prefix``, built on its first request; each request checks the digits."""
         prefix = tuple(prefix)
+        if prefix:  # (0, 1.0) would find the key (0, 1); the root, asked per evaluation, is free
+            prefix = tuple(integer(digit, "path digit") for digit in prefix)
         scope = self._scopes.get(prefix)
         if scope is None:
             scope = self._scopes[prefix] = _Scope(self, prefix)
@@ -307,7 +310,7 @@ class GlobalBasis:
         array has shape ``(k*ny + 1, k*nx + 1)`` and entry ``[b, a]`` is
         the offset of the function at node ``(a / (k*nx), b / (k*ny))``.
         """
-        scope = self._scope(leaf_path)  # raises PathOutOfRange if invalid
+        scope = self._scope(leaf_path)  # raises PathOutOfRange or TypeError if invalid
         if not isinstance(scope.node, Leaf):
             raise PathOutOfRange(f"path {scope.prefix} is not a leaf")
         return scope.leaves[0].node_grid
@@ -399,14 +402,12 @@ class LocalView:
         return len(self._offsets)
 
     def bind(self, element: int) -> None:
-        """Bind to an int element (not a bool); multi-indices are built on the first ``index``."""
+        """Bind to an element (int or numpy integer); keys are built on the first ``index``."""
         table = self._scope.offsets
-        if (
-            type(element) is bool
-            or not isinstance(element, (int, np.integer))
-            or not 0 <= element < len(table)
-        ):
-            raise IndexOutOfRange(f"element {element!r} is not an integer in [0, {len(table)})")
+        if type(element) is not int:  # the common case pays this one test
+            element = integer(element, "element")
+        if not 0 <= element < len(table):
+            raise IndexOutOfRange(f"element {element} outside [0, {len(table)})")
         self._offsets = table[element]
         self._indices = None
         self._geometry = None
@@ -426,15 +427,14 @@ class LocalView:
         return self._indices
 
     def index(self, local: int) -> MultiIndex:
-        """Global multi-index of a local basis function (int, not bool) of the bound element."""
+        """Global multi-index of local function ``local`` (int or numpy integer) when bound."""
         indices = self._indices
         if indices is None:
             indices = self._bound_indices("index")
-        if (
-            type(local) is not int  # the common case pays this one test
-            and (type(local) is bool or not isinstance(local, (int, np.integer)))
-        ) or not 0 <= local < len(indices):
-            raise IndexOutOfRange(f"local index {local!r} is not an integer in [0, {len(indices)})")
+        if type(local) is not int:  # the common case pays this one test
+            local = integer(local, "local index")
+        if not 0 <= local < len(indices):
+            raise IndexOutOfRange(f"local index {local} outside [0, {len(indices)})")
         return indices[local]
 
     def multi_indices(self) -> tuple:

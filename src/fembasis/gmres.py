@@ -155,6 +155,8 @@ def gmres(
             basis = V[: k + 1]
             w = matvec(precondition(V[k]))
             h = basis.dot(w)  # classical Gram-Schmidt, twice: orthogonal to round-off
+            if not math.isfinite(h[0]):  # h[0] reads all of w; checked before inf - inf warns
+                raise ValueError(f"the Arnoldi vector of iteration {iters + 1} is not finite")
             w = w - h.dot(basis)  # a new array: matvec may return its argument aliased
             h2 = basis.dot(w)
             w -= h2.dot(basis)

@@ -63,16 +63,17 @@ def driven_cavity_data(point):
     return (0.0, 0.0)
 
 
+def _taylor_hood_shape(leaves):
+    """Raise unless the last leaf is root child 1: the velocity is then all of root child 0."""
+    if leaves[-1].rel_path != (1,):
+        raise ValueError("expected the velocity at root child 0, a pressure leaf at root child 1")
+
+
 def _split_taylor_hood_leaves(leaves):
-    if len(leaves) < 2:
-        raise ValueError("Taylor-Hood view needs velocity and pressure leaves")
-    vel, press = leaves[:-1], leaves[-1]
-    orders = {leaf.finite_element.order for leaf in vel}
-    if len(vel) != VELOCITY_COMPONENTS or orders != {2} or press.finite_element.order != 1:
-        raise ValueError(
-            "expected two quadratic velocity leaves and one linear pressure leaf"
-        )
-    return vel, press
+    _taylor_hood_shape(leaves)
+    if [leaf.finite_element.order for leaf in leaves] != [2] * VELOCITY_COMPONENTS + [1]:
+        raise ValueError("expected two quadratic velocity leaves and one linear pressure leaf")
+    return leaves[:-1], leaves[-1]
 
 
 @functools.cache
@@ -155,14 +156,18 @@ def apply_dirichlet(
     ``basis``, by :func:`~fembasis.functions.interpolate_masked` on the
     mask that is true at that ring: ``boundary_values`` is called once per
     ring node of the finest velocity lattice, in row-major order.
-    :func:`solve_stokes` reads the same rings.
+    :func:`solve_stokes` reads the same rings.  Every check comes before any
+    write: the root's shape (ValueError), the data, the rhs and the system.
     """
+    _taylor_hood_shape(basis._scope().leaves)
     velocity = subspace_basis(basis, (0,))
     ring = boundary_offsets(velocity)
+    mask = NestedVector.from_flat(basis.layout, np.zeros(basis.dimension(), dtype=bool))
+    mask.values[ring] = True
+    sampled = NestedVector.from_flat(rhs.layout, np.zeros(rhs.values.shape))  # rhs is written last
+    interpolate_masked(velocity, sampled, boundary_values, mask)
     system.set_rows_to_identity(basis.layout, ring)
-    mask = np.zeros(basis.dimension(), dtype=bool)
-    mask[ring] = True
-    interpolate_masked(velocity, rhs, boundary_values, NestedVector.from_flat(basis.layout, mask))
+    rhs.values[ring] = sampled.values[ring]
 
 
 def weak_divergence_norm(system: SparseSystem, solution: NestedVector) -> float:

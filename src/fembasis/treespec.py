@@ -100,6 +100,7 @@ class Leaf:
     """Scalar tensor Lagrange element of the given polynomial order."""
 
     order: int
+    children = ()  # not a field: a leaf has no children, so no path descends below it
 
     def __post_init__(self):
         # lagrange_element checks the order: an int (else TypeError) in SUPPORTED_ORDERS
@@ -153,28 +154,19 @@ class Composite:
 
 
 def child_at(tree: BasisTree, path) -> BasisTree:
-    """Node of ``tree`` addressed by a tuple of child digits.
+    """Node of ``tree`` addressed by int or numpy-integer child digits (else TypeError).
 
     The empty path addresses the tree itself.  Power nodes accept any digit
     below their count and always descend into the one repeated child.
     """
     node = tree
     for depth, digit in enumerate(path):
-        if isinstance(node, Leaf):
-            raise PathOutOfRange(f"path {tuple(path)} descends below a leaf")
-        if isinstance(node, Power):
-            if not 0 <= digit < node.count:
-                raise PathOutOfRange(
-                    f"digit {digit} at depth {depth} outside power count {node.count}"
-                )
-            node = node.child
-        else:
-            if not 0 <= digit < len(node.children):
-                raise PathOutOfRange(
-                    f"digit {digit} at depth {depth} outside composite arity "
-                    f"{len(node.children)}"
-                )
-            node = node.children[digit]
+        digit = integer(digit, "path digit")
+        power = isinstance(node, Power)
+        count = node.count if power else len(node.children)
+        if not 0 <= digit < count:
+            raise PathOutOfRange(f"path {tuple(path)} has no child {digit} at depth {depth}")
+        node = node.child if power else node.children[digit]
     return node
 
 

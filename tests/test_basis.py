@@ -40,6 +40,8 @@ from helpers import (
 
 TH2 = "composite(power(lagrange(2),2),lagrange(1))"
 TH3 = "composite(power(lagrange(2),3),lagrange(1))"
+# none is an integer: each raises TypeError where the API takes one
+NOT_INTEGERS = (True, False, np.True_, 0.5, 1.0, np.float64(1.0), "1")
 
 
 def test_merge_child_index_blocked_lexicographic():
@@ -70,6 +72,16 @@ def test_merge_flat_needs_nonempty_child():
 def test_merge_returns_multi_index():
     mi = merge_child_index(Strategy.BLOCKED_LEXICOGRAPHIC, 0, (1, 2))
     assert isinstance(mi, MultiIndex)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.short)
+def test_merge_child_index_takes_an_integer_child_index(strategy):
+    counts = {"child_root_degrees": (3, 3), "child_count": 2}
+    for bad in (1.5, True, np.float64(0.0)):
+        with pytest.raises(TypeError, match="child index"):
+            merge_child_index(strategy, bad, (1, 2), **counts)
+    merged = merge_child_index(strategy, np.int64(1), (1, 2), **counts)
+    assert merged == merge_child_index(strategy, 1, (1, 2), **counts)
 
 
 def test_dimensions():
@@ -128,17 +140,19 @@ def test_q1_element_multi_indices():
 
 def test_bind_rejects_bad_elements():
     view = make_basis(StructuredGrid(2, 2), parse_tree("lagrange(1)")).local_view()
-    for element in (-1, 4, True, False, 1.0, np.float64(1.0), np.bool_(True)):
-        with pytest.raises(IndexOutOfRange):
+    cases = [(-1, IndexOutOfRange), (4, IndexOutOfRange)] + [(v, TypeError) for v in NOT_INTEGERS]
+    for element, error in cases:
+        with pytest.raises(error):
             view.bind(element)
         assert not view.bound
     view.bind(1)
     expected = [view.index(i) for i in range(view.size)]
-    for local in (-1, 4, True, False, 1.0, np.float64(1.0), np.bool_(True)):
-        with pytest.raises(IndexOutOfRange):
+    for local, error in cases:
+        with pytest.raises(error):
             view.index(local)
     assert [view.index(np.int64(i)) for i in range(view.size)] == expected
     view.bind(np.int64(1))
+    assert type(view.element) is int
     assert [view.index(i) for i in range(view.size)] == expected
 
 
@@ -416,6 +430,43 @@ def test_child_at_runs_once_per_prefix(monkeypatch):
             evaluate_discrete(sub, coefficients, (0.3, 0.7))
     basis.local_view()
     assert sorted(calls) == sorted(prefixes)
+
+
+@pytest.mark.parametrize("digit", [True, np.True_, 0.5, 1.0, np.float64(1.0)], ids=repr)
+def test_a_path_digit_that_is_not_an_integer_raises_type_error(digit):
+    basis = make_basis(StructuredGrid(2, 2), parse_tree(TH2))
+    for path in [(digit,), (0, digit)]:
+        for call in (
+            lambda: subspace_basis(basis, path),
+            lambda: basis.node_grid(path),
+            lambda: basis.element_offsets(path),
+            lambda: basis.leaf_dof_index(path, 3),
+            lambda: child_at(basis.tree, path),
+        ):
+            with pytest.raises(TypeError, match="path digit"):
+                call()
+
+
+def test_a_cached_scope_does_not_answer_a_path_that_is_not_an_integer():
+    """(0, 1.0) and (0, True) hash and compare like the cached (0, 1)."""
+    basis = make_basis(StructuredGrid(2, 2), parse_tree(TH2))
+    subspace_basis(basis, (0, 1)).local_view()
+    basis.element_offsets((0, 1))
+    for path in [(0, 1.0), (0, True), (np.float64(0.0), 1)]:
+        with pytest.raises(TypeError, match="path digit"):
+            subspace_basis(basis, path)
+        with pytest.raises(TypeError, match="path digit"):
+            basis.element_offsets(path)
+
+
+def test_numpy_integer_digits_address_the_scope_of_the_ints():
+    basis = make_basis(StructuredGrid(2, 2), parse_tree(TH2))
+    sub = subspace_basis(basis, (np.int64(0), np.int32(1)))  # built from numpy digits first
+    assert all(type(digit) is int for digit in sub.prefix_path)
+    assert basis._scope((0, 1)) is basis._scope((np.int64(0), np.int64(1)))
+    assert basis.element_offsets((0, 1)) is basis.element_offsets(np.array([0, 1]))
+    assert basis.leaf_dof_index((np.int64(1),), 3) == basis.leaf_dof_index((1,), 3)
+    assert child_at(basis.tree, (np.int64(0), np.int64(1))) == child_at(basis.tree, (0, 1))
 
 
 def test_views_of_one_prefix_share_their_leaves():

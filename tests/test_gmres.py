@@ -107,6 +107,7 @@ def test_a_non_finite_rhs_or_initial_iterate_is_rejected_before_any_matvec(argum
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("where", ["residual", "arnoldi"])
+@pytest.mark.filterwarnings("error")
 def test_a_non_finite_matvec_stops_within_the_first_arnoldi_step(where, bad):
     calls = []
 
@@ -116,7 +117,7 @@ def test_a_non_finite_matvec_stops_within_the_first_arnoldi_step(where, bad):
             return np.full_like(v, bad)
         return np.where(v != 0.0, bad, 0.0)  # finite at x0 = 0 only
 
-    with pytest.raises(ValueError, match="is not finite"), np.errstate(invalid="ignore"):
+    with pytest.raises(ValueError, match="is not finite"):
         gmres(matvec, np.ones(3))
     assert len(calls) == (1 if where == "residual" else 2)
 

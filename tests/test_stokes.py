@@ -762,6 +762,70 @@ def test_pressure_space_solve_checks_its_inputs():
             solve_stokes(make_basis(basis.grid, parse_tree(tree)), system, rhs)
 
 
+def test_taylor_hood_functions_find_the_velocity_where_apply_dirichlet_does():
+    """Velocity leaves below root child 0, the pressure leaf at root child 1, nothing else."""
+    message = "velocity at root child 0, a pressure leaf at root child 1"
+    for tree in [
+        "composite(lagrange(2),lagrange(2),lagrange(1))",
+        "composite(power(lagrange(2),2),power(lagrange(1),1))",
+    ]:
+        basis = make_basis(StructuredGrid(3, 2), parse_tree(tree))
+        system, rhs = SparseSystem(), NestedVector()
+        rhs.resize_from_basis(basis)
+        with pytest.raises(ValueError, match=message):
+            assemble_stokes_matrix(basis, system)
+        with pytest.raises(ValueError, match=message):
+            apply_dirichlet(system, rhs, basis)
+        system.freeze()
+        with pytest.raises(ValueError, match=message):
+            solve_stokes(basis, system, rhs)
+
+    # one velocity subtree of two leaves numbers and solves like the blocked power
+    solutions = []
+    for velocity in ["composite(lagrange(2),lagrange(2))", "power(lagrange(2),2,BL)"]:
+        basis = make_basis(StructuredGrid(8, 8), parse_tree(f"composite({velocity},lagrange(1))"))
+        system = SparseSystem()
+        assemble_stokes_matrix(basis, system)
+        rhs = NestedVector()
+        rhs.resize_from_basis(basis)
+        apply_dirichlet(system, rhs, basis)
+        system.freeze()
+        solution, relres, iterations = solve_stokes(basis, system, rhs)
+        assert relres <= 1e-8 and iterations == 12
+        solutions.append((basis.layout.keys, solution.values.tobytes()))
+    assert solutions[0] == solutions[1]
+
+
+def test_dirichlet_writes_nothing_when_a_check_fails():
+    """Data that does not fit the velocity, or a system it cannot write, raises before any write."""
+    # passes the shape check: a scalar velocity at (0,), a pressure leaf at (1,)
+    scalar = make_basis(StructuredGrid(2, 2), parse_tree("power(lagrange(2),2)"))
+    system, rhs = SparseSystem(), NestedVector()
+    rhs.resize_from_basis(scalar, fill=3.0)
+    with pytest.raises(ShapeMismatch):
+        apply_dirichlet(system, rhs, scalar)  # the cavity's data is a pair
+    system.freeze()
+    assert list(system.triples()) == []  # no identity row
+    assert (rhs.values == 3.0).all()
+
+    basis = make_basis(StructuredGrid(2, 2), taylor_hood_tree())
+    system, rhs = SparseSystem(), NestedVector()
+    assemble_stokes_matrix(basis, system)
+    system.freeze()
+    triples = list(system.triples())
+    rhs.resize_from_basis(basis, fill=3.0)
+    with pytest.raises(AlreadyFrozen):
+        apply_dirichlet(system, rhs, basis)
+    assert list(system.triples()) == triples
+    assert (rhs.values == 3.0).all()
+
+    other = SparseSystem()
+    assemble_stokes_matrix(make_basis(StructuredGrid(2, 2), taylor_hood_tree()), other)
+    with pytest.raises(ShapeMismatch, match="another layout"):
+        apply_dirichlet(other, rhs, basis)
+    assert (rhs.values == 3.0).all()
+
+
 @pytest.mark.parametrize("where", ["identity row", "rhs", "system"])
 def test_pressure_space_solve_names_a_non_finite_rhs_or_system(where):
     basis = make_basis(StructuredGrid(3, 2), taylor_hood_tree())
