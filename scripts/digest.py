@@ -18,7 +18,10 @@ The artefacts are
   at 3x4;
 - the rhs that ``apply_dirichlet`` writes on the eight Table-1 bases at
   5x7;
-- the Taylor-Hood element matrix of a 4x4 and of a 5x7 grid.
+- the Taylor-Hood element matrix of a 4x4 and of a 5x7 grid;
+- the ``render_tree`` text of the eight Table-1 trees at 2 components and
+  of the 12 random trees, and what ``fembasis indices --grid 4x4
+  --table1 3`` prints.
 
 ``--small`` keeps only the 4x4 runs, the Table-1 artefacts and the
 element matrices.  The package is imported from this checkout's ``src``.
@@ -58,10 +61,11 @@ from fembasis import (  # noqa: E402
     interpolate,
     interpolate_masked,
     make_basis,
+    render_tree,
     run_driven_cavity,
     taylor_hood_tree,
 )
-from fembasis.cli import strategy_table_bases  # noqa: E402
+from fembasis.cli import main as fembasis_main, strategy_table_bases  # noqa: E402
 
 CAVITY_GRIDS = [(4, 4), (5, 7), (12, 12), (32, 32)]
 
@@ -107,6 +111,14 @@ def dirichlet_rhs(basis):
     return rhs.values.tobytes()
 
 
+def cli_stdout(argv):
+    """What ``fembasis`` prints to stdout for ``argv``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        fembasis_main(argv)
+    return out.getvalue().encode()
+
+
 def artefacts(small):
     with tempfile.TemporaryDirectory() as directory:
         for nx, ny in CAVITY_GRIDS[:1] if small else CAVITY_GRIDS:
@@ -116,6 +128,8 @@ def artefacts(small):
         yield f"interpolate/table1/{label}/5x7", interpolated(basis, seed)
         yield f"node_grid/table1/{label}/5x7", node_grids(basis)
         yield f"dirichlet/table1/{label}/5x7", dirichlet_rhs(basis)
+        yield f"tree/table1/{label}", render_tree(basis.tree).encode()
+    yield "indices/table1", cli_stdout(["indices", "--grid", "4x4", "--table1", "3"])
     if not small:
         from test_numberings import permuting_random_trees
 
@@ -123,6 +137,7 @@ def artefacts(small):
             basis = make_basis(StructuredGrid(3, 4), tree)
             yield f"interpolate/random_tree/{index}/3x4", interpolated(basis, seed)
             yield f"node_grid/random_tree/{index}/3x4", node_grids(basis)
+            yield f"tree/random_tree/{index}", render_tree(tree).encode()
     for nx, ny in [(4, 4), (5, 7)]:
         view = make_basis(StructuredGrid(nx, ny), taylor_hood_tree()).local_view()
         view.bind(0)

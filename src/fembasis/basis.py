@@ -44,7 +44,14 @@ from operator import itemgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import IndexOutOfRange, PathOutOfRange, PrefixNotFound, UnboundView, integer
+from .errors import (
+    IndexOutOfRange,
+    InvalidStrategy,
+    PathOutOfRange,
+    PrefixNotFound,
+    UnboundView,
+    integer,
+)
 from .grid import StructuredGrid
 from .localfe import lagrange_element
 from .multiindex import Layout, MultiIndex, as_multi_index
@@ -85,7 +92,7 @@ def merge_child_index(
     """
     mi = as_multi_index(child_mi)
     if not isinstance(strategy, Strategy):
-        raise TypeError(f"not a strategy: {strategy!r}")
+        raise InvalidStrategy(f"not a strategy: {strategy!r}")
     if strategy.is_flat and not mi:
         raise ValueError("flat strategies need a non-empty child multi-index")
     if strategy is Strategy.FLAT_LEXICOGRAPHIC and child_root_degrees is None:

@@ -11,15 +11,10 @@ from .grid import StructuredGrid, parse_grid_shape
 from .stokes import run_driven_cavity, taylor_hood_tree
 from .treespec import Composite, Leaf, Power, Strategy, parse_tree
 
-TABLE1_COLUMNS = (
-    ("BL(BL)", Strategy.BLOCKED_LEXICOGRAPHIC, Strategy.BLOCKED_LEXICOGRAPHIC),
-    ("BL(BI)", Strategy.BLOCKED_LEXICOGRAPHIC, Strategy.BLOCKED_INTERLEAVED),
-    ("BL(FL)", Strategy.BLOCKED_LEXICOGRAPHIC, Strategy.FLAT_LEXICOGRAPHIC),
-    ("BL(FI)", Strategy.BLOCKED_LEXICOGRAPHIC, Strategy.FLAT_INTERLEAVED),
-    ("FL(BL)", Strategy.FLAT_LEXICOGRAPHIC, Strategy.BLOCKED_LEXICOGRAPHIC),
-    ("FL(BI)", Strategy.FLAT_LEXICOGRAPHIC, Strategy.BLOCKED_INTERLEAVED),
-    ("FL(FL)", Strategy.FLAT_LEXICOGRAPHIC, Strategy.FLAT_LEXICOGRAPHIC),
-    ("FL(FI)", Strategy.FLAT_LEXICOGRAPHIC, Strategy.FLAT_INTERLEAVED),
+TABLE1_COLUMNS = tuple(
+    (f"{outer.short}({inner.short})", outer, inner)
+    for outer in (Strategy.BLOCKED_LEXICOGRAPHIC, Strategy.FLAT_LEXICOGRAPHIC)
+    for inner in Strategy
 )
 
 

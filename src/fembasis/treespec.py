@@ -57,7 +57,8 @@ class Strategy(Enum):
 
     @property
     def short(self) -> str:
-        return _SHORT_OF[self]
+        """The capitals of the long name: BL, BI, FL or FI."""
+        return "".join(c for c in self.value if c.isupper())
 
     @property
     def is_interleaved(self) -> bool:
@@ -68,12 +69,6 @@ class Strategy(Enum):
         return self in (Strategy.FLAT_LEXICOGRAPHIC, Strategy.FLAT_INTERLEAVED)
 
 
-_SHORT_OF = {
-    Strategy.BLOCKED_LEXICOGRAPHIC: "BL",
-    Strategy.BLOCKED_INTERLEAVED: "BI",
-    Strategy.FLAT_LEXICOGRAPHIC: "FL",
-    Strategy.FLAT_INTERLEAVED: "FI",
-}
 _STRATEGY_NAMES = {s.value: s for s in Strategy}
 _STRATEGY_NAMES.update({s.short: s for s in Strategy})
 
@@ -82,14 +77,18 @@ BasisTree = Union["Leaf", "Power", "Composite"]
 
 
 def tree_depth(tree: BasisTree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
     if isinstance(tree, Power):
         return 1 + tree_depth(tree.child)
-    return 1 + max(tree_depth(c) for c in tree.children)
+    return 1 + max(map(tree_depth, tree.children), default=0)
 
 
-def _check_depth(node) -> None:
+def _check_inner(node, children) -> None:
+    """The rules every power and composite node keeps: tree children, a strategy, the depth cap."""
+    for c in children:
+        if not isinstance(c, (Leaf, Power, Composite)):
+            raise TypeError(f"{type(node).__name__.lower()} child must be a basis tree, got {c!r}")
+    if not isinstance(node.strategy, Strategy):
+        raise InvalidStrategy(f"not a strategy: {node.strategy!r}")
     # depth cap keeps merged multi-indices within the 8-digit capacity
     if tree_depth(node) > MAX_DEPTH:
         raise CapacityExceeded(f"basis tree depth exceeds {MAX_DEPTH}")
@@ -116,14 +115,10 @@ class Power:
     strategy: Strategy = Strategy.BLOCKED_INTERLEAVED
 
     def __post_init__(self):
-        if not isinstance(self.child, (Leaf, Power, Composite)):
-            raise TypeError(f"power child must be a basis tree, got {self.child!r}")
         object.__setattr__(self, "count", integer(self.count, "power count"))
         if self.count < 1:
             raise ValueError(f"power count must be >= 1, got {self.count}")
-        if not isinstance(self.strategy, Strategy):
-            raise InvalidStrategy(f"not a strategy: {self.strategy!r}")
-        _check_depth(self)
+        _check_inner(self, (self.child,))
 
 
 @dataclass(frozen=True)
@@ -141,16 +136,9 @@ class Composite:
         object.__setattr__(self, "children", tuple(self.children))
         if not self.children:
             raise ValueError("composite needs at least one child")
-        for c in self.children:
-            if not isinstance(c, (Leaf, Power, Composite)):
-                raise TypeError(f"composite child must be a basis tree, got {c!r}")
-        if not isinstance(self.strategy, Strategy):
-            raise InvalidStrategy(f"not a strategy: {self.strategy!r}")
+        _check_inner(self, self.children)
         if self.strategy.is_interleaved:
-            raise InvalidStrategy(
-                f"{self.strategy.value} is only allowed on power nodes"
-            )
-        _check_depth(self)
+            raise InvalidStrategy(f"{self.strategy.value} is only allowed on power nodes")
 
 
 def child_at(tree: BasisTree, path) -> BasisTree:
@@ -212,9 +200,11 @@ class _Tokens:
 def parse_tree(text: str) -> BasisTree:
     """Parse the grammar above into a basis tree.
 
-    Raises ParseError with the offending position, UnsupportedOrder for
-    orders outside {1, 2} and InvalidStrategy for interleaved strategies on
-    composite nodes or unknown strategy names.
+    Raises ParseError with the offending position for malformed text,
+    unknown strategy names included; UnsupportedOrder for orders outside
+    {1, 2}; ValueError for a power count of 0; InvalidStrategy for
+    interleaved strategies on composite nodes; CapacityExceeded for trees
+    deeper than MAX_DEPTH.
     """
     toks = _Tokens(text)
     tree = _parse_node(toks)
@@ -226,7 +216,7 @@ def parse_tree(text: str) -> BasisTree:
 
 def _parse_int(toks: _Tokens) -> int:
     tok, at = toks.next("an integer")
-    if not tok.isdigit():
+    if not tok.isdecimal():  # isdigit would pass '²', which int() refuses
         raise ParseError(f"expected an integer, found {tok!r}", at)
     return int(tok)
 

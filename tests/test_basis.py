@@ -6,6 +6,7 @@ import pytest
 import fembasis.basis
 from fembasis import (
     IndexOutOfRange,
+    InvalidStrategy,
     LocalView,
     MultiIndex,
     NestedVector,
@@ -67,6 +68,13 @@ def test_merge_child_index_flat_interleaved():
 def test_merge_flat_needs_nonempty_child():
     with pytest.raises(ValueError):
         merge_child_index(Strategy.FLAT_LEXICOGRAPHIC, 0, (), child_root_degrees=(1,))
+
+
+@pytest.mark.parametrize("bad", ["BL", None, 0])
+def test_merge_child_index_refuses_a_strategy_that_is_not_a_strategy(bad):
+    # the error Power and Composite raise for the same argument
+    with pytest.raises(InvalidStrategy, match="not a strategy"):
+        merge_child_index(bad, 0, (1,))
 
 
 def test_merge_returns_multi_index():

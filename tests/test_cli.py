@@ -6,10 +6,11 @@ import inspect
 
 import pytest
 
-from fembasis import SolverConfig, gmres
-from fembasis.cli import build_parser, main
+from fembasis import SolverConfig, Strategy, gmres
+from fembasis.cli import TABLE1_COLUMNS, build_parser, main
 
 TH2 = "composite(power(lagrange(2),2),lagrange(1))"
+TABLE1_LABELS = ["BL(BL)", "BL(BI)", "BL(FL)", "BL(FI)", "FL(BL)", "FL(BI)", "FL(FL)", "FL(FI)"]
 
 
 def run_cli(capsys, *argv):
@@ -51,14 +52,20 @@ def test_table1_output(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "Taylor-Hood with 3 velocity components, n2=81, n1=25"
-    for label in ("BL(BL)", "BL(FI)", "FL(BL)", "FL(FI)"):
-        assert label in lines[1]
+    assert lines[1] == " " * 10 + "".join(label.center(14) for label in TABLE1_LABELS)
     body = "\n".join(lines[2:])
     assert "(0,2,1)" in body  # BL(BL) v_x2_1
     assert "(243)" in body  # FL(FL) and FL(FI) pressure origin
     assert "(81)" in body  # FL(BI) pressure origin
     # 3 components * 4 nodes + 3 pressure rows
     assert len([l for l in lines[2:] if l.strip()]) == 15
+
+
+def test_table1_columns_are_the_eight_outer_inner_pairs():
+    assert [label for label, _, _ in TABLE1_COLUMNS] == TABLE1_LABELS
+    outer = [Strategy.BLOCKED_LEXICOGRAPHIC] * 4 + [Strategy.FLAT_LEXICOGRAPHIC] * 4
+    assert [o for _, o, _ in TABLE1_COLUMNS] == outer
+    assert [i for _, _, i in TABLE1_COLUMNS] == list(Strategy) * 2
 
 
 def test_tree_is_required_without_table1(capsys):

@@ -30,3 +30,5 @@ def test_the_small_digest_repeats():
         assert {f"stokes/4x4/free/{kind}", f"stokes/4x4/pinned/{kind}"} <= set(names)
     assert sum(name.startswith("interpolate/table1/") for name in names) == 8
     assert sum(name.startswith("element_matrix/") for name in names) == 2
+    assert sum(name.startswith("tree/table1/") for name in names) == 8
+    assert "indices/table1" in names

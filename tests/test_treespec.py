@@ -43,6 +43,10 @@ def test_parse_accepts_short_and_long_strategy_names():
     assert short.strategy is Strategy.FLAT_INTERLEAVED
 
 
+def test_short_names_are_the_capitals_of_the_long_names():
+    assert [s.short for s in Strategy] == ["BL", "BI", "FL", "FI"]
+
+
 def test_parse_ignores_whitespace():
     tree = parse_tree("  composite( power( lagrange(2) , 2 , BI ) , lagrange(1) , FL )  ")
     assert tree.strategy is Strategy.FLAT_LEXICOGRAPHIC
@@ -56,8 +60,26 @@ def test_parse_reports_position():
     with pytest.raises(ParseError) as err:
         parse_tree("power(lagrange(1),x)")
     assert err.value.position == 18
+    for text, position in [("power(lagrange(1),2,XX)", 20), ("composite(lagrange(1),XX)", 22)]:
+        with pytest.raises(ParseError) as err:  # an unknown strategy name
+            parse_tree(text)
+        assert err.value.position == position
     with pytest.raises(ParseError):
         parse_tree("lagrange(1) junk")
+
+
+@pytest.mark.parametrize(
+    "text, position", [("lagrange(²)", 9), ("power(lagrange(1),²)", 18)]
+)
+def test_a_digit_that_is_not_decimal_is_a_parse_error(text, position):
+    # '²'.isdigit() is true, but int('²') raises a bare ValueError
+    with pytest.raises(ParseError, match="expected an integer") as err:
+        parse_tree(text)
+    assert err.value.position == position
+
+
+def test_decimal_digits_of_other_scripts_are_integers():
+    assert parse_tree("lagrange(\uff11)") == Leaf(1)  # FULLWIDTH DIGIT ONE
 
 
 def test_parse_unknown_keyword():
@@ -106,6 +128,20 @@ def test_numpy_integer_orders_and_counts_become_ints():
     assert type(tree.count) is int and type(tree.child.order) is int
     assert render_tree(tree) == "power(lagrange(2),3,BlockedInterleaved)"
     assert parse_tree(render_tree(tree)) == tree
+
+
+def test_inner_nodes_refuse_a_strategy_that_is_not_a_strategy():
+    for make in (lambda s: Power(Leaf(1), 2, s), lambda s: Composite((Leaf(1),), s)):
+        for bad in ("BL", None):
+            with pytest.raises(InvalidStrategy, match="not a strategy"):
+                make(bad)
+
+
+def test_inner_nodes_name_their_kind_for_a_child_that_is_not_a_tree():
+    with pytest.raises(TypeError, match="power child must be a basis tree"):
+        Power("lagrange(1)", 2)
+    with pytest.raises(TypeError, match="composite child must be a basis tree"):
+        Composite((Leaf(1), 1))
 
 
 def test_power_count_must_be_positive():
