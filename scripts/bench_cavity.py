@@ -17,16 +17,18 @@ size squared) and identity rows (the velocity ring)::
 The file is a trajectory: each run appends one entry, labelled with the
 short commit hash of the checkout (``-dirty`` when tracked files differ
 from it), the hash of the ``src`` tree it timed, the date, the CPU count,
-the Python and numpy versions and the BLAS thread setting the in-process
-runs inherited.  To time another commit, copy this script into a
-checkout of it and point ``--out`` here.  The package is imported from
-the checkout's ``src``.
+the Python and numpy versions, the BLAS thread setting the in-process
+runs inherited and the solver settings (restart, iteration budget and
+tolerance) every run used.  To time another commit, copy this script
+into a checkout of it and point ``--out`` here.  The package is imported
+from the checkout's ``src``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import io
 import json
@@ -154,6 +156,9 @@ def checkout() -> dict:
 def entry(grids, processes: int) -> dict:
     import numpy as np
 
+    sys.path.insert(0, str(ROOT / "src"))  # the package the workers import
+    from fembasis import SolverConfig
+
     record = {
         **checkout(),
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -161,6 +166,8 @@ def entry(grids, processes: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+        # the settings every timed run solves with: run_driven_cavity's and the CLI's defaults
+        "solver": dataclasses.asdict(SolverConfig()),
         "processes": processes,
         "grids": {},
     }

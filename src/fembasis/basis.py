@@ -89,6 +89,8 @@ def merge_child_index(
     ``child_root_degrees`` (root degree of every child's index tree, in
     child order) is required for FlatLexicographic; ``child_count`` for
     FlatInterleaved.  Flat strategies need a non-empty child multi-index.
+    A negative child index, or under a flat strategy one at or past the
+    number of children, raises IndexOutOfRange.
     """
     mi = as_multi_index(child_mi)
     if not isinstance(strategy, Strategy):
@@ -99,9 +101,11 @@ def merge_child_index(
         raise ValueError("FlatLexicographic needs child_root_degrees")
     if strategy is Strategy.FLAT_INTERLEAVED and child_count is None:
         raise ValueError("FlatInterleaved needs child_count")
-    limit = len(child_root_degrees) if strategy is Strategy.FLAT_LEXICOGRAPHIC else child_count
     child_index = integer(child_index, "child index")
-    if child_index < 0 or (strategy.is_flat and child_index >= limit):
+    if child_index < 0:
+        raise IndexOutOfRange(f"child index {child_index} is negative")
+    limit = len(child_root_degrees) if strategy is Strategy.FLAT_LEXICOGRAPHIC else child_count
+    if strategy.is_flat and child_index >= limit:  # blocked strategies know no child count
         raise IndexOutOfRange(f"child index {child_index} outside {limit} children")
     table = np.array([mi], dtype=np.int64).reshape(1, len(mi))
     merged = merge_index_table(strategy, child_index, table, child_root_degrees, child_count)

@@ -21,7 +21,16 @@ from .errors import integer, positive_real
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Krylov solver parameters: restart length, iteration budget and relative tolerance."""
+    """Krylov solver parameters, defaulted and checked here for every solve.
+
+    restart: Krylov dimension per cycle, at least 1.
+    max_iterations: total budget across restarts, at least 0; one matvec each.
+    tolerance: relative residual target ``||b - Ax|| / ||b||``, a real > 0.
+
+    A bool or a non-integer count, or a non-real tolerance, raises
+    TypeError, a value out of range ValueError; numpy numbers are stored
+    as ints and floats.
+    """
 
     restart: int = 100
     max_iterations: int = 5000
@@ -51,10 +60,7 @@ def _timed(fn, seconds, name):
     return timed
 
 
-def gmres(
-    matvec, b, *, restart=SolverConfig.restart, tol=SolverConfig.tolerance,
-    maxiter=SolverConfig.max_iterations, x0=None, precondition=None, record=None,
-):
+def gmres(matvec, b, config=None, *, x0=None, precondition=None, record=None):
     """Solve A x = b with restarted, optionally right-preconditioned GMRes.
 
     Arguments:
@@ -64,13 +70,9 @@ def gmres(
             A finite b whose 2-norm overflows is solved as b / s from x0 / s,
             s its largest magnitude, in the same single loop, and the
             solution is scaled back by s on return.
-        restart: Krylov space dimension per cycle, an int of at least 1.
-        tol: relative residual target, measured as ||b - A x|| / ||b||; like
-            :class:`SolverConfig`, a bool or non-real tol raises TypeError
-            and one that is not > 0 ValueError.
-        maxiter: total iteration (matvec) budget across restarts, an int of
-            at least 0.  Like :class:`SolverConfig`, a bool or non-integer
-            count raises TypeError and one out of range ValueError.
+        config: the :class:`SolverConfig` (restart length, iteration budget
+            and tolerance), ``SolverConfig()`` if None; anything else
+            raises TypeError before any matvec.
         x0: optional initial iterate; zero slots of x0 whose matrix row is
             an identity row stay exact through all iterations, provided
             the preconditioner passes those slots through unchanged.
@@ -78,8 +80,8 @@ def gmres(
             then runs on A M^-1 and the update is x += M^-1 V y, so the
             stopping test stays on the true residual.
         record: optional dict; gmres sets ``record["stop"]`` to why it
-            stopped, ``"converged"`` (relative residual at most tol),
-            ``"budget"`` (maxiter iterations done) or ``"stalled"`` (a
+            stopped, ``"converged"`` (relative residual at most the
+            tolerance), ``"budget"`` (the budget spent) or ``"stalled"`` (a
             restart cycle made no progress and Arnoldi broke down),
             ``record["residuals"]`` to the relative residual estimate after
             every iteration and ``record["seconds"]`` to the wall seconds in
@@ -95,12 +97,10 @@ def gmres(
         ends the cycle instead of entering the triangular solve.
     """
     entry = time.perf_counter()
-    restart, maxiter = integer(restart, "restart"), integer(maxiter, "maxiter")
-    tol = positive_real(tol, "tol")
-    if restart < 1:
-        raise ValueError(f"restart must be >= 1, got {restart}")
-    if maxiter < 0:
-        raise ValueError(f"maxiter must be >= 0, got {maxiter}")
+    config = SolverConfig() if config is None else config
+    if not isinstance(config, SolverConfig):
+        raise TypeError(f"config must be a SolverConfig, got {config!r}")
+    restart, max_iterations, tolerance = config.restart, config.max_iterations, config.tolerance
     b = np.asarray(b, dtype=float)
     for name, v in (("b", b), ("x0", x0)):
         if v is not None and not np.isfinite(v).all():
@@ -130,16 +130,16 @@ def gmres(
         return done("converged", np.zeros_like(b), 0.0)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     # one Krylov buffer for every cycle: each row is written before it is read
-    V = np.empty((min(restart, maxiter) + 1, b.size))
+    V = np.empty((min(restart, max_iterations) + 1, b.size))
     prev_rnorm, stalled = math.inf, False
     while True:
         r = b - matvec(x)
         rnorm = math.sqrt(r.dot(r))
         if not math.isfinite(rnorm):
             raise ValueError(f"the residual after {iters} iterations is not finite")
-        if rnorm / bnorm <= tol:
+        if rnorm / bnorm <= tolerance:
             return done("converged", x, rnorm / bnorm)
-        if iters >= maxiter:
+        if iters >= max_iterations:
             return done("budget", x, rnorm / bnorm)
         if rnorm >= prev_rnorm and stalled:
             # a whole restart cycle brought no progress and Arnoldi broke
@@ -151,7 +151,7 @@ def gmres(
         # rotated Hessenberg columns, the rotations and the rotated rhs, as Python floats
         columns, cs, sn, g = [], [], [], [rnorm]
         k = 0
-        while k < restart and iters < maxiter:
+        while k < restart and iters < max_iterations:
             basis = V[: k + 1]
             w = matvec(precondition(V[k]))
             h = basis.dot(w)  # classical Gram-Schmidt, twice: orthogonal to round-off
@@ -184,7 +184,7 @@ def gmres(
                 g[k:] = cs[k] * g[k], -sn[k] * g[k]
                 k += 1
             residuals.append(abs(g[k]) / bnorm)
-            if stalled or residuals[-1] <= tol:  # also a happy breakdown: sn = 0 zeroes g[k]
+            if stalled or residuals[-1] <= tolerance:  # also a happy breakdown: sn = 0 zeroes g[k]
                 break
 
         if k:
@@ -208,13 +208,10 @@ def solve_system(
     history.  A Taylor-Hood Stokes system is solved in the pressure space
     by :func:`~fembasis.stokes.solve_stokes` instead.
     """
-    cfg = config if config is not None else SolverConfig()
     x, relres, iters = gmres(
         system.operator(rhs.layout),
         rhs.values,
-        restart=cfg.restart,
-        tol=cfg.tolerance,
-        maxiter=cfg.max_iterations,
+        config,
         x0=None if x0 is None else x0.values,
         precondition=preconditioner,
         record=record,

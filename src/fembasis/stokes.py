@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -301,15 +301,8 @@ def solve_stokes(
     f_hat, c = _timed(reduced, seconds, "precondition")(r)
     c = c.ravel()
     g_norm, c_norm = math.sqrt(g @ g), math.sqrt(c @ c)
-    p, _, iterations = gmres(
-        schur,
-        c,
-        restart=cfg.restart,
-        tol=cfg.tolerance * g_norm / c_norm if c_norm else cfg.tolerance,
-        maxiter=cfg.max_iterations,
-        precondition=mass_inverse,
-        record=record,
-    )
+    scaled = replace(cfg, tolerance=cfg.tolerance * g_norm / c_norm) if c_norm else cfg
+    p, _, iterations = gmres(schur, c, scaled, precondition=mass_inverse, record=record)
 
     def corrected(p):
         """g plus the interior velocity u = K^-1 (f - B^T p) and the pressure p."""

@@ -22,6 +22,7 @@ from helpers import (
 
 from fembasis import (
     NestedVector,
+    SolverConfig,
     SparseSystem,
     Strategy,
     StructuredGrid,
@@ -270,7 +271,7 @@ def test_criterion_8_solver_against_direct_oracle():
         a = m + 20 * np.eye(20)
         b = rng.standard_normal(20)
         expected = gauss_solve(a, b)
-        x, relres, iters = gmres(lambda v: a @ v, b, restart=20, tol=1e-12, maxiter=200)
+        x, relres, iters = gmres(lambda v: a @ v, b, SolverConfig(20, 200, 1e-12))
         worst = max(worst, float(np.max(np.abs(x - expected))))
     assert worst <= 1e-7
     verdict(8, f"20 random systems vs direct solve, worst gap {worst:.1e}")

@@ -77,6 +77,31 @@ def test_merge_child_index_refuses_a_strategy_that_is_not_a_strategy(bad):
         merge_child_index(bad, 0, (1,))
 
 
+BL, BI, FL, FI = Strategy
+DEGREES, COUNT = {"child_root_degrees": (1, 2)}, {"child_count": 3}
+
+
+@pytest.mark.parametrize(
+    "strategy, child_index, counts, error, message",
+    [
+        (FL, 0, {}, ValueError, "FlatLexicographic needs child_root_degrees"),
+        (FI, 0, {}, ValueError, "FlatInterleaved needs child_count"),
+        (FL, 2, DEGREES, IndexOutOfRange, "child index 2 outside 2 children"),
+        (FI, 3, COUNT, IndexOutOfRange, "child index 3 outside 3 children"),
+        (FI, -1, COUNT, IndexOutOfRange, "child index -1 is negative"),
+        # blocked strategies know no child count: the message names no limit
+        (BL, -1, {}, IndexOutOfRange, "child index -1 is negative"),
+        (BI, -2, {}, IndexOutOfRange, "child index -2 is negative"),
+    ],
+    ids=["FL-no-degrees", "FI-no-count", "FL-past", "FI-past", "FI-negative", "BL-negative",
+         "BI-negative"],
+)
+def test_merge_child_index_names_what_it_refuses(strategy, child_index, counts, error, message):
+    with pytest.raises(error) as caught:
+        merge_child_index(strategy, child_index, (1,), **counts)
+    assert str(caught.value) == message
+
+
 def test_merge_returns_multi_index():
     mi = merge_child_index(Strategy.BLOCKED_LEXICOGRAPHIC, 0, (1, 2))
     assert isinstance(mi, MultiIndex)

@@ -21,6 +21,7 @@ def test_the_bench_script_appends_one_entry_with_the_runs_stages(tmp_path):
     assert earlier == {"commit": "earlier"}
     labels = {"commit", "src_tree", "date", "cpus", "python", "numpy", "openblas_num_threads"}
     assert labels <= set(entry)
+    assert entry["solver"] == {"restart": 100, "max_iterations": 5000, "tolerance": 1e-8}
 
     with contextlib.redirect_stdout(io.StringIO()):
         summary = run_driven_cavity(4, 4, out_path=tmp_path / "c.vtu")

@@ -27,7 +27,7 @@ from fembasis import (
 def test_identity_system_one_iteration():
     matvec = lambda v: v
     b = np.array([1.0, -2.0, 3.0])
-    x, relres, iters = gmres(matvec, b, restart=10, tol=1e-12, maxiter=50)
+    x, relres, iters = gmres(matvec, b, SolverConfig(10, 50, 1e-12))
     assert np.allclose(x, b, atol=1e-12)
     assert relres <= 1e-12
     assert iters <= 2
@@ -36,7 +36,7 @@ def test_identity_system_one_iteration():
 def test_zero_rhs_returns_zero_without_iterating():
     matvec = lambda v: 2.0 * v
     record = {}
-    x, relres, iters = gmres(matvec, np.zeros(5), restart=5, tol=1e-10, maxiter=10, record=record)
+    x, relres, iters = gmres(matvec, np.zeros(5), SolverConfig(5, 10, 1e-10), record=record)
     assert np.array_equal(x, np.zeros(5))
     assert relres == 0.0
     assert iters == 0
@@ -48,7 +48,7 @@ def test_zero_rhs_returns_zero_without_iterating():
 
 def test_diagonal_system():
     d = np.array([1.0, 2.0, 4.0, 8.0])
-    x, relres, iters = gmres(lambda v: d * v, np.ones(4), restart=4, tol=1e-12, maxiter=20)
+    x, relres, iters = gmres(lambda v: d * v, np.ones(4), SolverConfig(4, 20, 1e-12))
     assert np.max(np.abs(x - 1.0 / d)) <= 1e-12
 
 
@@ -57,7 +57,7 @@ def test_spd_system_converges():
     m = rng.standard_normal((12, 12))
     a = m @ m.T + 12 * np.eye(12)
     b = rng.standard_normal(12)
-    x, relres, iters = gmres(lambda v: a @ v, b, restart=12, tol=1e-10, maxiter=100)
+    x, relres, iters = gmres(lambda v: a @ v, b, SolverConfig(12, 100, 1e-10))
     assert relres <= 1e-10
     assert np.max(np.abs(a @ x - b)) <= 1e-8
 
@@ -69,7 +69,7 @@ def test_random_systems_match_direct_solve():
         a = m + 20 * np.eye(20)  # diagonally dominant, well conditioned
         b = rng.standard_normal(20)
         expected = gauss_solve(a, b)
-        x, relres, iters = gmres(lambda v: a @ v, b, restart=20, tol=1e-12, maxiter=200)
+        x, relres, iters = gmres(lambda v: a @ v, b, SolverConfig(20, 200, 1e-12))
         assert np.max(np.abs(x - expected)) <= 1e-7
 
 
@@ -78,7 +78,7 @@ def test_small_restart_still_converges():
     m = rng.standard_normal((15, 15))
     a = m @ m.T + 15 * np.eye(15)
     b = rng.standard_normal(15)
-    x, relres, iters = gmres(lambda v: a @ v, b, restart=3, tol=1e-9, maxiter=500)
+    x, relres, iters = gmres(lambda v: a @ v, b, SolverConfig(3, 500, 1e-9))
     assert relres <= 1e-9
     assert np.max(np.abs(a @ x - b)) <= 1e-7
 
@@ -86,11 +86,8 @@ def test_small_restart_still_converges():
 def test_a_restart_below_one_is_rejected_before_any_work():
     calls = []
     for restart in (0, -1):
-        with pytest.raises(ValueError) as config_error:
-            SolverConfig(restart=restart)
-        with pytest.raises(ValueError) as gmres_error:
-            gmres(lambda v: calls.append(v) or 2.0 * v, np.ones(3), restart=restart, maxiter=10)
-        assert str(gmres_error.value) == str(config_error.value)
+        with pytest.raises(ValueError, match=f"^restart must be >= 1, got {restart}$"):
+            gmres(lambda v: calls.append(v) or 2.0 * v, np.ones(3), SolverConfig(restart, 10))
     assert calls == []
 
 
@@ -126,7 +123,7 @@ def test_huge_finite_entries_are_not_mistaken_for_non_finite_ones():
     b = np.array([1e200, -1e200, 1e200])
     with np.errstate(over="ignore"):
         assert np.isinf(np.linalg.norm(b))  # so the check reads the entries, not the norm
-        assert gmres(lambda v: v, b, maxiter=0)[2] == 0
+        assert gmres(lambda v: v, b, SolverConfig(max_iterations=0))[2] == 0
 
 
 def test_a_finite_rhs_whose_norm_overflows_is_solved_scaled():
@@ -150,6 +147,10 @@ def test_an_overflowing_rhs_scales_the_initial_iterate_too():
     assert x.tobytes() == (b / 2).tobytes() and (relres, iters) == (0.0, 0)
 
 
+# the ids keep the gmres keyword each count had before gmres took a SolverConfig
+COUNT_FIELDS = {"maxiter": "max_iterations", "restart": "restart"}
+
+
 @pytest.mark.parametrize(
     "argument, bad, error",
     [
@@ -161,12 +162,31 @@ def test_an_overflowing_rhs_scales_the_initial_iterate_too():
     ],
 )
 def test_gmres_checks_its_counts_before_any_matvec(argument, bad, error):
+    field = COUNT_FIELDS[argument]
     calls = []
-    with pytest.raises(error, match=argument):
-        gmres(lambda v: calls.append(v) or 2.0 * v, np.ones(3), **{argument: bad})
+    with pytest.raises(error, match=f"^{field} must be"):
+        gmres(lambda v: calls.append(v) or 2.0 * v, np.ones(3), SolverConfig(**{field: bad}))
     assert calls == []
-    x, _, iters = gmres(lambda v: 2.0 * v, np.ones(3), **{argument: np.int64(2)})
+    config = SolverConfig(**{field: np.int64(2)})
+    assert type(getattr(config, field)) is int
+    x, _, iters = gmres(lambda v: 2.0 * v, np.ones(3), config)
     assert iters == 1 and x.tobytes() == np.full(3, 0.5).tobytes()
+
+
+@pytest.mark.parametrize("bad", [1e-8, 100, {"tolerance": 1e-8}, SolverConfig], ids=repr)
+def test_gmres_refuses_a_config_that_is_not_a_solver_config(bad):
+    calls = []
+    with pytest.raises(TypeError, match="^config must be a SolverConfig"):
+        gmres(lambda v: calls.append(v) or 2.0 * v, np.ones(3), bad)
+    assert calls == []
+
+
+def test_gmres_without_a_config_solves_as_the_default_config_does():
+    problems = {name: rest for name, *rest in synthetic_problems()}
+    matvec, b, settings = problems["preconditioned"]
+    settings = {name: value for name, value in settings.items() if name != "config"}
+    expected = solve_bytes(gmres, matvec, b, {**settings, "config": SolverConfig()})
+    assert solve_bytes(gmres, matvec, b, settings) == expected
 
 
 def test_maxiter_exhaustion_is_reported():
@@ -175,7 +195,7 @@ def test_maxiter_exhaustion_is_reported():
     a = m @ m.T + 0.01 * np.eye(30)  # ill conditioned on purpose
     b = rng.standard_normal(30)
     record = {}
-    x, relres, iters = gmres(lambda v: a @ v, b, restart=5, tol=1e-14, maxiter=8, record=record)
+    x, relres, iters = gmres(lambda v: a @ v, b, SolverConfig(5, 8, 1e-14), record=record)
     assert iters == 8
     assert relres > 1e-14
     assert record["stop"] == "budget" and len(record["residuals"]) == 8
@@ -189,19 +209,17 @@ def test_arnoldi_keeps_orthogonality_on_an_ill_conditioned_system():
         q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
         a = q @ np.diag(np.logspace(0, 10, 80)) @ q.T + np.triu(rng.standard_normal((80, 80)), 1)
         b = rng.standard_normal(80)
-        _, relres, _ = gmres(lambda v: a @ v, b, restart=80, tol=1e-12, maxiter=85)
+        _, relres, _ = gmres(lambda v: a @ v, b, SolverConfig(80, 85, 1e-12))
         assert relres <= 1e-5
 
 
 def test_stall_on_a_singular_inconsistent_system_stops_early():
     # the third equation reads 0 = 1: the least residual is 1 / sqrt(3)
     d = np.array([1.0, 2.0, 0.0])
-    maxiter = 1000
+    budget = 1000
     record = {}
-    x, relres, iters = gmres(
-        lambda v: d * v, np.ones(3), restart=10, maxiter=maxiter, record=record
-    )
-    assert iters < maxiter
+    x, relres, iters = gmres(lambda v: d * v, np.ones(3), SolverConfig(10, budget), record=record)
+    assert iters < budget
     assert relres == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
     assert record["stop"] == "stalled"
     assert len(record["residuals"]) == iters
@@ -217,7 +235,7 @@ def test_initial_guess_is_used():
     d = np.array([2.0, 3.0])
     exact = np.array([0.5, 1.0 / 3.0])
     x, relres, iters = gmres(
-        lambda v: d * v, np.ones(2), restart=2, tol=1e-13, maxiter=10, x0=exact.copy()
+        lambda v: d * v, np.ones(2), config=SolverConfig(2, 10, 1e-13), x0=exact.copy()
     )
     assert np.max(np.abs(x - exact)) <= 1e-13
     assert iters == 0
@@ -288,6 +306,20 @@ def test_solve_system_on_a_subset_of_the_rhs_layout():
     assert relres <= 1e-13
 
 
+def test_solve_system_hands_its_config_to_gmres(monkeypatch):
+    module = importlib.import_module("fembasis.gmres")
+    seen, solve = [], module.gmres
+    spy = lambda *args, **kw: seen.append(args) or solve(*args, **kw)
+    monkeypatch.setattr(module, "gmres", spy)
+    _, system, rhs = build_nested_system()
+    system.freeze()
+    config = SolverConfig(3, 40, 1e-11)
+    for given, handed in ((config, config), (None, None)):
+        seen.clear()
+        solve_system(system, rhs, given)
+        assert seen[0][2] is handed  # gmres reads None as SolverConfig()
+
+
 def test_solve_system_requires_frozen_matrix():
     basis, system, rhs = build_nested_system()
     with pytest.raises(NotFrozen):
@@ -335,15 +367,13 @@ def test_solver_config_tolerance_must_be_a_real_number(bad):
     ],
 )
 def test_a_tolerance_is_checked_alike_by_the_config_and_by_gmres(bad, error):
+    # gmres reads its tolerance from a SolverConfig only, so the config's check is gmres's
     calls = []
-    with pytest.raises(error, match="^tolerance must be") as config_error:
-        SolverConfig(tolerance=bad)
-    with pytest.raises(error, match="^tol must be") as gmres_error:
-        gmres(lambda v: calls.append(v) or 2.0 * v, np.ones(3), tol=bad, maxiter=50)
-    assert str(gmres_error.value) == "tol" + str(config_error.value).removeprefix("tolerance")
+    with pytest.raises(error, match="^tolerance must be"):
+        gmres(lambda v: calls.append(v) or 2.0 * v, np.ones(3), SolverConfig(tolerance=bad))
     assert calls == []
     for good in (1, np.int64(1), np.float32(1e-6), 1e-300):
-        _, relres, _ = gmres(lambda v: 2.0 * v, np.ones(3), tol=good)
+        _, relres, _ = gmres(lambda v: 2.0 * v, np.ones(3), SolverConfig(tolerance=good))
         assert relres <= good
 
 
@@ -362,7 +392,7 @@ def test_right_preconditioning_keeps_true_residual():
         return a @ v
 
     tol = 1e-10
-    settings = dict(restart=n, tol=tol, maxiter=200)
+    settings = dict(config=SolverConfig(n, 200, tol))
     x, relres, iters = gmres(
         matvec, b, x0=b.copy(), precondition=lambda v: v / diagonal, **settings
     )
@@ -378,9 +408,10 @@ def test_right_preconditioning_keeps_true_residual():
 # -- the Krylov loop against the previous one ---------------------------------
 
 
-def array_gmres(matvec, b, *, restart, tol, maxiter, x0=None, precondition=None, record=None):
+def array_gmres(matvec, b, config, *, x0=None, precondition=None, record=None):
     """The GMRes loop as it was before it moved to Python floats: numpy H, cs, sn
     and g, a zeroed Krylov buffer per cycle and the rotations applied in the loop."""
+    restart, tol, maxiter = config.restart, config.tolerance, config.max_iterations
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if precondition is None:
@@ -459,7 +490,7 @@ def cavity_problem(n):
     rhs.resize_from_basis(basis)
     apply_dirichlet(system, rhs, basis)
     system.freeze()
-    settings = dict(restart=100, tol=1e-8, maxiter=5000, x0=rhs.values)
+    settings = dict(config=SolverConfig(100, 5000, 1e-8), x0=rhs.values)
     settings["precondition"] = stokes_preconditioner(basis)
     return system.operator(rhs.layout), rhs.values, settings
 
@@ -477,23 +508,23 @@ def random_problem(seed, n, shift, spd, **settings):
 
 def synthetic_problems():
     """The systems the tests above solve, as (name, matvec, rhs, settings)."""
-    yield "spd", *random_problem(67, 12, 12, True, restart=12, tol=1e-10, maxiter=100)
-    yield "random", *random_problem(71, 20, 20, False, restart=20, tol=1e-12, maxiter=200)
-    yield "small restart", *random_problem(73, 15, 15, True, restart=3, tol=1e-9, maxiter=500)
-    yield "budget", *random_problem(79, 30, 0.01, True, restart=5, tol=1e-14, maxiter=8)
+    yield "spd", *random_problem(67, 12, 12, True, config=SolverConfig(12, 100, 1e-10))
+    yield "random", *random_problem(71, 20, 20, False, config=SolverConfig(20, 200, 1e-12))
+    yield "small restart", *random_problem(73, 15, 15, True, config=SolverConfig(3, 500, 1e-9))
+    yield "budget", *random_problem(79, 30, 0.01, True, config=SolverConfig(5, 8, 1e-14))
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
     a = q @ np.diag(np.logspace(0, 10, 80)) @ q.T + np.triu(rng.standard_normal((80, 80)), 1)
     b = rng.standard_normal(80)
-    yield "ill conditioned", *matrix_problem(a, b, restart=80, tol=1e-12, maxiter=85)
-    identity = dict(restart=10, tol=1e-12, maxiter=50)
+    yield "ill conditioned", *matrix_problem(a, b, config=SolverConfig(80, 85, 1e-12))
+    identity = dict(config=SolverConfig(10, 50, 1e-12))
     yield "happy breakdown", (lambda v: v), np.array([1.0, -2.0, 3.0]), identity
     d = np.array([1.0, 2.0, 4.0, 8.0])
-    yield "diagonal", (lambda v: d * v), np.ones(4), dict(restart=4, tol=1e-12, maxiter=20)
+    yield "diagonal", (lambda v: d * v), np.ones(4), dict(config=SolverConfig(4, 20, 1e-12))
     stall = np.array([1.0, 2.0, 0.0])
-    yield "stalled", (lambda v: stall * v), np.ones(3), dict(restart=10, tol=1e-8, maxiter=1000)
-    yield "zero rhs", (lambda v: 2.0 * v), np.zeros(5), dict(restart=5, tol=1e-10, maxiter=10)
-    exact = dict(restart=2, tol=1e-13, maxiter=10, x0=np.array([0.5, 1.0 / 3.0]))
+    yield "stalled", (lambda v: stall * v), np.ones(3), dict(config=SolverConfig(10, 1000, 1e-8))
+    yield "zero rhs", (lambda v: 2.0 * v), np.zeros(5), dict(config=SolverConfig(5, 10, 1e-10))
+    exact = dict(config=SolverConfig(2, 10, 1e-13), x0=np.array([0.5, 1.0 / 3.0]))
     yield "initial guess", (lambda v: np.array([2.0, 3.0]) * v), np.ones(2), exact
     rng = np.random.default_rng(83)
     a = rng.standard_normal((30, 30)) + np.diag(30 * 10.0 ** rng.uniform(0.0, 3.0, 30))
@@ -503,7 +534,7 @@ def synthetic_problems():
     b[[0, 7, 19]] = 0.0
     diagonal = np.diag(a).copy()
     yield "preconditioned", *matrix_problem(
-        a, b, restart=30, tol=1e-10, maxiter=200, x0=b.copy(), precondition=lambda v: v / diagonal
+        a, b, config=SolverConfig(30, 200, 1e-10), x0=b.copy(), precondition=lambda v: v / diagonal
     )
 
 

@@ -762,6 +762,19 @@ def test_pressure_space_solve_checks_its_inputs():
             solve_stokes(make_basis(basis.grid, parse_tree(tree)), system, rhs)
 
 
+def test_pressure_space_solve_hands_gmres_its_config_with_the_scaled_tolerance(monkeypatch):
+    seen, solve = [], fembasis.stokes.gmres
+    spy = lambda *args, **kw: seen.append(args) or solve(*args, **kw)
+    monkeypatch.setattr(fembasis.stokes, "gmres", spy)
+    basis, system, rhs = prepared_cavity_system(3, 2)
+    config = SolverConfig(7, 300, 1e-9)
+    assert solve_stokes(basis, system, rhs, config)[1] <= 1e-9
+    (_, c, handed), = seen
+    g = rhs.values
+    assert type(handed) is SolverConfig and (handed.restart, handed.max_iterations) == (7, 300)
+    assert handed.tolerance == 1e-9 * math.sqrt(g @ g) / math.sqrt(c @ c)
+
+
 def test_taylor_hood_functions_find_the_velocity_where_apply_dirichlet_does():
     """Velocity leaves below root child 0, the pressure leaf at root child 1, nothing else."""
     message = "velocity at root child 0, a pressure leaf at root child 1"
@@ -971,3 +984,54 @@ def test_manufactured_solution_converges_under_fl_fi():
     label, outer, inner = TABLE1_COLUMNS[-1]
     assert label == "FL(FI)"
     check_taylor_hood_rates(Composite((Power(Leaf(2), 2, inner), Leaf(1)), outer))
+
+
+# -- the cavity as a PDE: mirror symmetry and self-convergence -----------------
+
+
+def cavity_node_fields(nx, ny, tree, pin=False, config=None):
+    """u_x, u_y and p of the driven cavity on their node grids, row b at y = b / (k ny)."""
+    basis = make_basis(StructuredGrid(nx, ny), tree)
+    system = SparseSystem()
+    assemble_stokes_matrix(basis, system)
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    apply_dirichlet(system, rhs, basis)
+    system.freeze()
+    solution, _, _ = solve_stokes(basis, system, rhs, config, pin_pressure=pin)
+    return [solution.values[basis.node_grid(path)] for path in ((0, 0), (0, 1), (1,))]
+
+
+FL_FI_TREE = parse_tree("composite(power(lagrange(2),2,FI),lagrange(1),FL)")
+
+
+@pytest.mark.parametrize("pin", [False, True], ids=["free", "pinned"])
+@pytest.mark.parametrize("tree", [taylor_hood_tree(), FL_FI_TREE], ids=["BL(BI)", "FL(FI)"])
+@pytest.mark.parametrize("nx,ny", [(8, 8), (5, 7), (3, 97)])
+def test_cavity_is_mirror_symmetric_about_the_mid_line(nx, ny, tree, pin):
+    # y -> 1 - y maps the walls and their data onto themselves, so u_x is odd
+    # about y = 1/2, u_y is even and p minus its mean is odd; [::-1] reflects the rows
+    ux, uy, p = cavity_node_fields(nx, ny, tree, pin)
+    q = p - p.mean()
+    velocity, pressure = np.max(np.abs(uy)), np.max(np.abs(q))
+    assert np.max(np.abs(ux + ux[::-1])) <= 1e-11 * velocity
+    assert np.max(np.abs(uy - uy[::-1])) <= 1e-11 * velocity
+    assert np.max(np.abs(q + q[::-1])) <= 1e-11 * pressure
+    # not vacuous: none of the three fields has the other parity
+    assert np.max(np.abs(ux - ux[::-1])) >= 0.1 * velocity
+    assert np.max(np.abs(uy + uy[::-1])) >= 0.1 * velocity
+    assert np.max(np.abs(q - q[::-1])) >= 0.1 * pressure
+
+
+def test_cavity_velocity_converges_at_first_order_in_the_interior():
+    # the wall data jumps at the moving wall's two corners, so the velocity is not
+    # in H^1 there and the Q2 rate is lost: successive differences halve with h
+    samples, tight = [], SolverConfig(tolerance=1e-12)
+    for n in (8, 16, 32, 64):
+        ux, uy, _ = cavity_node_fields(n, n, taylor_hood_tree(), config=tight)
+        m = 2 * n  # Q2 node b of a row or column sits at b / m
+        # u_y at (1/4, 1/2), (1/2, 1/2) and (3/4, 1/2), and u_x at (1/2, 1/4)
+        samples.append([*uy[m // 2, [m // 4, m // 2, 3 * m // 4]], ux[m // 4, m // 2]])
+    changes = np.abs(np.diff(samples, axis=0))
+    orders = np.log2(changes[:-1] / changes[1:])
+    assert np.all((0.9 <= orders) & (orders <= 1.15)), orders

@@ -66,6 +66,11 @@ def test_parse_reports_position():
         assert err.value.position == position
     with pytest.raises(ParseError):
         parse_tree("lagrange(1) junk")
+    # a token other than the literal the grammar expects there
+    for text, position in [("lagrange(1,", 10), ("power(lagrange(1) 2)", 18)]:
+        with pytest.raises(ParseError, match="^expected '[),]', found") as err:
+            parse_tree(text)
+        assert err.value.position == position
 
 
 @pytest.mark.parametrize(
@@ -142,6 +147,12 @@ def test_inner_nodes_name_their_kind_for_a_child_that_is_not_a_tree():
         Power("lagrange(1)", 2)
     with pytest.raises(TypeError, match="composite child must be a basis tree"):
         Composite((Leaf(1), 1))
+
+
+def test_composite_needs_a_child():
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="^composite needs at least one child$"):
+            Composite(empty)
 
 
 def test_power_count_must_be_positive():
