@@ -16,6 +16,9 @@ The artefacts are
   a random mask) and the node grids of every leaf, on the eight Table-1
   bases at 5x7 and on the 12 random trees of ``tests/test_numberings.py``
   at 3x4;
+- on the same bases, the ``repr`` of the interpolated vector's ``data``
+  and of ``evaluate_discrete`` at four fixed points, on the root and on
+  the subspace of every inner node of the tree;
 - the rhs that ``apply_dirichlet`` writes on the eight Table-1 bases at
   5x7;
 - the Taylor-Hood element matrix of a 4x4 and of a 5x7 grid;
@@ -58,16 +61,19 @@ from fembasis import (  # noqa: E402
     StructuredGrid,
     apply_dirichlet,
     assemble_element_matrix,
+    evaluate_discrete,
     interpolate,
     interpolate_masked,
     make_basis,
     render_tree,
     run_driven_cavity,
+    subspace_basis,
     taylor_hood_tree,
 )
 from fembasis.cli import main as fembasis_main, strategy_table_bases  # noqa: E402
 
 CAVITY_GRIDS = [(4, 4), (5, 7), (12, 12), (32, 32)]
+POINTS = [(0.0, 0.0), (0.3, 0.7), (0.61, 0.13), (1.0, 1.0)]
 
 
 def sha(data: bytes) -> str:
@@ -86,14 +92,30 @@ def cavity_digests(nx, ny, pin, directory):
 
 
 def interpolated(basis, seed):
-    """Bytes of the interpolant of one function, then of another masked to random slots."""
+    """The interpolant of one function, then of another masked to random slots."""
     coefficients, mask = NestedVector(), NestedVector()
     coefficients.resize_from_basis(basis)
     mask.resize_from_basis(basis, fill=False)
     mask.values[np.random.default_rng(seed).random(basis.dimension()) < 0.5] = True
     interpolate(basis, coefficients, lambda p: math.sin(3.0 * p[0]) * math.exp(p[1]))
     interpolate_masked(basis, coefficients, lambda p: math.cos(p[0] - 2.0 * p[1]), mask)
-    return coefficients.values.tobytes()
+    return coefficients
+
+
+def evaluated(basis, coefficients):
+    """``repr`` of the field at :data:`POINTS`, on the root and below every inner node."""
+    paths = [leaf.tree_path for leaf in basis.local_view().leaves]
+    inner = sorted({path[:depth] for path in paths for depth in range(len(path))} | {()})
+    spaces = [subspace_basis(basis, prefix) for prefix in inner]
+    return repr([evaluate_discrete(space, coefficients, p) for space in spaces for p in POINTS])
+
+
+def vector_digests(name, basis, seed):
+    """Bytes of the interpolant, and the ``repr`` of its ``data`` and of its values at points."""
+    coefficients = interpolated(basis, seed)
+    yield f"interpolate/{name}", coefficients.values.tobytes()
+    yield f"evaluate/{name}", evaluated(basis, coefficients).encode()
+    yield f"data/{name}", repr(coefficients.data).encode()
 
 
 def node_grids(basis):
@@ -125,7 +147,7 @@ def artefacts(small):
             for pin in (False, True):
                 yield from cavity_digests(nx, ny, pin, directory)
     for seed, (label, basis) in enumerate(strategy_table_bases(StructuredGrid(5, 7), 2)):
-        yield f"interpolate/table1/{label}/5x7", interpolated(basis, seed)
+        yield from vector_digests(f"table1/{label}/5x7", basis, seed)
         yield f"node_grid/table1/{label}/5x7", node_grids(basis)
         yield f"dirichlet/table1/{label}/5x7", dirichlet_rhs(basis)
         yield f"tree/table1/{label}", render_tree(basis.tree).encode()
@@ -135,7 +157,7 @@ def artefacts(small):
 
         for index, (seed, tree) in enumerate(permuting_random_trees()):
             basis = make_basis(StructuredGrid(3, 4), tree)
-            yield f"interpolate/random_tree/{index}/3x4", interpolated(basis, seed)
+            yield from vector_digests(f"random_tree/{index}/3x4", basis, seed)
             yield f"node_grid/random_tree/{index}/3x4", node_grids(basis)
             yield f"tree/random_tree/{index}", render_tree(tree).encode()
     for nx, ny in [(4, 4), (5, 7)]:

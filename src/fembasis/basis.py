@@ -39,7 +39,6 @@ the containing element through its row.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,7 +53,7 @@ from .errors import (
 )
 from .grid import StructuredGrid
 from .localfe import lagrange_element
-from .multiindex import Layout, MultiIndex, as_multi_index
+from .multiindex import Layout, MultiIndex, as_multi_index, nesting
 from .treespec import BasisTree, Leaf, Power, Strategy, child_at
 
 
@@ -131,20 +130,6 @@ def _leaf_tables(tree: BasisTree, grid: StructuredGrid) -> list:
     ]
 
 
-def _nesting(tree: BasisTree, numbers):
-    """Function shaping a list of leaf values like ``tree``.
-
-    Leaf by leaf, depth first, takes ``values[n]`` for the next ``n`` drawn
-    from the iterator ``numbers``; a leaf yields its value, an inner node
-    the list of its children's.
-    """
-    if isinstance(tree, Leaf):
-        return itemgetter(next(numbers))
-    children = (tree.child,) * tree.count if isinstance(tree, Power) else tree.children
-    parts = [_nesting(child, numbers) for child in children]
-    return lambda values: [part(values) for part in parts]
-
-
 class LeafView:
     """One leaf below a prefix: path below it, first local index, element, node grid."""
 
@@ -201,15 +186,16 @@ class _Scope:
 
         ``(orders, windows, nest)``: the distinct leaf orders; per leaf,
         depth first, ``(start, stop, n)`` with its window ``row[start:stop]``
-        and ``orders[n]`` its order; and ``nest``, which shapes one value
-        per leaf like the subtree (a leaf subtree yields its one value).
+        and ``orders[n]`` its order; and ``nest``, which takes one value
+        per leaf and returns it itself when the prefix addresses a leaf,
+        and otherwise lists nested like the subtree.
         """
         orders = sorted({leaf.finite_element.order for leaf in self.leaves})
         windows = [
             (leaf.offset, leaf.offset + leaf.size, orders.index(leaf.finite_element.order))
             for leaf in self.leaves
         ]
-        return orders, windows, _nesting(self.node, iter(range(len(self.leaves))))
+        return orders, windows, nesting([leaf.rel_path for leaf in self.leaves])
 
     @cached_property
     def ring(self) -> np.ndarray:

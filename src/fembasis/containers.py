@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlreadyFrozen, IndexOutOfRange, NotFrozen, ShapeMismatch
-from .multiindex import Layout, MultiIndex
+from .multiindex import Layout, MultiIndex, nesting
 
 
 def _dtype(values):
@@ -38,7 +38,8 @@ class NestedVector:
     """Scalars shaped like an index tree, stored flat in offset order.
 
     ``NestedVector(nested_list)`` takes the layout from the list's nesting
-    (a plain scalar is the one-slot vector addressed by ``()``);
+    (a plain scalar is the one-slot vector addressed by ``()``, ``[]`` the
+    empty vector, and an empty list below the root raises ShapeMismatch);
     :meth:`resize_from_basis` takes it from a basis.
     """
 
@@ -49,6 +50,8 @@ class NestedVector:
 
         def walk(node, path):
             if isinstance(node, list):
+                if path and not node:
+                    raise ShapeMismatch(f"empty list at {path}: an inner node needs a child")
                 for d, child in enumerate(node):
                     walk(child, path + (d,))
             else:
@@ -79,17 +82,7 @@ class NestedVector:
     @property
     def data(self):
         """Nested-list view of the values, built anew on every access."""
-        root = []
-        for key, value in zip(self._layout.keys, self._values.tolist()):
-            if not key:
-                return value
-            node = root
-            for digit in key[:-1]:
-                if len(node) == digit:
-                    node.append([])
-                node = node[digit]
-            node.append(value)
-        return root
+        return nesting(self._layout.keys)(self._values.tolist())
 
     def resize_from_basis(self, basis, fill=0.0) -> None:
         """Shape this vector for (the root basis of) ``basis``.

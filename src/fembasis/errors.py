@@ -1,5 +1,6 @@
 """Exception types shared across the package, and its integer and tolerance input checks."""
 
+import math
 import numbers
 import operator
 
@@ -12,11 +13,13 @@ def integer(value, what: str) -> int:
 
 
 def positive_real(value, what: str) -> float:
-    """``value`` as a float; a bool or a non-real raises TypeError, a value not > 0 ValueError."""
+    """``value`` as a float; TypeError for a bool or non-real, ValueError unless finite and > 0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{what} must be a real number, got {value!r}")
     if not value > 0.0:
         raise ValueError(f"{what} must be positive, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
     return float(value)
 
 

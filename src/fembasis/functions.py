@@ -205,7 +205,8 @@ def evaluate_discrete(basis, coefficients, point):
     contracts each leaf's window of that row with the tensor products of
     the 1-D shape function values in x and y.
     Coefficients must be laid out like the root basis, else ShapeMismatch.
-    Returns a scalar for a single-leaf subtree, nested lists otherwise.
+    Returns a scalar when the prefix addresses a leaf, and otherwise lists
+    nested like the subtree.
     Points outside the unit square raise OutsideDomain.
     """
     root = basis.root_basis

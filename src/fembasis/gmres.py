@@ -25,7 +25,10 @@ class SolverConfig:
 
     restart: Krylov dimension per cycle, at least 1.
     max_iterations: total budget across restarts, at least 0; one matvec each.
-    tolerance: relative residual target ``||b - Ax|| / ||b||``, a real > 0.
+    tolerance: relative residual target ``||b - Ax|| / ||b||``, a finite
+        real > 0.  A zero start meets a value of 1 or more, so such a solve
+        stops converged after zero iterations; :func:`~fembasis.stokes.solve_stokes`
+        hands GMRes one when the data nearly solve the system.
 
     A bool or a non-integer count, or a non-real tolerance, raises
     TypeError, a value out of range ValueError; numpy numbers are stored

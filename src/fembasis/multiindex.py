@@ -7,12 +7,15 @@ every node are numbered consecutively from zero, and no entry is an inner
 node.  A :class:`Layout` lists the entries of one index tree in
 lexicographic order; the position of an entry is its flat offset.  Only
 the layout turns keys into offsets (:meth:`Layout.slot`) and compares key
-lists (:meth:`Layout.same_keys`); containers and functions ask it.
+lists (:meth:`Layout.same_keys`); containers and functions ask it.  One
+rule turns one value per entry into lists nested like the tree
+(:func:`nesting`); nested vectors and evaluated range values both use it.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import groupby
 from typing import Iterable
 
 import numpy as np
@@ -108,6 +111,26 @@ class Layout:
     def same_keys(self, other: Layout) -> bool:
         """True when both layouts list the same keys in the same order."""
         return self is other or (len(self) == len(other) and self.keys == other.keys)
+
+
+def nesting(paths):
+    """Function nesting one value per entry of an index tree like the tree.
+
+    ``paths`` are the entries in lexicographic order, and the function takes
+    the value of ``paths[k]`` at position ``k``.  It returns that value for
+    the entry ``()``, else a list per inner node of its children's results;
+    empty ``paths`` give ``[]``.
+    """
+
+    def shape(entries, depth):  # the (position, path) entries below one node at ``depth``
+        if len(entries[0][1]) == depth:
+            return operator.itemgetter(entries[0][0])
+        children = groupby(entries, lambda entry: entry[1][depth])
+        parts = [shape(list(child), depth + 1) for _, child in children]
+        return lambda values: [part(values) for part in parts]
+
+    entries = list(enumerate(paths))
+    return shape(entries, 0) if entries else lambda values: []
 
 
 def as_multi_index(value) -> MultiIndex:

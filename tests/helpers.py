@@ -118,6 +118,13 @@ def tree_children(node):
     return (node.child,) * node.count if hasattr(node, "count") else node.children
 
 
+def tree_shape(tree):
+    """``None`` for a leaf, else the list of the children's shapes: the nesting of a range value."""
+    if hasattr(tree, "order"):
+        return None
+    return [tree_shape(kid) for kid in tree_children(tree)]
+
+
 def tree_leaves(tree, path=()):
     """(path, order) of every leaf below ``tree``, depth first."""
     if hasattr(tree, "order"):

@@ -146,6 +146,7 @@ def test_stokes_pin_pressure(capsys, tmp_path):
         ("indices", "--tree", "power(lagrange(1),0)", "--grid", "2x2"),
         ("stokes", "--grid", "2x2", "--restart", "0", "--out", "c.vtu"),
         ("stokes", "--grid", "2x2", "--tol", "-1", "--out", "c.vtu"),
+        ("stokes", "--grid", "2x2", "--tol", "inf", "--out", "c.vtu"),
         ("stokes", "--grid", "2x2", "--max-iter", "-1", "--out", "c.vtu"),
         ("stokes", "--grid", "2x2", "--out", "missing/c.vtu"),
     ],
@@ -159,6 +160,14 @@ def test_bad_input_is_reported(capsys, tmp_path, monkeypatch, argv):
     assert code == 1
     assert err.startswith("error:")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_infinite_tolerance_exits_1_and_names_the_tolerance(capsys, tmp_path):
+    out_path = tmp_path / "c.vtu"
+    argv = ["stokes", "--grid", "4x4", "--tol", "inf", "--out", str(out_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: tolerance must be finite, got inf\n")
+    assert not out_path.exists()
 
 
 def test_an_out_path_that_is_a_directory_is_refused_before_any_work(capsys, tmp_path, monkeypatch):

@@ -23,7 +23,8 @@ from fembasis import (
     subspace_basis,
     taylor_hood_tree,
 )
-from helpers import random_tree
+from fembasis.cli import strategy_table_bases
+from helpers import random_tree, trie_is_index_tree
 
 
 def make_th_vector(nx=4, ny=4):
@@ -142,6 +143,43 @@ def test_storage_is_float64_unless_the_fill_is_bool():
     assert v.values.dtype == np.float64
     assert NestedVector([1, 2]).values.dtype == np.float64
     assert NestedVector([True, False])[(0,)] is True
+
+
+@pytest.mark.parametrize("data", [[[], [1.0]], [[1.0], []], [[1.0, []]], [[[2.0]], [[]]]], ids=repr)
+def test_an_empty_list_below_the_root_is_refused(data):
+    # an inner node needs a child: [[], [1.0]] would key its value (1, 0) below no (0, ...)
+    with pytest.raises(ShapeMismatch, match="empty list"):
+        NestedVector(data)
+
+
+def test_an_empty_root_list_is_the_empty_vector():
+    v = NestedVector([])
+    assert len(v.layout) == 0 and v.data == [] and repr(v) == "NestedVector([])"
+    assert NestedVector(v.data) == v
+
+
+def random_nested_list(rng, depth=0):
+    """A scalar or a non-empty list of random nested lists, at most four levels deep."""
+    if depth == 4 or (depth and rng.random() < 0.4):
+        return float(rng.standard_normal())
+    return [random_nested_list(rng, depth + 1) for _ in range(int(rng.integers(1, 4)))]
+
+
+def test_data_round_trips_through_the_constructor():
+    vectors = []
+    for _, basis in strategy_table_bases(StructuredGrid(3, 2), 2):
+        v = NestedVector()
+        v.resize_from_basis(basis)
+        v.values[:] = np.random.default_rng(len(vectors)).standard_normal(len(v.values))
+        vectors.append(v)
+    rng = np.random.default_rng(97)
+    vectors += [NestedVector(random_nested_list(rng)) for _ in range(50)]
+    vectors += [NestedVector(2.5), NestedVector([True, [False]])]
+    for v in vectors:
+        assert trie_is_index_tree(v.layout.keys)
+        again = NestedVector(v.data)
+        assert again == v and again.values.dtype == v.values.dtype
+        assert again.data == v.data and repr(again) == repr(v)
 
 
 def flat_system(n):

@@ -28,7 +28,9 @@ def test_the_small_digest_repeats():
     assert len(set(names)) == len(names)
     for kind in ("summary", "vtu", "solution"):
         assert {f"stokes/4x4/free/{kind}", f"stokes/4x4/pinned/{kind}"} <= set(names)
-    assert sum(name.startswith("interpolate/table1/") for name in names) == 8
+    for kind in ("interpolate", "evaluate", "data"):
+        assert sum(name.startswith(f"{kind}/table1/") for name in names) == 8
+        assert not any(name.startswith(f"{kind}/random_tree/") for name in names)  # full set only
     assert sum(name.startswith("element_matrix/") for name in names) == 2
     assert sum(name.startswith("tree/table1/") for name in names) == 8
     assert "indices/table1" in names

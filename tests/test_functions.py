@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from helpers import expected_leaf_index, random_tree, tree_children, tree_leaves
+from helpers import expected_leaf_index, random_tree, tree_children, tree_leaves, tree_shape
+from test_numberings import permuting_random_trees
 
 from fembasis import (
     GlobalBasis,
@@ -880,3 +881,51 @@ def test_evaluate_discrete_at_numpy_scalars_reads_the_same_python_floats():
         assert repr(scalars) == repr(plain)  # np.float64 would repr as np.float64(...)
         (vx, vy), pressure = scalars
         assert {type(vx), type(vy), type(pressure)} == {float}
+
+
+def one_rule_bases():
+    """The eight Table-1 bases at 3x2 and the 12 permuting random trees at 3x4."""
+    bases = [basis for _, basis in strategy_table_bases(StructuredGrid(3, 2), 2)]
+    return bases + [make_basis(StructuredGrid(3, 4), tree) for _, tree in permuting_random_trees()]
+
+
+def tree_nodes(tree, path=()):
+    """(path, node) of every node of ``tree``, depth first, the root first."""
+    kids = () if hasattr(tree, "order") else tree_children(tree)
+    return [(path, tree)] + [n for i, kid in enumerate(kids) for n in tree_nodes(kid, path + (i,))]
+
+
+def value_shape(value):
+    """``None`` for a float, else the list of the items' shapes."""
+    if isinstance(value, list):
+        return [value_shape(item) for item in value]
+    assert type(value) is float
+    return None
+
+
+def random_coefficients(basis, rng):
+    v = NestedVector()
+    v.resize_from_basis(basis)
+    v.values[:] = rng.uniform(-1.0, 1.0, len(v.values))
+    return v
+
+
+def test_evaluated_values_nest_like_the_subtree_at_every_prefix():
+    rng = np.random.default_rng(101)
+    for basis in one_rule_bases():
+        v = random_coefficients(basis, rng)
+        for prefix, node in tree_nodes(basis.tree):
+            subspace = subspace_basis(basis, prefix)
+            for p in [(0.0, 0.0), (0.37, 0.81), (1.0, 1.0)]:
+                assert value_shape(evaluate_discrete(subspace, v, p)) == tree_shape(node)
+
+
+def test_interpolating_the_evaluated_field_reproduces_its_coefficients():
+    # interpolate reads range values in the nesting evaluate_discrete writes them in
+    rng = np.random.default_rng(103)
+    for basis in one_rule_bases():
+        x = random_coefficients(basis, rng)
+        y = NestedVector()
+        y.resize_from_basis(basis)
+        interpolate(basis, y, lambda p: evaluate_discrete(basis, x, p))
+        assert np.max(np.abs(y.values - x.values)) <= 1e-13 * np.max(np.abs(x.values))

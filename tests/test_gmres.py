@@ -364,6 +364,7 @@ def test_solver_config_tolerance_must_be_a_real_number(bad):
         (-1.0, ValueError),
         (-np.inf, ValueError),
         (np.nan, ValueError),
+        (np.inf, ValueError),
     ],
 )
 def test_a_tolerance_is_checked_alike_by_the_config_and_by_gmres(bad, error):
@@ -375,6 +376,18 @@ def test_a_tolerance_is_checked_alike_by_the_config_and_by_gmres(bad, error):
     for good in (1, np.int64(1), np.float32(1e-6), 1e-300):
         _, relres, _ = gmres(lambda v: 2.0 * v, np.ones(3), SolverConfig(tolerance=good))
         assert relres <= good
+
+
+@pytest.mark.parametrize("tolerance", [1, 1.0, 2.5, 1e300])
+def test_a_tolerance_of_one_or_more_stops_converged_after_zero_iterations(tolerance):
+    # a zero start has relative residual 1: the one product is the initial residual's
+    calls, record = [], {}
+    x, relres, iterations = gmres(
+        lambda v: calls.append(v) or 2.0 * v, np.ones(3), SolverConfig(tolerance=tolerance),
+        record=record,
+    )
+    assert (relres, iterations, record["stop"], len(calls)) == (1.0, 0, "converged", 1)
+    assert np.array_equal(x, np.zeros(3))
 
 
 def test_right_preconditioning_keeps_true_residual():

@@ -1,10 +1,10 @@
-"""Multi-index construction, prefix relations and layout lookups."""
+"""Multi-index construction, prefix relations, layout lookups and the nesting rule."""
 
 import numpy as np
 import pytest
 
 from fembasis import CapacityExceeded, MultiIndex, ShapeMismatch, is_prefix
-from fembasis.multiindex import Layout
+from fembasis.multiindex import Layout, nesting
 
 
 def test_construction_and_rendering():
@@ -78,3 +78,14 @@ def test_layout_slots_and_same_keys():
     assert layout.same_keys(Layout([(0, 0), (0, 1), (1,)]))
     assert not layout.same_keys(Layout([(0, 0), (0, 1)]))
     assert not layout.same_keys(Layout([(0, 0), (0, 1), (2,)]))
+
+
+def test_nesting_gives_one_list_per_inner_node_and_the_value_at_the_root_entry():
+    assert nesting([])([]) == []
+    assert nesting([()])(["v"]) == "v"
+    paths = [(0,), (1, 0), (1, 1, 0), (1, 2), (2, 0, 0)]
+    nest = nesting(paths)
+    assert nest("abcde") == ["a", ["b", ["c"], "d"], [["e"]]]
+    assert nest(range(10, 15)) == [10, [11, [12], 13], [[14]]]
+    first, second = nest("abcde"), nest("abcde")
+    assert first == second and first is not second and first[1] is not second[1]  # fresh lists

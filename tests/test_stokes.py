@@ -775,6 +775,32 @@ def test_pressure_space_solve_hands_gmres_its_config_with_the_scaled_tolerance(m
     assert handed.tolerance == 1e-9 * math.sqrt(g @ g) / math.sqrt(c @ c)
 
 
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (6, 9)])
+def test_data_that_nearly_solve_the_system_stop_the_solve_at_once(monkeypatch, nx, ny):
+    """Uniform flow through the walls solves Stokes with zero pressure: c is round-off,
+    so the scaled tolerance is far above 1, finite, and GMRes stops converged at once."""
+    seen, solve = [], fembasis.stokes.gmres
+    spy = lambda *args, **kw: seen.append(args) or solve(*args, **kw)
+    monkeypatch.setattr(fembasis.stokes, "gmres", spy)
+    basis = make_basis(StructuredGrid(nx, ny), taylor_hood_tree())
+    system = SparseSystem()
+    assemble_stokes_matrix(basis, system)
+    rhs = NestedVector()
+    rhs.resize_from_basis(basis)
+    apply_dirichlet(system, rhs, basis, lambda p: (1.0, 0.0))
+    system.freeze()
+    record = {}
+    solution, relres, iterations = solve_stokes(basis, system, rhs, record=record)
+    (_, c, handed), = seen
+    assert 1.0 < handed.tolerance < math.inf and np.linalg.norm(c) > 0.0
+    assert (iterations, record["stop"]) == (0, "converged")
+    assert relres <= SolverConfig().tolerance
+    flow = NestedVector()
+    flow.resize_from_basis(basis)
+    interpolate(basis, flow, lambda p: [[1.0, 0.0], 0.0])
+    assert np.max(np.abs(solution.values - flow.values)) <= 1e-12
+
+
 def test_taylor_hood_functions_find_the_velocity_where_apply_dirichlet_does():
     """Velocity leaves below root child 0, the pressure leaf at root child 1, nothing else."""
     message = "velocity at root child 0, a pressure leaf at root child 1"
