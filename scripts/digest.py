@@ -27,7 +27,10 @@ The artefacts are
   --table1 3`` prints.
 
 ``--small`` keeps only the 4x4 runs, the Table-1 artefacts and the
-element matrices.  The package is imported from this checkout's ``src``.
+element matrices.  ``--save DIR`` also writes each artefact's bytes to
+``DIR/<name>``, each ``/`` of the name a directory, so that a change that
+moves bytes on purpose can read how far the numbers moved.  The package
+is imported from this checkout's ``src``.
 
 The script caps BLAS at one thread before it imports numpy.  The bytes of
 this set agree at one and at two OpenBLAS threads on a 2-core machine
@@ -169,8 +172,15 @@ def artefacts(small):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--small", action="store_true", help="only the smallest set")
+    parser.add_argument(
+        "--save", metavar="DIR", type=Path, help="also write each artefact's bytes to DIR/<name>"
+    )
     args = parser.parse_args(argv)
     for name, data in artefacts(args.small):
+        if args.save is not None:
+            path = args.save / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
         print(name, sha(data))
     return 0
 

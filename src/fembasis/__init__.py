@@ -40,7 +40,7 @@ from .gmres import SolverConfig, gmres, solve_system
 from .grid import ElementGeometry, StructuredGrid, parse_grid_shape
 from .localfe import LagrangeQk, lagrange_element
 from .multiindex import MultiIndex, as_multi_index, is_prefix
-from .quadrature import gauss_legendre_unit, tensor_rule
+from .quadrature import gauss_legendre_unit
 from .stokes import (
     CavitySummary,
     apply_dirichlet,
@@ -121,7 +121,6 @@ __all__ = [
     "solve_system",
     "subspace_basis",
     "taylor_hood_tree",
-    "tensor_rule",
     "tree_depth",
     "weak_divergence_norm",
     "write_vtu",

@@ -43,8 +43,7 @@ def _cmd_indices(args) -> int:
 
     if args.table1 is not None:
         bases = strategy_table_bases(grid, args.table1)
-        n2 = make_basis(grid, Leaf(2)).dimension()
-        n1 = make_basis(grid, Leaf(1)).dimension()
+        n2, n1 = (bases[0][1].node_grid(path).size for path in ((0, 0), (1,)))
         print(f"Taylor-Hood with {args.table1} velocity components, n2={n2}, n1={n1}")
         width = 14
         header = " " * 10 + "".join(label.center(width) for label, _ in bases)

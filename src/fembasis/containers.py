@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlreadyFrozen, IndexOutOfRange, NotFrozen, ShapeMismatch
-from .multiindex import Layout, MultiIndex, nesting
+from .multiindex import Layout, MultiIndex
 
 
 def _dtype(values):
@@ -82,7 +82,7 @@ class NestedVector:
     @property
     def data(self):
         """Nested-list view of the values, built anew on every access."""
-        return nesting(self._layout.keys)(self._values.tolist())
+        return self._layout.nest(self._values.tolist())
 
     def resize_from_basis(self, basis, fill=0.0) -> None:
         """Shape this vector for (the root basis of) ``basis``.

@@ -59,11 +59,12 @@ class Layout:
     every key (or an equal plain tuple) back to its offset.  ``keys`` is
     either the entries themselves or a function that returns them; a
     function needs the entry count as ``size`` and runs on the first read
-    of ``keys``.  ``offset`` is built on its first read, so a layout used
-    only through its length builds neither.
+    of ``keys``.  ``offset`` and ``nest``, the :func:`nesting` of the keys,
+    are built on their first read, so a layout used only through its
+    length builds none of them.
     """
 
-    __slots__ = ("_size", "_source", "_keys", "_offset")
+    __slots__ = ("_size", "_source", "_keys", "_offset", "_nest")
 
     def __init__(self, keys, size=None):
         if callable(keys):
@@ -71,7 +72,7 @@ class Layout:
         else:
             self._source, self._keys = None, tuple(keys)
             self._size = len(self._keys)
-        self._offset = None
+        self._offset = self._nest = None
 
     @property
     def keys(self) -> tuple:
@@ -84,6 +85,12 @@ class Layout:
         if self._offset is None:
             self._offset = {key: k for k, key in enumerate(self.keys)}
         return self._offset
+
+    @property
+    def nest(self):
+        if self._nest is None:
+            self._nest = nesting(self.keys)
+        return self._nest
 
     def __len__(self) -> int:
         return self._size

@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature on the unit interval and unit square.
+"""Gauss-Legendre quadrature on the unit interval.
 
 Rules are reference-element constants: like every such constant in the
 package, each is built once by a cached builder and shared, read-only.
@@ -19,29 +19,12 @@ def gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _line_rule(integer(n, "quadrature point count"))
 
 
-def tensor_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor product of the n-point rule on the unit square.
-
-    Returns read-only points of shape (n*n, 2) and matching weights; exact
-    for polynomials of degree 2n-1 per axis.
-    """
-    return _square_rule(integer(n, "quadrature point count"))
-
-
 @functools.cache
 def _line_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError(f"quadrature needs at least one point, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
     return read_only((x + 1.0) / 2.0, w / 2.0)
-
-
-@functools.cache
-def _square_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _line_rule(n)
-    points = np.array([(xa, xb) for xb in x for xa in x])
-    weights = np.array([wa * wb for wb in w for wa in w])
-    return read_only(points, weights)
 
 
 def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -4,9 +4,10 @@ The weak form of -laplace(u) - grad(p) = 0, div(u) = 0 pairs a velocity
 Laplacian block with symmetric velocity-pressure coupling built from
 integrals of (grad phi_i)_k * theta_j.  The velocity lives in two
 quadratic components, the pressure in one linear component, so every quad
-element contributes a dense 22-by-22 matrix.  Boundary conditions fix the
-velocity to (0,1) on the left wall and (0,0) elsewhere; rows of fixed
-entries become identity rows.  :func:`run_driven_cavity` solves the
+element contributes a dense 22-by-22 matrix, Kronecker products of the
+1-D integrals that the solve's blocks are built from.  Boundary
+conditions fix the velocity to (0,1) on the left wall and (0,0)
+elsewhere; rows of fixed entries become identity rows.  :func:`run_driven_cavity` solves the
 resulting saddle point system with :func:`solve_stokes`, the one solve of
 every Taylor-Hood system here, whichever way it was assembled: the
 velocity Laplacian is inverted exactly by fast diagonalisation, so
@@ -35,13 +36,12 @@ from .errors import AlreadyFrozen, ShapeMismatch
 from .functions import boundary_offsets, interpolate_masked
 from .gmres import SolverConfig, _timed, gmres
 from .grid import StructuredGrid
-from .localfe import lagrange_element, line_matrices
-from .quadrature import read_only, tensor_rule
+from .localfe import line_matrices
+from .quadrature import read_only
 from .treespec import Composite, Leaf, Power, Strategy
 from .vtu import write_vtu
 
 VELOCITY_COMPONENTS = 2
-GAUSS_POINTS = 3  # per axis: exact for the Q2-Q1 forms, of degree at most 4 per axis
 
 
 def taylor_hood_tree() -> Composite:
@@ -77,16 +77,16 @@ def _split_taylor_hood_leaves(leaves):
 
 
 @functools.cache
-def _reference_tabulation(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only values (points, count) and gradients (points, count, 2) of the
-    order's reference shape functions at the points of ``tensor_rule(GAUSS_POINTS)``.
+def _reference_products() -> tuple[np.ndarray, ...]:
+    """Read-only one-cell Kronecker products, the eta factor first (node b*3 + a).
+
+    M x K and K x M of the symmetrised Q2 stiffness K and mass M, then
+    M21 x D21 and D21 x M21 of the Q2-by-Q1 mass M21 and slope coupling D21.
     """
-    fe = lagrange_element(order)
-    points, _ = tensor_rule(GAUSS_POINTS)
-    return read_only(
-        np.array([fe.values(point) for point in points]),
-        np.array([fe.gradients(point) for point in points]),
-    )
+    stiffness, mass = ((m + m.T) / 2 for m in line_matrices(2, 2, 1)[:2])
+    _, mass21, slope21 = line_matrices(2, 1, 1)
+    pairs = [(mass, stiffness), (stiffness, mass), (mass21, slope21), (slope21, mass21)]
+    return read_only(*(np.kron(eta, xi) for eta, xi in pairs))
 
 
 def assemble_element_matrix(view) -> np.ndarray:
@@ -96,31 +96,23 @@ def assemble_element_matrix(view) -> np.ndarray:
     geometry is its ``geometry``.  The velocity blocks get the
     component-wise Laplacian, the velocity-pressure couplings get the
     divergence pairing in both symmetric positions, and the
-    pressure-pressure block stays structurally present but zero.  A fixed
-    3x3 Gauss rule integrates these Q2-Q1 forms exactly, from reference
-    shape functions tabulated once per order and shared by every call.
+    pressure-pressure block stays structurally present but zero.  On the
+    axis-aligned hx-by-hy cell the blocks are the shared Kronecker products
+    of the 1-D integrals that :func:`solve_stokes` also uses: the Laplacian
+    hy/hx M x K + hx/hy K x M, the x coupling hy M21 x D21 and the y
+    coupling hx D21 x M21.  The matrix is exactly symmetric.
     """
     vel, press = _split_taylor_hood_leaves(view.leaves)
-    geometry = view.geometry
-    fe_v = vel[0].finite_element
-    fe_p = press.finite_element
-    n = view.max_size
-    A = np.zeros((n, n))
-    _, weights = tensor_rule(GAUSS_POINTS)
-    _, gradients = _reference_tabulation(fe_v.order)
-    values, _ = _reference_tabulation(fe_p.order)
-    # all Gauss points at once; add.reduce sums the points in order, as a loop would
-    grads = gradients * np.array([1.0 / geometry.hx, 1.0 / geometry.hy])
-    factor = (weights * geometry.jacobian_determinant)[:, None, None]
-    laplace = np.add.reduce(grads @ grads.transpose(0, 2, 1) * factor, axis=0)
-    nv, npr = fe_v.count, fe_p.count
-    poff = press.offset
-    for k, leaf in enumerate(vel):
-        off = leaf.offset
-        coupling = np.add.reduce(grads[:, :, k, None] * values[:, None, :] * factor, axis=0)
-        A[off : off + nv, off : off + nv] += laplace
-        A[off : off + nv, poff : poff + npr] += coupling
-        A[poff : poff + npr, off : off + nv] += coupling.T
+    hx, hy = view.geometry.hx, view.geometry.hy
+    mk, km, m21d21, d21m21 = _reference_products()
+    laplace = hy / hx * mk + hx / hy * km
+    A = np.zeros((view.max_size, view.max_size))
+    p = slice(press.offset, press.offset + press.finite_element.count)
+    for leaf, coupling in zip(vel, (hy * m21d21, hx * d21m21)):
+        v = slice(leaf.offset, leaf.offset + leaf.finite_element.count)
+        A[v, v] = laplace
+        A[v, p] = coupling
+        A[p, v] = coupling.T
     return A
 
 
@@ -130,9 +122,9 @@ def assemble_stokes_matrix(basis: GlobalBasis, system: SparseSystem) -> None:
     Stores every entry of every element matrix, including the structural
     zeros of the pressure-pressure block.  The grid is uniform (as
     :func:`solve_stokes` also assumes): every element has the same size
-    and Jacobian, so all element matrices are the same.  The
-    matrix is computed once, on element 0 (3x3 Gauss points), and added
-    at every row of :meth:`~fembasis.basis.GlobalBasis.element_offsets`.
+    and Jacobian, so all element matrices are the same.  The matrix is
+    computed once, on element 0, and added at every row of
+    :meth:`~fembasis.basis.GlobalBasis.element_offsets`.
     """
     if system.frozen:
         raise AlreadyFrozen("cannot assemble into a frozen system")
@@ -230,9 +222,9 @@ def solve_stokes(
     (Lynch, Rice & Thomas, 1964), ``Sy (Sy^T Z Sx / (lam_y + lam_x)) Sx^T``
     per velocity component; B^T is ``My21 Z Dx21^T`` for the x component
     and ``Dy21 Z Mx21^T`` for the y one, with the Q2-by-Q1 mass M21 and
-    slope coupling D21, which the assembly's 3x3 Gauss rule integrates
-    exactly.  In the eigenbasis of K, B^T_k Z = left_k Z right_k becomes
-    L_k Z R_k with L_k = Sy^T left_k and R_k = right_k Sx, so
+    slope coupling D21, as in the element matrix.  In the eigenbasis of
+    K, B^T_k Z = left_k Z right_k becomes L_k Z R_k with
+    L_k = Sy^T left_k and R_k = right_k Sx, so
     S Q = sum_k L_k^T ((L_k Q R_k) / (lam_y + lam_x)) R_k^T needs no
     product with Sy or Sx.  GMRes runs on S over the pressure node grid,
     right-preconditioned by the Q1 pressure mass, M_p^-1 Q = My^-1 Q Mx^-1.

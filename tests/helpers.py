@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fembasis import Composite, Leaf, Power, Strategy
+from fembasis import Composite, Leaf, Power, Strategy, gauss_legendre_unit
 from fembasis.localfe import line_matrices
 from fembasis.stokes import _axis_factors
 
@@ -167,6 +167,18 @@ def expected_leaf_index(tree, nx, ny, leaf_path, flat):
         else:
             mi = (mi[0] * m + i,) + mi[1:]
     return mi
+
+
+def square_rule(n):
+    """Tensor product of the n-point Gauss rule on the unit square.
+
+    Points of shape (n*n, 2), the first coordinate running fastest, and
+    matching weights; exact for polynomials of degree 2n-1 per axis.
+    """
+    x, w = gauss_legendre_unit(n)
+    points = np.array([(xa, xb) for xb in x for xa in x])
+    weights = np.array([wa * wb for wb in w for wa in w])
+    return points, weights
 
 
 def stokes_preconditioner(basis):

@@ -5,6 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
+import fembasis
 from fembasis import (
     AlreadyFrozen,
     IndexOutOfRange,
@@ -180,6 +181,26 @@ def test_data_round_trips_through_the_constructor():
         again = NestedVector(v.data)
         assert again == v and again.values.dtype == v.values.dtype
         assert again.data == v.data and repr(again) == repr(v)
+
+
+def test_a_layout_builds_its_nesting_once(monkeypatch):
+    calls = []
+    nesting = fembasis.multiindex.nesting
+
+    def counted(paths):
+        calls.append(len(paths))
+        return nesting(paths)
+
+    monkeypatch.setattr(fembasis.multiindex, "nesting", counted)
+    basis = strategy_table_bases(StructuredGrid(3, 2), 2)[0][1]
+    first, second = NestedVector(), NestedVector()
+    first.resize_from_basis(basis)
+    second.resize_from_basis(basis, fill=2.5)
+    first.values[:] = np.arange(len(first.values))
+    data = first.data
+    assert first.data == data and data == nesting(basis.layout.keys)(first.values.tolist())
+    assert second.data == nesting(basis.layout.keys)([2.5] * len(second.values))
+    assert calls == [basis.dimension()]
 
 
 def flat_system(n):

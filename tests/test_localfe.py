@@ -10,7 +10,6 @@ from fembasis import (
     UnsupportedOrder,
     gauss_legendre_unit,
     lagrange_element,
-    tensor_rule,
 )
 from fembasis.localfe import (
     _line_integrals,
@@ -120,31 +119,24 @@ def test_gauss_rules_are_shared_read_only_and_numpys_mapped_rule(n):
     points, weights = gauss_legendre_unit(n)
     assert points.tobytes() == ((x + 1.0) / 2.0).tobytes()
     assert weights.tobytes() == (w / 2.0).tobytes()
-    square_points, square_weights = tensor_rule(n)
-    x, w = (x + 1.0) / 2.0, w / 2.0
-    assert square_points.tobytes() == np.array([(a, b) for b in x for a in x]).tobytes()
-    assert square_weights.tobytes() == np.array([a * b for b in w for a in w]).tobytes()
-    for rule in (gauss_legendre_unit(n), tensor_rule(n)):
-        for array in rule:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.5
-    assert gauss_legendre_unit(n)[0] is points and tensor_rule(n)[1] is square_weights
+    for array in (points, weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    assert gauss_legendre_unit(n)[0] is points and gauss_legendre_unit(n)[1] is weights
 
 
 def test_gauss_rules_reject_bad_point_counts():
     with pytest.raises(ValueError):
         gauss_legendre_unit(0)
     fembasis.quadrature._line_rule.cache_clear()
-    fembasis.quadrature._square_rule.cache_clear()
-    for rule in (gauss_legendre_unit, tensor_rule):
-        for bad, equal in ((2.0, 2), (True, 1)):
-            with pytest.raises(TypeError, match="quadrature point count"):
-                rule(bad)
-            rule(equal)
-            with pytest.raises(TypeError, match="quadrature point count"):  # also once cached
-                rule(bad)
-        assert rule(np.int64(2)) is rule(2)
+    for bad, equal in ((2.0, 2), (True, 1)):
+        with pytest.raises(TypeError, match="quadrature point count"):
+            gauss_legendre_unit(bad)
+        gauss_legendre_unit(equal)
+        with pytest.raises(TypeError, match="quadrature point count"):  # also once cached
+            gauss_legendre_unit(bad)
+    assert gauss_legendre_unit(np.int64(2)) is gauss_legendre_unit(2)
 
 
 def cell_loop_line_matrices(order, column_order, cells):

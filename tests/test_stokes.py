@@ -8,7 +8,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from helpers import stokes_preconditioner
+from helpers import square_rule, stokes_preconditioner
 
 import fembasis
 from fembasis import (
@@ -39,7 +39,6 @@ from fembasis import (
     solve_system,
     subspace_basis,
     taylor_hood_tree,
-    tensor_rule,
     weak_divergence_norm,
 )
 from fembasis.cli import TABLE1_COLUMNS, strategy_table_bases
@@ -138,11 +137,13 @@ def per_point_element_matrix(view, geometry, quad_points):
     return A
 
 
-@pytest.mark.parametrize("nx,ny", [(3, 3), (3, 5)])
-def test_element_matrix_matches_the_per_point_tabulation_bitwise(nx, ny):
+@pytest.mark.parametrize("nx,ny", [(3, 3), (3, 5), (7, 2)])
+def test_element_matrix_is_symmetric_and_matches_the_per_point_rule_to_4_ulps(nx, ny):
     _, view = bound_view(nx, ny, element=4)
+    A = assemble_element_matrix(view)
     expected = per_point_element_matrix(view, view.geometry, 3)
-    assert assemble_element_matrix(view).tobytes() == expected.tobytes()
+    assert np.array_equal(A, A.T)
+    assert np.max(np.abs(A - expected)) <= 4 * np.spacing(np.max(np.abs(expected)))
 
 
 def check_cached_read_only(builder, *args):
@@ -154,11 +155,10 @@ def check_cached_read_only(builder, *args):
     return first
 
 
-def test_reference_tabulations_are_shared_and_read_only():
-    for order in (1, 2):
-        values, gradients = check_cached_read_only(fembasis.stokes._reference_tabulation, order)
-        assert values.shape == (3**2, (order + 1) ** 2)
-        assert gradients.shape == values.shape + (2,)
+def test_reference_products_are_shared_and_read_only():
+    products = check_cached_read_only(fembasis.stokes._reference_products)
+    assert [p.shape for p in products] == [(NV, NV)] * 2 + [(NV, NP)] * 2
+    assert all(np.array_equal(p, p.T) for p in products[:2])
 
 
 @pytest.mark.parametrize("cells", [1, 2, 7])
@@ -173,10 +173,9 @@ def test_axis_factors_are_shared_read_only_and_per_cell_count(cells):
 
 CACHED_BUILDERS = (
     fembasis.quadrature._line_rule,
-    fembasis.quadrature._square_rule,
     fembasis.localfe._element,
     fembasis.localfe._line_integrals,
-    fembasis.stokes._reference_tabulation,
+    fembasis.stokes._reference_products,
     fembasis.stokes._axis_factors,
 )
 
@@ -201,8 +200,8 @@ def test_cavity_runs_compute_each_gauss_rule_once(tmp_path, monkeypatch, capsys)
         calls.clear()
         eigh_sizes.clear()
         first = run_driven_cavity(nx, ny, out_path=str(tmp_path / "c.vtu")).summary_line
-        # 3 points: the 3x3 assembly rule and line_matrices of orders (2, 2) and (2, 1);
-        # 2 points: line_matrices(1, 1)
+        # 3 points: line_matrices of orders (2, 2) and (2, 1), which the element matrix
+        # and the solve share; 2 points: line_matrices(1, 1)
         assert sorted(calls) == [2, 3]
         # one factor set per distinct cell count: 2n - 1 interior Q2 nodes on an axis
         assert eigh_sizes == sorted({2 * nx - 1, 2 * ny - 1})
@@ -946,11 +945,11 @@ def exact_pressure(x, y):
 def manufactured_load(basis):
     """Velocity rows of f = -lap(u) - grad(p) tested with the Q2 shape functions.
 
-    3x3 Gauss points per element, the rule of assemble_element_matrix;
-    the pressure rows stay 0 (div u = 0).
+    3x3 Gauss points per element, exact for the Q2-Q1 forms of
+    assemble_element_matrix; the pressure rows stay 0 (div u = 0).
     """
     grid = basis.grid
-    points, weights = tensor_rule(3)
+    points, weights = square_rule(3)
     j, i = np.divmod(np.arange(grid.num_elements), grid.nx)  # element e = j*nx + i
     x = (i[:, None] + points[:, 0]) * grid.hx
     y = (j[:, None] + points[:, 1]) * grid.hy
@@ -978,7 +977,7 @@ def manufactured_errors(n, tree):
     solution, relres, _ = solve_stokes(basis, system, rhs, config)
     assert relres <= 1e-12
 
-    points, weights = tensor_rule(4)  # one order above the 3x3 rule, off its Gauss points
+    points, weights = square_rule(4)  # one order above the load's 3x3 rule, off its Gauss points
     velocity, pressure, area = [], [], []
     for e in range(basis.grid.num_elements):
         i, j = basis.grid.cell_coords(e)
